@@ -229,19 +229,28 @@ def run_execution_checks() -> dict:
 
 
 def run_overhead(modules) -> dict:
-    """Suite detection, no plan vs installed-but-empty plan."""
+    """Suite detection, no plan vs installed-but-empty plan.
+
+    The two modes are measured interleaved (an inactive sweep then an
+    active one, REPEATS times, best-of each) so clock drift or a noisy
+    neighbour biases both sides equally."""
     detector = IdiomDetector()
     detector.compiler.prepare(detector.idioms, forest=True)
 
     def sweep():
         for name, module in modules:
             DetectionSession(detector).detect(module)
+        return True
 
-    faults.install_plan(None)
-    inactive_s, _ = best_of(lambda: sweep() or True, REPEATS)
-    faults.install_plan({"specs": []})
+    inactive_s = active_s = float("inf")
     try:
-        active_s, _ = best_of(lambda: sweep() or True, REPEATS)
+        for _ in range(REPEATS):
+            faults.install_plan(None)
+            seconds, _ = best_of(sweep, 1)
+            inactive_s = min(inactive_s, seconds)
+            faults.install_plan({"specs": []})
+            seconds, _ = best_of(sweep, 1)
+            active_s = min(active_s, seconds)
     finally:
         faults.install_plan(None)
     return {

@@ -516,7 +516,7 @@ class _Specializer:
         elif op == OP_LOADIDX:
             d, off = self._data_tok(inst[2])
             addr = self._addr(off, ((inst[3], inst[4]),), inst[5])
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {d}.item({addr})"))
         elif op == OP_STOREIDX:
             d, off = self._data_tok(inst[2])
             addr = self._addr(off, ((inst[3], inst[4]),), inst[5])
@@ -524,7 +524,7 @@ class _Specializer:
         elif op == OP_LOADN:
             d, off = self._data_tok(inst[2])
             addr = self._addr(off, inst[3], inst[4])
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {d}.item({addr})"))
         elif op == OP_STOREN:
             d, off = self._data_tok(inst[2])
             addr = self._addr(off, inst[3], inst[4])
@@ -532,7 +532,7 @@ class _Specializer:
         elif op == OP_LOAD:
             d, off = self._data_tok(inst[2])
             addr = off or "0"
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {d}.item({addr})"))
         elif op == OP_STORE:
             d, off = self._data_tok(inst[2])
             addr = off or "0"

@@ -111,7 +111,7 @@ class Pointer:
 
     def load(self):
         try:
-            return self.buffer.data[self.offset].item()
+            return self.buffer.data.item(self.offset)
         except IndexError:
             raise InterpreterError(
                 f"out-of-bounds load at {self.buffer.name}[{self.offset}]"

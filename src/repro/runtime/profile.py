@@ -38,7 +38,7 @@ from ..ir.printer import print_function_canonical
 
 #: Bump whenever the generated-code shape changes (new preamble, changed
 #: guard structure, …); stale persisted sources then simply miss.
-JIT_VERSION = 1
+JIT_VERSION = 2
 
 
 def jit_fingerprint(function: Function, profiling: bool,

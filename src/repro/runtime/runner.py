@@ -28,16 +28,17 @@ from .jit import JitVirtualMachine
 from .memory import Buffer, Pointer
 from .vm import VirtualMachine
 
-#: Available execution engines — the three tiers. ``vm`` (the default)
+#: Available execution engines — the three tiers. ``reference`` is the
+#: original tree-walking interpreter, kept as the semantic oracle; ``vm``
 #: compiles functions to flat register bytecode once and runs them ~an
-#: order of magnitude faster than ``reference``, the original tree-walking
-#: interpreter kept as the semantic baseline; ``jit`` adds profile-guided
+#: order of magnitude faster; ``jit`` (the default) adds profile-guided
 #: specialization of hot functions to Python code with numpy-batched
-#: affine loops on top of the VM. All three produce identical outputs and
-#: count-identical per-block profiles.
+#: affine loops on top of the VM, which stays its deopt and fallback
+#: tier. All three produce identical outputs and count-identical
+#: per-block profiles.
 ENGINES = {"reference": Interpreter, "vm": VirtualMachine,
            "jit": JitVirtualMachine}
-DEFAULT_ENGINE = "vm"
+DEFAULT_ENGINE = "jit"
 
 #: One-line descriptions, surfaced by the harness's ``--list``.
 ENGINE_DESCRIPTIONS = {

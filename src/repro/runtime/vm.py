@@ -199,8 +199,8 @@ class VirtualMachine:
                     pc += 1
                 elif op == OP_LOADIDX:
                     p = regs[inst[2]]
-                    regs[inst[1]] = p.buffer.data[
-                        p.offset + regs[inst[3]] * inst[4] + inst[5]].item()
+                    regs[inst[1]] = p.buffer.data.item(
+                        p.offset + regs[inst[3]] * inst[4] + inst[5])
                     pc += 1
                 elif op == OP_STOREIDX:
                     p = regs[inst[2]]
@@ -235,7 +235,7 @@ class VirtualMachine:
                     pc += 1
                 elif op == OP_LOAD:
                     p = regs[inst[2]]
-                    regs[inst[1]] = p.buffer.data[p.offset].item()
+                    regs[inst[1]] = p.buffer.data.item(p.offset)
                     pc += 1
                 elif op == OP_STORE:
                     p = regs[inst[2]]
@@ -266,7 +266,7 @@ class VirtualMachine:
                     offset = p.offset + inst[4]
                     for s, scale in inst[3]:
                         offset += regs[s] * scale
-                    regs[inst[1]] = p.buffer.data[offset].item()
+                    regs[inst[1]] = p.buffer.data.item(offset)
                     pc += 1
                 elif op == OP_STOREN:
                     p = regs[inst[2]]

@@ -295,3 +295,86 @@ class TestTieringPolicy:
         stats = cache.stats()
         assert stats["compiles"] == 1  # second VM reused the code object
         assert stats["hits"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Scalar load path
+# ---------------------------------------------------------------------------
+
+LOAD_FORMS_IR = """
+define {t} @load({t}* %a) {{
+entry:
+  %v = load {t}, {t}* %a
+  ret {t} %v
+}}
+define {t} @loadidx({t}* %a, i64 %i) {{
+entry:
+  %p = gep {t}* %a, i64 %i
+  %v = load {t}, {t}* %p
+  ret {t} %v
+}}
+define {t} @loadn({t}* %a, i64 %i, i64 %j) {{
+entry:
+  %p = gep {t}* %a, i64 %i
+  %q = gep {t}* %p, i64 %j
+  %v = load {t}, {t}* %q
+  ret {t} %v
+}}
+"""
+
+INT_VALUES = [-128, 7, 0, 127, -1]
+FLOAT_VALUES = [float("nan"), float("inf"), float("-inf"), -128.0, 0.5]
+LOAD_BUFFERS = {
+    "i1": (np.int8, [1, 0, 0, 1, 1]),
+    "i8": (np.int8, INT_VALUES),
+    "i32": (np.int32, INT_VALUES),
+    "i64": (np.int64, INT_VALUES),
+    "float": (np.float32, FLOAT_VALUES),
+    "double": (np.float64, FLOAT_VALUES),
+}
+
+
+def _load_calls(n):
+    """(function, pointer offset, index args) for every in-bounds element,
+    reached both directly and through negative-index wraparound."""
+    calls = []
+    for k in range(-n, n):
+        calls.append(("load", k, []))
+        calls.append(("loadidx", 0, [k]))
+        calls.append(("loadn", 1, [k, -1]))
+    return calls
+
+
+@pytest.mark.parametrize("ty", sorted(LOAD_BUFFERS))
+def test_scalar_load_forms_identical_across_tiers(ty):
+    """LOAD, LOADIDX and LOADN return equal values of the same Python type
+    in every tier, and fault identically out of bounds."""
+    from repro.ir import parse_module
+    from repro.runtime import Buffer, Pointer
+    from repro.runtime.bytecode import OP_LOAD, OP_LOADIDX, OP_LOADN
+
+    dtype, values = LOAD_BUFFERS[ty]
+    module = parse_module(LOAD_FORMS_IR.format(t=ty))
+    tiers = [Interpreter(module), VirtualMachine(module),
+             JitVirtualMachine(module)]
+    forms = {"load": OP_LOAD, "loadidx": OP_LOADIDX, "loadn": OP_LOADN}
+    for fn, op in forms.items():
+        assert [i[0] for i in tiers[1]._compiled(fn).code][0] == op, fn
+    buffer = Buffer.from_numpy("a", np.array(values, dtype=dtype))
+    n = len(values)
+    for fn, offset, idx in _load_calls(n):
+        got = [tier.call(fn, [Pointer(buffer, offset), *idx])
+               for tier in tiers]
+        want = buffer.data[offset + sum(idx)].item()
+        label = f"{ty}:{fn}{offset, *idx}"
+        assert {type(v) for v in got} == {type(want)}, label
+        assert {repr(v) for v in got} == {repr(want)}, label
+    assert tiers[2].jit_compiled() == sorted(forms)
+
+    for fn, offset, idx in [("load", n, []), ("load", -n - 1, []),
+                            ("loadidx", 0, [n]), ("loadidx", 0, [-n - 1]),
+                            ("loadn", 1, [n, -1]), ("loadn", 1, [-n - 1, -1])]:
+        for tier in tiers:
+            with pytest.raises(InterpreterError):
+                tier.call(fn, [Pointer(buffer, offset), *idx])
+        assert len({tier.steps for tier in tiers}) == 1, (fn, offset, idx)

@@ -393,10 +393,11 @@ class TestCliAndBench:
         assert "Execution tiers" in out
         vm_line = next(line for line in out.splitlines()
                        if line.strip().startswith("vm "))
-        assert "(default)" in vm_line
+        assert "(default)" not in vm_line
         jit_line = next(line for line in out.splitlines()
                         if line.strip().startswith("jit "))
         assert "profile-guided" in jit_line
+        assert "(default)" in jit_line
 
     def test_bench_offload_invariants_on_subset(self):
         from repro.experiments.bench_offload import (

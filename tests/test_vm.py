@@ -16,17 +16,20 @@ from repro.ir import parse_module
 from repro.passes import optimize
 from repro.runtime import (
     Interpreter,
+    JitVirtualMachine,
     VirtualMachine,
     compile_workload,
     outputs_match,
     run_accelerated,
     run_original,
 )
-from repro.runtime.bytecode import sequence_moves
+from repro.runtime import runner
+from repro.runtime.bytecode import OP_CALL_API, sequence_moves
 from repro.runtime.runner import _bind_arguments, new_engine
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import all_workloads, dominant_workloads, get_workload
 
 WORKLOADS = [w.name for w in all_workloads()]
+DOMINANT = [w.name for w in dominant_workloads()]
 
 ENGINE_CLASSES = {"reference": Interpreter, "vm": VirtualMachine}
 
@@ -86,17 +89,50 @@ def test_cost_model_inputs_engine_independent(compiled_suite):
     assert ref.sequential_seconds == vm.sequential_seconds
 
 
-def test_accelerated_run_identical_across_engines():
-    """API call-outs (OP_CALL_API) produce identical results and stats."""
-    w = get_workload("spmv")
-    ref = run_accelerated(compile_workload("spmv", w.source), w.entry,
-                          w.make_inputs(1), engine="reference")
-    vm = run_accelerated(compile_workload("spmv", w.source), w.entry,
-                         w.make_inputs(1), engine="vm")
-    assert outputs_match(ref, vm)
-    assert ref.total_instructions == vm.total_instructions
+@pytest.fixture(scope="module")
+def accelerated_reference():
+    """One reference-interpreter accelerated run per workload (the oracle)."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            w = get_workload(name)
+            cache[name] = run_accelerated(
+                compile_workload(name, w.source), w.entry, w.make_inputs(1),
+                engine="reference")
+        return cache[name]
+    return get
+
+
+@pytest.mark.parametrize("engine", ["reference", "vm", "jit"])
+@pytest.mark.parametrize("name", DOMINANT)
+def test_accelerated_run_identical_across_engines(name, engine,
+                                                  accelerated_reference,
+                                                  monkeypatch):
+    """API call-outs (OP_CALL_API) produce identical results and stats,
+    whether the bytecode VM or JIT-generated code makes them."""
+    made = []
+    real_new_engine = runner.new_engine
+
+    def recording_new_engine(*args, **kwargs):
+        made.append(real_new_engine(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(runner, "new_engine", recording_new_engine)
+    w = get_workload(name)
+    ref = accelerated_reference(name)
+    run = run_accelerated(compile_workload(name, w.source), w.entry,
+                          w.make_inputs(1), engine=engine)
+    assert type(made[0]) is runner.ENGINES[engine]
+    assert outputs_match(ref, run)
+    assert ref.total_instructions == run.total_instructions
     assert ([s.stats for s in ref.api_runtime.all_sites()]
-            == [s.stats for s in vm.api_runtime.all_sites()])
+            == [s.stats for s in run.api_runtime.all_sites()])
+    if engine == "jit":
+        # The call-outs really ran from generated code, not the VM.
+        assert any(inst[0] == OP_CALL_API
+                   for fn in made[0].jit_compiled()
+                   for inst in made[0]._bc[fn].code)
 
 
 def test_unknown_engine_rejected():
@@ -104,7 +140,7 @@ def test_unknown_engine_rejected():
     compiled = compile_workload("spmv", w.source)
     with pytest.raises(ValueError):
         run_original(compiled, w.entry, w.make_inputs(1), engine="bogus")
-    assert isinstance(new_engine(compiled.module, None), VirtualMachine)
+    assert isinstance(new_engine(compiled.module, None), JitVirtualMachine)
 
 
 # ---------------------------------------------------------------------------
