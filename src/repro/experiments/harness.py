@@ -30,6 +30,7 @@ from ..platform.placement import (
     plan_module,
     site_at_scale,
 )
+from ..runtime.profile import DEFAULT_JIT_THRESHOLD
 from ..runtime.runner import (
     DEFAULT_ENGINE,
     ENGINE_DESCRIPTIONS,
@@ -111,8 +112,8 @@ DETECT_ORDERING = "forest"
 #: default). Engines are output- and profile-identical, so results only
 #: depend on the scale; both stay in the cache key because wall-clock
 #: measurements differ. ``JIT_THRESHOLD`` (``--jit-threshold``) is the
-#: call count at which the jit tier specializes a function; other tiers
-#: ignore it.
+#: heat (calls plus loop back edges) at which the jit tier specializes a
+#: function; other tiers ignore it.
 def default_engine() -> str:
     """``$REPRO_ENGINE`` if set and valid, else :data:`DEFAULT_ENGINE`."""
     env = os.environ.get("REPRO_ENGINE")
@@ -677,9 +678,12 @@ def main(argv: list[str] | None = None) -> int:
                              "profile-guided specialization on the vm)")
     parser.add_argument("--jit-threshold", type=int, default=None,
                         metavar="N",
-                        help="calls before the jit tier specializes a "
-                             "function (default 1: compile on first "
-                             "entry; ignored by other engines)")
+                        help="heat (calls plus loop back edges) at which "
+                             "the jit tier specializes a function, "
+                             "entering a hot loop at its header "
+                             f"(default {DEFAULT_JIT_THRESHOLD}; 1 compiles "
+                             "every function on its first call; ignored "
+                             "by other engines)")
     parser.add_argument("--scale", type=int, default=1,
                         help="problem-size multiplier for workload inputs "
                              "(default 1; larger-than-paper sizes need the "

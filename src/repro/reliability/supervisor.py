@@ -216,10 +216,22 @@ class Supervisor:
             pool = process_pool(self.workers, self.epoch)
             batches = batcher(remaining)
             try:
-                futures: list[tuple[Future, list]] = [
-                    (process_submit(pool, batch, self.epoch), batch)
-                    for batch in batches]
+                futures: list[tuple[Future, list]] = []
                 failed = False
+                for batch in batches:
+                    try:
+                        futures.append(
+                            (process_submit(pool, batch, self.epoch), batch))
+                    except BrokenProcessPool:
+                        # A worker died before this submit (e.g. in its
+                        # initializer): the pool takes no more work.
+                        self._note_batch_failure(
+                            batch, "worker process died "
+                            "(BrokenProcessPool) before the batch was "
+                            "submitted; pool respawned for the "
+                            "unfinished functions")
+                        failed = True
+                        break
                 for future, batch in futures:
                     timeout = policy.batch_timeout(len(batch))
                     try:
@@ -262,7 +274,8 @@ class Supervisor:
     def _kill_pool(pool) -> None:
         """Terminate a pool whose workers may be hung (shutdown alone
         would join them forever)."""
-        processes = list(getattr(pool, "_processes", {}).values())
+        # A broken pool has already dropped its process table (None).
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:

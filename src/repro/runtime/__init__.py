@@ -2,9 +2,10 @@
 
 Three execution tiers share one semantic contract (identical outputs and
 count-identical profiles): the reference tree-walking ``Interpreter``, the
-bytecode-compiling ``VirtualMachine`` (the default), and the
-profile-guided ``JitVirtualMachine`` that specializes hot functions to
-compiled Python with numpy-batched affine loops.
+bytecode-compiling ``VirtualMachine``, and the profile-guided
+``JitVirtualMachine`` (the default) that runs functions on the VM until
+they get hot, then specializes them to compiled Python with
+numpy-batched affine loops.
 """
 
 from .bytecode import BytecodeFunction, compile_function

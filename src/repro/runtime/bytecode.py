@@ -13,6 +13,9 @@ instruction. This module performs all of that work **once per function**:
   list (parallel-copy semantics, cycles broken through a scratch slot);
 * block successors are resolved to program-counter targets, and every edge
   knows the dense index of its destination block for O(1) profile counting;
+* loop back edges (edges into a block still on the depth-first stack) get
+  their own opcodes, so only they carry the JIT's tier-up hook and forward
+  jumps stay as cheap as before;
 * GEP index scales are folded from the static type layout, constant indices
   collapse into a single addend, and a GEP whose only use is a load/store in
   the same block is fused into an indexed memory op (no intermediate
@@ -84,6 +87,10 @@ OP_ALLOCA = 17      # (op, dest, aidx, name, ty)
 OP_UNREACHABLE = 18  # (op,)
 OP_LOADN = 19       # (op, dest, p, pairs, add)      fused multi-index load
 OP_STOREN = 20      # (op, val, p, pairs, add)       fused multi-index store
+OP_LOOP = 21        # (op, edge)                      loop back edge
+OP_LOOPBR = 22      # (op, cond, then_edge, else_edge, heads)
+#                     branch with a back-edge arm; heads: its back-edge
+#                     target block indices
 
 #: A CFG edge as stored in branch instructions:
 #: (target_pc, move_pairs, target_block_index).
@@ -201,7 +208,7 @@ class BytecodeFunction:
         self.code: list[tuple] = []
         self.blocks: list[BasicBlock] = []
         #: pc of each block's first instruction, indexed like ``blocks``;
-        #: lets the JIT walk code block-by-block and re-enter at a header.
+        #: lets the JIT walk code block-by-block.
         self.block_starts: list[int] = []
         self.n_regs = 0
         self.n_allocas = 0
@@ -393,18 +400,25 @@ class _FunctionCompiler:
                     f"block %{block.name} fell through without terminator")
 
         # Resolve branch targets to (pc, moves, block index) edges.
+        back = _back_edges(function)
         for pc, branch, source in branch_fixups:
             inst = code[pc]
             if inst[0] == OP_JMP:
-                code[pc] = (OP_JMP, self._edge(branch.targets()[0], source,
-                                               block_pcs, block_index))
+                target = branch.targets()[0]
+                op = OP_LOOP if (id(source), id(target)) in back else OP_JMP
+                code[pc] = (op, self._edge(target, source, block_pcs,
+                                           block_index))
             else:
                 then_b, else_b = branch.targets()
-                code[pc] = (OP_BR, inst[1],
-                            self._edge(then_b, source, block_pcs,
-                                       block_index),
-                            self._edge(else_b, source, block_pcs,
-                                       block_index))
+                edges = (self._edge(then_b, source, block_pcs, block_index),
+                         self._edge(else_b, source, block_pcs, block_index))
+                heads = tuple(block_index[id(t)]
+                              for t in source.successors()
+                              if (id(source), id(t)) in back)
+                if heads:
+                    code[pc] = (OP_LOOPBR, inst[1], *edges, heads)
+                else:
+                    code[pc] = (OP_BR, inst[1], *edges)
         bc.block_starts = [block_pcs[id(b)] for b in function.blocks]
         bc.value_slots = dict(self.slots)
         bc.n_regs = self.next_slot
@@ -527,6 +541,31 @@ class _FunctionCompiler:
             code.append((OP_CALL_API, dest, name, tuple(slots)))
         else:
             code.append((OP_CALL_FN, dest, name, tuple(slots)))
+
+
+def _back_edges(function: Function) -> set[tuple[int, int]]:
+    """``(id(source), id(target))`` of every edge that reaches a block
+    still on the depth-first stack: the loop back edges of a reducible CFG.
+    Each target is either the entry block or has a second, earlier
+    in-edge, so the JIT always gives it a dispatch arm to enter at."""
+    back: set[tuple[int, int]] = set()
+    entry = function.blocks[0]
+    on_stack = {id(entry): True}     # id -> still on the stack?
+    stack = [(entry, iter(entry.successors()))]
+    while stack:
+        block, successors = stack[-1]
+        for succ in successors:
+            state = on_stack.get(id(succ))
+            if state is None:
+                on_stack[id(succ)] = True
+                stack.append((succ, iter(succ.successors())))
+                break
+            if state:
+                back.add((id(block), id(succ)))
+        else:
+            on_stack[id(block)] = False
+            stack.pop()
+    return back
 
 
 #: Natives dispatched without touching VM state. Checked before module

@@ -1,21 +1,29 @@
 """JIT tier: specialized-Python compilation of hot functions.
 
 Third execution tier above the reference interpreter and the register VM.
-When a function crosses the hotness threshold (policy in
-:mod:`repro.runtime.profile`), its bytecode is walked once and turned into
-*specialized Python source*: register slots become local variables,
-PC-resolved branches become real ``while``/``if`` control flow, phi edge
-move-lists collapse to tuple assignments, and constants / GEP scales are
-folded into the text. CPython then executes whole basic blocks per
-dispatch instead of one instruction tuple each.
+Functions start in the VM. A function's *heat* is its calls plus its loop
+back edges (policy in :mod:`repro.runtime.profile`); when it crosses the
+threshold its bytecode is walked once and turned into *specialized Python
+source*: register slots become local variables, PC-resolved branches
+become real ``while``/``if`` control flow, phi edge move-lists collapse to
+tuple assignments, and constants / GEP scales are folded into the text.
+CPython then executes whole basic blocks per dispatch instead of one
+instruction tuple each.
+
+Generated code has two entries. A call enters at block 0. A VM frame
+whose back edge crossed the threshold enters at that loop header
+(on-stack entry): it passes its register list and allocas, the code
+unpacks them into locals and rebinds its array base caches, and the frame
+finishes in compiled code.
 
 On top of the scalar specialization, innermost counted loops whose bodies
-are affine array traversals are batched into vectorized numpy kernels. A
-runtime guard checks bounds, aliasing and stride preconditions on every
-loop entry; on failure the generated code *deopts*: it materializes the
-live frame (register list + allocas) and re-enters the register VM at the
-loop header via :meth:`VirtualMachine._resume`, keeping the VM as the
-always-correct fallback tier.
+are affine array traversals are batched into vectorized numpy kernels,
+placed at the top of the loop header's dispatch arm so every entry into
+the loop (a call's or an on-stack one) runs them. A runtime guard checks
+bounds, aliasing and stride preconditions first; when it fails, the
+failure is recorded (``deopt_count``, ``deopt_sites``) and the loop runs
+in the specialized scalar code instead. The VM is only ever the tier that
+runs functions which are cold, uncompilable or blacklisted.
 
 Observability contract: the generated code increments the same dense
 per-block count arrays the VM uses (one increment per taken CFG edge; a
@@ -46,6 +54,8 @@ from .bytecode import (
     OP_LOAD,
     OP_LOADIDX,
     OP_LOADN,
+    OP_LOOP,
+    OP_LOOPBR,
     OP_NAT1,
     OP_NAT2,
     OP_NATN,
@@ -65,8 +75,13 @@ from .bytecode import (
     BytecodeFunction,
 )
 from .memory import Buffer, Pointer
-from .profile import GLOBAL_CODE_CACHE, HotnessTracker, jit_fingerprint
-from .vm import _BUDGET_MSG, VirtualMachine
+from .profile import (
+    DEFAULT_JIT_THRESHOLD,
+    GLOBAL_CODE_CACHE,
+    HotnessTracker,
+    jit_fingerprint,
+)
+from .vm import _BUDGET_MSG, STAY_IN_VM, VirtualMachine
 
 # ---------------------------------------------------------------------------
 # Reverse operator maps: bound callable -> source text
@@ -130,7 +145,7 @@ def _vsqrt(a):
 
 def _ranges_disjoint(a0, sa, b0, sb, n):
     """May two strided index sets of length ``n`` share an element?  False
-    negatives are safe (they deopt); False positives are not."""
+    negatives are safe (the loop runs scalar); False positives are not."""
     a_lo = min(a0, a0 + sa * (n - 1))
     a_hi = max(a0, a0 + sa * (n - 1))
     b_lo = min(b0, b0 + sb * (n - 1))
@@ -146,8 +161,8 @@ def _vec_guard(accesses, n):
     """All preconditions for running a batched kernel of ``n`` iterations.
 
     ``accesses`` is a tuple of ``(flat array, start, stride, writes)``.
-    Checks, in order: every touched index in bounds (the VM's scalar loads
-    wrap on negatives and fault past the end — both must deopt), no
+    Checks, in order: every touched index in bounds (scalar loads wrap on
+    negatives and fault past the end — both must run scalar), no
     zero-stride store, and for every store/other pair on the same array:
     identical index lattices are fine (the kernel preserves program order
     there), a load whose equal-stride lattice runs strictly *ahead* of the
@@ -227,14 +242,16 @@ class _Unsupported(Exception):
 
 
 class _Specializer:
-    """Emits ``def _jitfn(vm, args)`` source for one bytecode function.
+    """Emits ``def _jitfn(vm, args, bx=0, regs=None, allocas=None)``
+    source for one bytecode function.
 
     Dispatch structure: an outer ``while True`` over a block index ``bx``
     with one ``if bx == N`` arm per *join* block; single-predecessor blocks
     are inlined into their predecessor's arm (superblock formation), and a
     back edge to the arm's own root becomes an inner ``while True``. Arms
     are ordered hottest-first using the VM's per-block counts when warm,
-    else by static loop depth.
+    else by static loop depth. Every loop header is a join block, so an
+    on-stack entry (``regs`` given) starts at the header's arm.
     """
 
     def __init__(self, function, bc: BytecodeFunction, vm: VirtualMachine,
@@ -251,9 +268,9 @@ class _Specializer:
         self.block_edges: list[list] = []
         for i in range(n):
             term = self.block_code[i][-1]
-            if term[0] == OP_BR:
+            if term[0] in (OP_BR, OP_LOOPBR):
                 self.block_edges.append([term[2], term[3]])
-            elif term[0] == OP_JMP:
+            elif term[0] in (OP_JMP, OP_LOOP):
                 self.block_edges.append([term[1]])
             else:
                 self.block_edges.append([])
@@ -373,6 +390,10 @@ class _Specializer:
             kw = "if" if first else "elif"
             first = False
             body.append((3, f"{kw} bx == {root}:"))
+            plan = self.plans.get(root)
+            if plan is not None:
+                from .jit_vectorize import emit_kernel
+                emit_kernel(self, plan, 4)
             depth = 5 if wrapper else 4
             if wrapper:
                 body.append((4, "while True:"))
@@ -384,27 +405,52 @@ class _Specializer:
                         f"in @{bc.name}')"))
 
         # Preamble is assembled last: it depends on which caches are used.
+        # Without ``regs`` this is a call entry; with them, an on-stack
+        # entry at loop header ``bx`` whose edge the VM already counted
+        # and stepped.
         pre: list[tuple[int, str]] = []
         name = bc.name
-        pre.append((0, f"def _jitfn(vm, args):"))
-        pre.append((1, f"if len(args) != {len(bc.arg_slots)}:"))
-        pre.append((2, f"raise InterpreterError('@{name} expects "
-                       f"{len(bc.arg_slots)} args')"))
-        if self.global_slots:
-            pre.append((1, "vm_globals = vm.globals"))
+        pre.append((0, "def _jitfn(vm, args, bx=0, regs=None, allocas=None):"))
         if self.profiling:
             pre.append((1, f"counts = vm._counts[{name!r}]"))
         pre.append((1, "max_steps = vm.max_steps"))
-        pre.append((1, "steps = vm.steps + 1"))
+        pre.append((1, "steps = vm.steps"))
         pre.append((1, "try:"))
+        pre.append((2, "if regs is None:"))
+        pre.append((3, f"if len(args) != {len(bc.arg_slots)}:"))
+        pre.append((4, f"raise InterpreterError('@{name} expects "
+                       f"{len(bc.arg_slots)} args')"))
         if self.profiling:
-            pre.append((2, "counts[0] += 1"))
-        pre.append((2, "if steps > max_steps:"))
-        pre.append((3, "raise InterpreterError(_BUDGET_MSG)"))
+            pre.append((3, "counts[0] += 1"))
+        pre.append((3, "steps += 1"))
+        pre.append((3, "if steps > max_steps:"))
+        pre.append((4, "raise InterpreterError(_BUDGET_MSG)"))
         for i, slot in enumerate(bc.arg_slots):
-            pre.append((2, f"r{slot} = args[{i}]"))
+            pre.append((3, f"r{slot} = args[{i}]"))
         for slot, gname in sorted(self.global_slots.items()):
-            pre.append((2, f"r{slot} = Pointer(vm_globals[{gname!r}], 0)"))
+            pre.append((3, f"r{slot} = Pointer(vm.globals[{gname!r}], 0)"))
+        uninit = [s for s in range(bc.n_regs)
+                  if self.names[s] == f"r{s}"
+                  and s not in self.arg_base and s not in self.global_slots]
+        for chunk_start in range(0, len(uninit), 12):
+            chunk = uninit[chunk_start:chunk_start + 12]
+            pre.append((3, " = ".join(f"r{s}" for s in chunk) + " = None"))
+        pre.append((3, f"allocas = [None] * {bc.n_allocas}"))
+        pre.append((2, "else:"))
+        # Literal slots are folded into the text: unpack them into ``_``.
+        targets = [f"r{s}" if self.names[s] == f"r{s}" else "_"
+                   for s in range(bc.n_regs)]
+        rows = [", ".join(targets[i:i + 12]) + ","
+                for i in range(0, len(targets), 12)] or ["pass"]
+        if targets:
+            rows[0] = "(" + rows[0]
+            rows[-1] += ") = regs"
+        pre.append((3, rows[0]))
+        pre.extend((4, row) for row in rows[1:])
+        for slot in sorted(inst[1] for inst in bc.code
+                           if inst[0] == OP_ALLOCA):
+            pre.append((3, f"d{slot} = r{slot}.buffer.data "
+                           f"if r{slot} is not None else None"))
         for slot in sorted(self.used_bases):
             if slot in self.global_slots:
                 pre.append((2, f"d{slot} = r{slot}.buffer.data"))
@@ -415,17 +461,10 @@ class _Specializer:
                               f"if r{slot} is not None else None"))
                 pre.append((2, f"o{slot} = r{slot}.offset "
                               f"if r{slot} is not None else 0"))
-            # alloca bases bind d<slot> at their OP_ALLOCA site
-        uninit = [s for s in range(bc.n_regs)
-                  if self.names[s] == f"r{s}"
-                  and s not in self.arg_base and s not in self.global_slots]
-        for chunk_start in range(0, len(uninit), 12):
-            chunk = uninit[chunk_start:chunk_start + 12]
-            pre.append((2, " = ".join(f"r{s}" for s in chunk) + " = None"))
-        pre.append((2, f"allocas = [None] * {bc.n_allocas}"))
+            # alloca bases bind d<slot> at their OP_ALLOCA site (and, on
+            # an on-stack entry, above)
         if self.uses_rand:
             pre.append((2, "rng_next = vm.rng.next"))
-        pre.append((2, "bx = 0"))
         pre.append((2, "while True:"))
 
         post: list[tuple[int, str]] = [
@@ -454,13 +493,13 @@ class _Specializer:
             self.lines.append(
                 (depth, f"return {self.names[s]}" if s >= 0 else
                  "return None"))
-        elif op == OP_JMP:
-            self._emit_edge(term[1], b, root, wrapper, depth, path)
-        elif op == OP_BR:
+        elif op == OP_JMP or op == OP_LOOP:
+            self._emit_edge(term[1], root, wrapper, depth, path)
+        elif op == OP_BR or op == OP_LOOPBR:
             self.lines.append((depth, f"if {self.names[term[1]]}:"))
-            self._emit_edge(term[2], b, root, wrapper, depth + 1, path)
+            self._emit_edge(term[2], root, wrapper, depth + 1, path)
             self.lines.append((depth, "else:"))
-            self._emit_edge(term[3], b, root, wrapper, depth + 1, path)
+            self._emit_edge(term[3], root, wrapper, depth + 1, path)
         elif op == OP_UNREACHABLE:
             self.lines.append(
                 (depth, "raise InterpreterError('reached unreachable')"))
@@ -468,7 +507,7 @@ class _Specializer:
             self._emit_inst(term, depth)
             raise _Unsupported(f"block {b} has no terminator")
 
-    def _emit_edge(self, edge, src: int, root: int, wrapper: bool,
+    def _emit_edge(self, edge, root: int, wrapper: bool,
                    depth: int, path: set) -> None:
         _pc, moves, t = edge
         emit = self.lines.append
@@ -484,10 +523,6 @@ class _Specializer:
         emit((depth, "steps += 1"))
         emit((depth, "if steps > max_steps:"))
         emit((depth + 1, "raise InterpreterError(_BUDGET_MSG)"))
-        plan = self.plans.get(t)
-        if plan is not None and src not in plan.loop_blocks:
-            from .jit_vectorize import emit_kernel
-            emit_kernel(self, plan, depth)
         if t == root:
             emit((depth, "continue"))
         elif t in path or not self._inlinable_cache[t]:
@@ -634,7 +669,7 @@ _UNSEEN = object()
 
 class JitVirtualMachine(VirtualMachine):
     """Three-tier executor: specialized Python for hot functions, register
-    VM for cold ones and as the deopt target.
+    VM for cold ones.
 
     Fully substitutable for :class:`VirtualMachine`: same constructor
     surface plus the tiering knobs, same ``call``/``profile``/``steps``
@@ -643,21 +678,29 @@ class JitVirtualMachine(VirtualMachine):
 
     def __init__(self, module, api_runtime=None, max_steps: int = 500_000_000,
                  seed: int = 12345, profile: bool = True,
-                 jit_threshold: int = 1, vectorize: bool = True,
-                 code_cache=None):
+                 jit_threshold: int = DEFAULT_JIT_THRESHOLD,
+                 vectorize: bool = True, code_cache=None):
         super().__init__(module, api_runtime, max_steps, seed, profile)
         self.jit_threshold = jit_threshold
         self.vectorize = vectorize
         self.code_cache = code_cache if code_cache is not None \
             else GLOBAL_CODE_CACHE
         self.hotness = HotnessTracker(jit_threshold)
+        #: Kernel guards (and gather bounds checks) that failed, after
+        #: which the loop ran in specialized scalar code.
         self.deopt_count = 0
         #: "fn:block" sites whose guard failed once; further entries skip
         #: the kernel attempt and stay in specialized scalar code.
         self.deopt_sites: dict[str, bool] = {}
+        #: Function name -> specialized code, or None once it is known to
+        #: be uncompilable or has been blacklisted.
         self._jit_fns: dict[str, object] = {}
-        #: Codegen-defect containments: function name -> number of calls
-        #: replayed on the VM tier after blacklisting its specialization.
+        #: The subset whose call entry is in use: the first call into a
+        #: specialization runs under :meth:`_guarded`, later ones go direct.
+        self._call_fns: dict[str, object] = {}
+        #: Codegen-defect containments: function name -> number of entries
+        #: (calls or on-stack loop entries) handed back to the VM tier
+        #: after blacklisting its specialization.
         self.codegen_defect_replays: dict[str, int] = {}
 
     def call(self, name: str, args: list):
@@ -668,45 +711,66 @@ class JitVirtualMachine(VirtualMachine):
         return self._dispatch_call(name, list(args))
 
     def _dispatch_call(self, name: str, args: list):
-        fn = self._jit_fns.get(name, _UNSEEN)
-        if fn is not None and fn is not _UNSEEN:
+        fn = self._call_fns.get(name)
+        if fn is not None:
             return fn(self, args)
         bc = self._bc.get(name) or self._compiled(name)
-        if fn is _UNSEEN and self.hotness.note_call(name):
+        fn = self._jit_fns.get(name, _UNSEEN)
+        if fn is _UNSEEN and self.hotness.note(name):
             fn = self._compile_jit(name, bc)
-            if fn is not None:
-                return self._first_run(name, fn, bc, args)
-        return self._run(bc, args)
+        if fn is None or fn is _UNSEEN:
+            return self._run(bc, args)
+        self._call_fns[name] = fn
+        result = self._guarded(name, fn, args)
+        return self._run(bc, args) if result is STAY_IN_VM else result
 
-    def _first_run(self, name: str, fn, bc: BytecodeFunction, args: list):
-        """Safety net around a specialization's maiden execution.
+    def _back_edge_hook(self, bc: BytecodeFunction, regs: list,
+                        allocas: list, bx: int):
+        """Tier up a VM frame at loop header ``bx``: count the back edge
+        as heat, compile once the function is hot (or fetch its code),
+        and finish the frame in compiled code from that header."""
+        name = bc.name
+        fn = self._jit_fns.get(name, _UNSEEN)
+        if fn is _UNSEEN:
+            if not self.hotness.note(name):
+                return STAY_IN_VM
+            fn = self._compile_jit(name, bc)
+        if fn is None:
+            return STAY_IN_VM
+        return self._guarded(name, fn, None, bx, regs, allocas)
+
+    def _guarded(self, name: str, fn, *entry):
+        """Safety net around an entry into specialized code: a call's first
+        run, and every on-stack entry at a loop header.
 
         Generated code converts every guest-visible fault to
         :class:`InterpreterError` itself, so any other exception escaping
         it (NameError, TypeError, UnboundLocalError, …) is a codegen
-        defect: blacklist the function and replay the call on the
-        always-correct VM tier instead of propagating the raw error.
-        Step budget, RNG state and this function's block counts are
-        restored before the replay; stores the defective code already
-        made into caller-visible buffers are recomputed by the replay
-        rather than rolled back.
+        defect: blacklist the function, restore the step budget, RNG
+        state and this function's block counts, and return
+        :data:`STAY_IN_VM` so the VM tier replays the call, or continues
+        the frame from the loop header it was entered at, instead of
+        propagating the raw error. Stores the defective code already made
+        into caller-visible buffers are recomputed by the VM rather than
+        rolled back.
         """
         steps0, rng0 = self.steps, self.rng.state
         counts0 = self._counts.get(name) if self.profiling else None
         if counts0 is not None:
             counts0 = list(counts0)
         try:
-            return fn(self, args)
+            return fn(self, *entry)
         except InterpreterError:
             raise
         except Exception:
             self._jit_fns[name] = None
+            self._call_fns.pop(name, None)
             self.codegen_defect_replays[name] = \
                 self.codegen_defect_replays.get(name, 0) + 1
             self.steps, self.rng.state = steps0, rng0
             if counts0 is not None:
                 self._counts[name][:] = counts0
-            return self._run(bc, args)
+            return STAY_IN_VM
 
     def jit_compiled(self) -> list[str]:
         """Names of functions currently running specialized code."""

@@ -1,20 +1,23 @@
-"""Affine loop batching for the JIT tier: numpy kernels with deopt guards.
+"""Affine loop batching for the JIT tier: guarded numpy kernels.
 
 Recognizes innermost counted loops of the canonical two-block shape
 (header: phis + icmp + conditional branch; body: straight-line code with
 an unconditional latch) whose memory traffic is affine in the induction
 variable and whose arithmetic is float elementwise work plus optional
-float reductions. Each such loop gets a *kernel*: on entry the generated
-code computes the trip count, materializes every access as a
+float reductions. Each such loop gets a *kernel*, emitted once at the top
+of the header's dispatch arm, so it runs on every entry into the loop —
+from a call or from an on-stack entry at the header, for the iterations
+that remain. It computes the trip count, materializes every access as a
 ``(array, start, stride)`` triple, and asks :func:`repro.runtime.jit
 ._vec_guard` whether batching is safe (bounds, no zero-stride store, no
 partially-overlapping store). If yes, the whole loop runs as numpy slice
 arithmetic — loads first, then stores in program order, then bit-exact
 sequential reduction folds — and the block counts / step budget advance
-by the batched trip count. If no, the code **deopts**: the live frame is
-rebuilt as a register list and execution re-enters the register VM at the
-loop header, which replays the loop scalar-exactly (including faults and
-index wrapping).
+by the batched trip count. If no (or a gather's realized indices are out
+of bounds; every load precedes every store, so nothing has been written
+yet), the failure is recorded in ``vm.deopt_count``/``vm.deopt_sites`` and
+the loop runs in the specialized scalar code that follows, which
+reproduces faults and index wrapping exactly.
 
 Bit-identity notes: elementwise float64 numpy arithmetic rounds exactly
 like the scalar Python operators; reductions are *not* reassociated — the
@@ -55,17 +58,22 @@ class _Reject(Exception):
     """Loop shape outside the vectorizable subset; plan abandoned."""
 
 
-class LoopPlan:
-    """Everything needed to splice one loop's kernel into an entry edge."""
+#: ``body_lines`` indent marking a gather bounds check: its text is the
+#: in-bounds condition, and every later line of the kernel nests under it.
+GATHER_CHECK = None
 
-    __slots__ = ("header_index", "body_index", "loop_blocks", "trip_expr",
-                 "setup_lines", "guard_expr", "body_lines", "deopt_lines")
+
+class LoopPlan:
+    """Everything needed to emit one loop's kernel at its header's arm."""
+
+    __slots__ = ("header_index", "body_index", "trip_expr",
+                 "setup_lines", "guard_expr", "body_lines")
 
     def __init__(self):
         self.setup_lines: list[str] = []
-        #: (relative indent, text); indent 1 is inside the reduction fold.
-        self.body_lines: list[tuple[int, str]] = []
-        self.deopt_lines: list[str] = []
+        #: (relative indent, text); indent 1 is inside the reduction fold,
+        #: indent GATHER_CHECK a gather bounds check.
+        self.body_lines: list[tuple[int | None, str]] = []
 
 
 def build_loop_plans(spec) -> dict:
@@ -88,7 +96,8 @@ def build_loop_plans(spec) -> dict:
 
 
 def emit_kernel(spec, plan: LoopPlan, depth: int) -> None:
-    """Splice the kernel-or-deopt sequence at a loop entry edge."""
+    """Emit the kernel at the top of the loop header's dispatch arm. Any
+    failed check falls through to the scalar loop after it."""
     emit = spec.lines.append
     site = f"{spec.bc.name}:{plan.header_index}"
     emit((depth, f"_t = {plan.trip_expr}"))
@@ -98,18 +107,26 @@ def emit_kernel(spec, plan: LoopPlan, depth: int) -> None:
     for line in plan.setup_lines:
         emit((d1, line))
     emit((d1, f"if steps + _t * 2 <= max_steps and {plan.guard_expr}:"))
-    d2 = d1 + 1
+    d = d1 + 1
     for rel, line in plan.body_lines:
-        emit((d2 + rel, line))
+        if rel is GATHER_CHECK:
+            emit((d, f"if {line}:"))
+            d += 1
+        else:
+            emit((d + rel, line))
     if spec.profiling:
-        emit((d2, f"counts[{plan.header_index}] += _t"))
-        emit((d2, f"counts[{plan.body_index}] += _t"))
-    emit((d2, "steps += _t * 2"))
+        emit((d, f"counts[{plan.header_index}] += _t"))
+        emit((d, f"counts[{plan.body_index}] += _t"))
+    emit((d, "steps += _t * 2"))
+    # Out-of-bounds gather indices may be fine on the next entry: count
+    # the failure but do not blacklist the site.
+    while d > d1 + 1:
+        d -= 1
+        emit((d, "else:"))
+        emit((d + 1, "vm.deopt_count += 1"))
     emit((d1, "else:"))
-    d3 = d1 + 1
-    emit((d3, f"vm.deopt_sites[{site!r}] = True"))
-    for line in plan.deopt_lines:
-        emit((d3, line))
+    emit((d1 + 1, f"vm.deopt_sites[{site!r}] = True"))
+    emit((d1 + 1, "vm.deopt_count += 1"))
 
 
 # -- token arithmetic (fold to int literals when possible) -------------------
@@ -165,8 +182,8 @@ class _Planner:
         self.vec_memo: dict[int, str] = {}
         self.aff_memo: dict[int, tuple[str, str] | None] = {}
         self.accesses: list[str] = []    # guard tuple fragments
-        #: (relative indent, text) — gather bound checks nest a deopt.
-        self.load_lines: list[tuple[int, str]] = []
+        #: (relative indent, text), including gather bounds checks.
+        self.load_lines: list[tuple[int | None, str]] = []
         self.compute_lines: list[str] = []
         #: (data token, load_lines index) per strided load; if the same
         #: array is also stored, _assemble upgrades the view to a copy.
@@ -218,14 +235,6 @@ class _Planner:
         plan = self.plan
         plan.header_index = self.index_of[id(header)]
         plan.body_index = self.index_of[id(body)]
-        plan.loop_blocks = {plan.header_index, plan.body_index}
-        plan.deopt_lines = [
-            "vm.deopt_count += 1",
-            "vm.steps = steps",
-            f"regs = [{', '.join(spec.names)}]",
-            f"return vm._resume(vm._bc[{spec.bc.name!r}], regs, allocas, "
-            f"{plan.header_index})",
-        ]
         self._find_induction(cmp_inst, body_on_true)
         reductions = self._find_reductions()
         self._walk_body(reductions)
@@ -549,10 +558,8 @@ class _Planner:
                 (0, f"{tok} = _vslice({dtok}, _b{k}, _s{k}, _t)"))
         else:
             # Gather: bounds are data, not a closed form — check the
-            # realized index vector and deopt so the VM reproduces the
-            # scalar semantics (negative wrap, or fault) exactly. The
-            # site is NOT blacklisted: the indices may be fine on the
-            # next entry.
+            # realized index vector; out of bounds, the scalar loop
+            # reproduces the semantics (negative wrap, or fault) exactly.
             _, idx_expr, dtok = kind
             g = self.n_gather
             self.n_gather += 1
@@ -560,10 +567,8 @@ class _Planner:
             tok = f"_gv{g}"
             self.load_lines.append((0, f"_gi{g} = {idx_expr}"))
             self.load_lines.append(
-                (0, f"if int(_gi{g}.min()) < 0 "
-                    f"or int(_gi{g}.max()) >= {dtok}.size:"))
-            for line in self.plan.deopt_lines:
-                self.load_lines.append((1, line))
+                (GATHER_CHECK, f"int(_gi{g}.min()) >= 0 "
+                               f"and int(_gi{g}.max()) < {dtok}.size"))
             self.load_lines.append((0, f"{tok} = {dtok}[_gi{g}]"))
         self.vec_memo[id(inst)] = tok
         return tok

@@ -5,11 +5,11 @@ The JIT tier (:mod:`repro.runtime.jit`) separates *policy* from
 and **whether** a previous session or sibling VM already compiled it;
 the specializer decides *how*. Two pieces:
 
-* :class:`HotnessTracker` — per-function call counters against a
+* :class:`HotnessTracker` — per-function heat counters against a
   threshold. The VM's per-block ``_counts`` arrays answer "where inside
   a function is hot" (they order the generated dispatch arms); the
-  tracker answers the cheaper question "has this function been entered
-  often enough to pay for compilation".
+  tracker answers the cheaper question "has this function run long
+  enough to pay for compilation".
 
 * :class:`CodeCache` — compiled code objects keyed by the function's
   **content fingerprint** (the same sha256-over-canonical-text recipe
@@ -38,7 +38,13 @@ from ..ir.printer import print_function_canonical
 
 #: Bump whenever the generated-code shape changes (new preamble, changed
 #: guard structure, …); stale persisted sources then simply miss.
-JIT_VERSION = 2
+JIT_VERSION = 3
+
+#: Heat at which the jit tier compiles a function. Measured on the
+#: suite-eval benchmark (EXPERIMENTS.md → "Tier-up threshold"): 16 and 64
+#: are about equal, 1 compiles too much cold code, 256 leaves hot loops
+#: in the VM too long.
+DEFAULT_JIT_THRESHOLD = 16
 
 
 def jit_fingerprint(function: Function, profiling: bool,
@@ -65,24 +71,27 @@ def jit_fingerprint(function: Function, profiling: bool,
 
 
 class HotnessTracker:
-    """Call counters with a compile threshold.
+    """Per-function heat counters with a compile threshold.
 
-    ``note_call`` returns True exactly once — on the call that crosses
-    the threshold — which is the caller's cue to compile. A threshold of
-    1 compiles on first entry (the default: suite workloads enter most
-    functions exactly once and run their heat inside loops, so waiting
-    would skip the tentpole entirely); higher thresholds keep early
-    calls in the VM and let its per-block counts steer arm ordering.
+    A function's heat is its calls plus the loop back edges its VM frames
+    take, summed over every frame. ``note`` adds one unit and returns
+    True exactly once — on the call or back edge that reaches the
+    threshold — which is the caller's cue to compile (and, on a back
+    edge, to enter the compiled code at that loop header). Suite
+    workloads enter most functions once and run their heat inside
+    loops, which is why back edges count: a hot loop tiers up mid-call,
+    while a function that never loops much is never compiled. A
+    threshold of 1 compiles every function on its first call.
     """
 
-    def __init__(self, threshold: int = 1):
+    def __init__(self, threshold: int = DEFAULT_JIT_THRESHOLD):
         self.threshold = max(1, threshold)
-        self.calls: dict[str, int] = {}
+        self.heat: dict[str, int] = {}
 
-    def note_call(self, name: str) -> bool:
-        count = self.calls.get(name, 0) + 1
-        self.calls[name] = count
-        return count == self.threshold
+    def note(self, name: str) -> bool:
+        heat = self.heat.get(name, 0) + 1
+        self.heat[name] = heat
+        return heat == self.threshold
 
 
 class CodeCache:

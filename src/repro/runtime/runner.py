@@ -31,10 +31,10 @@ from .vm import VirtualMachine
 #: Available execution engines — the three tiers. ``reference`` is the
 #: original tree-walking interpreter, kept as the semantic oracle; ``vm``
 #: compiles functions to flat register bytecode once and runs them ~an
-#: order of magnitude faster; ``jit`` (the default) adds profile-guided
-#: specialization of hot functions to Python code with numpy-batched
-#: affine loops on top of the VM, which stays its deopt and fallback
-#: tier. All three produce identical outputs and count-identical
+#: order of magnitude faster; ``jit`` (the default) runs functions on the
+#: VM until they get hot, then specializes them to Python code with
+#: numpy-batched affine loops, entering hot loops mid-call at their
+#: header. All three produce identical outputs and count-identical
 #: per-block profiles.
 ENGINES = {"reference": Interpreter, "vm": VirtualMachine,
            "jit": JitVirtualMachine}
@@ -44,9 +44,9 @@ DEFAULT_ENGINE = "jit"
 ENGINE_DESCRIPTIONS = {
     "reference": "tree-walking interpreter over the IR (semantic baseline)",
     "vm": "register bytecode VM, functions lowered once on first call",
-    "jit": "VM plus profile-guided specialization: hot functions become "
-           "compiled Python with numpy-batched affine loops, deopting to "
-           "the VM when a guard fails",
+    "jit": "VM plus profile-guided specialization: functions whose calls "
+           "and loop iterations get hot become compiled Python with "
+           "numpy-batched affine loops, entered mid-call at the hot loop",
 }
 
 
@@ -54,8 +54,9 @@ def new_engine(module: Module, engine: str | None = None, api_runtime=None,
                jit_threshold: int | None = None):
     """Instantiate an execution engine by name (None → DEFAULT_ENGINE).
 
-    ``jit_threshold`` — calls before a function is specialized — only
-    applies to the ``jit`` tier and is ignored by the others.
+    ``jit_threshold`` — the heat (calls plus loop back edges) at which a
+    function is specialized; 1 compiles every function on its first
+    call — only applies to the ``jit`` tier and is ignored by the others.
     """
     name = engine or DEFAULT_ENGINE
     cls = ENGINES.get(name)

@@ -29,6 +29,8 @@ from .bytecode import (
     OP_LOAD,
     OP_LOADIDX,
     OP_LOADN,
+    OP_LOOP,
+    OP_LOOPBR,
     OP_NAT1,
     OP_NAT2,
     OP_NATN,
@@ -50,9 +52,18 @@ _MEMORY_OPS = frozenset((OP_LOADIDX, OP_STOREIDX, OP_GEP, OP_LOAD, OP_STORE,
 
 _BUDGET_MSG = "interpreter step budget exceeded"
 
+#: Returned by a back-edge hook that leaves the frame running in the VM.
+STAY_IN_VM = object()
+
 
 class VirtualMachine:
     """Executes IR modules via flat register bytecode."""
+
+    #: Called as ``hook(bc, regs, allocas, block_index)`` after a loop back
+    #: edge has been taken, counted and stepped (``self.steps`` is synced);
+    #: it returns the frame's result if it finished the frame elsewhere,
+    #: else :data:`STAY_IN_VM`. None here; the JIT tier tiers up through it.
+    _back_edge_hook = None
 
     def __init__(self, module: Module, api_runtime=None,
                  max_steps: int = 500_000_000, seed: int = 12345,
@@ -161,6 +172,7 @@ class VirtualMachine:
         regs = self._protos[bc.name].copy()
         for slot, value in zip(bc.arg_slots, args):
             regs[slot] = value
+        allocas = [None] * bc.n_allocas
         counts = self._counts[bc.name]
         if counts is not None:
             counts[0] += 1
@@ -168,28 +180,10 @@ class VirtualMachine:
         self.steps = steps
         if steps > self.max_steps:
             raise InterpreterError(_BUDGET_MSG)
-        return self._execute_from(bc, regs, [None] * bc.n_allocas, 0)
-
-    def _resume(self, bc: BytecodeFunction, regs: list, allocas: list,
-                block_index: int):
-        """Re-enter a frame at a block boundary (JIT deopt path).
-
-        ``regs``/``allocas`` carry the live frame state built by the
-        caller; the edge into the target block — its profile count and
-        step — has already been accounted, so execution continues as if
-        the VM had taken that edge itself. Entering at a block start is
-        always safe: phis emit no code (their slots were written by the
-        incoming edge's move list).
-        """
-        return self._execute_from(bc, regs, allocas,
-                                  bc.block_starts[block_index])
-
-    def _execute_from(self, bc: BytecodeFunction, regs: list,
-                      allocas: list, pc: int):
-        counts = self._counts[bc.name]
+        back_edge_hook = self._back_edge_hook
         code = bc.code
         max_steps = self.max_steps
-        steps = self.steps
+        pc = 0
         try:
             while True:
                 inst = code[pc]
@@ -217,7 +211,7 @@ class VirtualMachine:
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)
-                elif op == OP_JMP:
+                elif op == OP_LOOP:
                     pc, moves, bx = inst[1]
                     for d, s in moves:
                         regs[d] = regs[s]
@@ -226,6 +220,11 @@ class VirtualMachine:
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)
+                    if back_edge_hook is not None:
+                        self.steps = steps
+                        result = back_edge_hook(bc, regs, allocas, bx)
+                        if result is not STAY_IN_VM:
+                            return result
                 elif op == OP_GEP:
                     p = regs[inst[2]]
                     offset = p.offset + inst[4]
@@ -241,6 +240,20 @@ class VirtualMachine:
                     p = regs[inst[2]]
                     p.buffer.data[p.offset] = regs[inst[1]]
                     pc += 1
+                elif op == OP_LOOPBR:
+                    pc, moves, bx = inst[2] if regs[inst[1]] else inst[3]
+                    for d, s in moves:
+                        regs[d] = regs[s]
+                    if counts is not None:
+                        counts[bx] += 1
+                    steps += 1
+                    if steps > max_steps:
+                        raise InterpreterError(_BUDGET_MSG)
+                    if back_edge_hook is not None and bx in inst[4]:
+                        self.steps = steps
+                        result = back_edge_hook(bc, regs, allocas, bx)
+                        if result is not STAY_IN_VM:
+                            return result
                 elif op == OP_SELECT:
                     regs[inst[1]] = regs[inst[3]] if regs[inst[2]] \
                         else regs[inst[4]]
@@ -303,6 +316,17 @@ class VirtualMachine:
                     if inst[1] >= 0:
                         regs[inst[1]] = result
                     pc += 1
+                elif op == OP_JMP:
+                    # Last: with latches lowered to OP_LOOP, forward
+                    # jumps are rare (0.2% of suite steps).
+                    pc, moves, bx = inst[1]
+                    for d, s in moves:
+                        regs[d] = regs[s]
+                    if counts is not None:
+                        counts[bx] += 1
+                    steps += 1
+                    if steps > max_steps:
+                        raise InterpreterError(_BUDGET_MSG)
                 else:  # OP_UNREACHABLE
                     raise InterpreterError("reached unreachable")
         except (IndexError, AttributeError) as exc:

@@ -3,9 +3,10 @@
 The jit tier must be observationally **bit-identical** to the register VM
 (and hence to the reference interpreter): same return values, same memory
 contents, count-identical per-block profiles and the same step totals, on
-every suite workload. The deopt path — kernels whose guard fails at run
-time — must fall back to the VM mid-call without breaking any of those
-contracts.
+every suite workload, whether a function was compiled on a call or
+entered mid-call at a hot loop header. Kernels whose guard fails at run
+time must fall back to the specialized scalar loop without breaking any
+of those contracts.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.runtime import (
     VirtualMachine,
     compile_workload,
 )
+from repro.runtime.jit import _STATIC_NS
+from repro.runtime.profile import DEFAULT_JIT_THRESHOLD, GLOBAL_CODE_CACHE
 from repro.runtime.runner import _bind_arguments
 from repro.workloads import all_workloads, get_workload
 
@@ -67,14 +70,38 @@ def _assert_identical(a, b, label):
     assert ea.steps == eb.steps, label
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_jit_bit_identical_on_suite(name, compiled_suite):
+@pytest.fixture(scope="module")
+def oracle_runs(compiled_suite):
+    """Reference and VM executions per workload, shared across the
+    jit-threshold variants."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            workload, compiled = compiled_suite(name)
+            cache[name] = (_execute(Interpreter, compiled, workload),
+                           _execute(VirtualMachine, compiled, workload))
+        return cache[name]
+    return get
+
+
+#: The default threshold keeps the plain workload id; threshold 1 enters
+#: every function at its first call, threshold 2 mostly at a loop header.
+SUITE_CASES = [pytest.param(name, None, id=name) for name in WORKLOADS] + [
+    pytest.param(name, threshold, id=f"{name}-threshold{threshold}")
+    for threshold in (1, 2) for name in WORKLOADS]
+
+
+@pytest.mark.parametrize("name,jit_threshold", SUITE_CASES)
+def test_jit_bit_identical_on_suite(name, jit_threshold, compiled_suite,
+                                    oracle_runs):
     """Outputs bit-equal AND per-block counts identical across all three
-    tiers, per workload."""
+    tiers, per workload and jit threshold."""
     workload, compiled = compiled_suite(name)
-    ref = _execute(Interpreter, compiled, workload)
-    vm = _execute(VirtualMachine, compiled, workload)
-    jit = _execute(JitVirtualMachine, compiled, workload)
+    ref, vm = oracle_runs(name)
+    kwargs = {} if jit_threshold is None else \
+        {"jit_threshold": jit_threshold}
+    jit = _execute(JitVirtualMachine, compiled, workload, **kwargs)
     _assert_identical(vm, jit, f"{name}:vm-vs-jit")
     # Reference values can differ from the VM only in float repr of the
     # same computation — in practice they are bit-equal too.
@@ -93,6 +120,19 @@ def engines_for(src, **jit_kwargs):
     return VirtualMachine(m), JitVirtualMachine(m, **jit_kwargs)
 
 
+def vm_frames(jit):
+    """Names of the functions whose frames run on the VM tier from now
+    on (every VM frame starts in ``_run``)."""
+    frames = []
+    run = jit._run
+
+    def counting_run(bc, args):
+        frames.append(bc.name)
+        return run(bc, args)
+    jit._run = counting_run
+    return frames
+
+
 def ptr_args(engine, arrays):
     from repro.runtime import Buffer, Pointer
     return [Pointer(Buffer.from_numpy(f"a{i}", a.copy()), 0)
@@ -107,16 +147,22 @@ void f(double *a, int n) {
 
 
 class TestDeopt:
+    """A failed kernel guard runs the loop in specialized scalar code:
+    it never enters a VM frame. Compiling on the first call makes every
+    frame here start in generated code."""
+
     def test_recurrence_deopts_and_matches_vm(self):
         # a[i+1] depends on a[i]: the store lattice trails the load
         # lattice, the overlap guard must refuse and fall back mid-call.
-        vm, jit = engines_for(RECURRENCE)
+        vm, jit = engines_for(RECURRENCE, jit_threshold=1)
+        frames = vm_frames(jit)
         data = np.linspace(1.0, 2.0, 64)
         (pv,), (pj,) = ptr_args(vm, [data]), ptr_args(jit, [data])
         vm.call("f", [pv, 64])
         jit.call("f", [pj, 64])
         assert jit.deopt_count == 1
         assert any(jit.deopt_sites.values())
+        assert frames == []
         np.testing.assert_array_equal(pv.buffer.data, pj.buffer.data)
         assert vm.profile.block_counts == jit.profile.block_counts
         assert vm.steps == jit.steps
@@ -124,17 +170,20 @@ class TestDeopt:
     def test_deopt_site_memo_skips_failing_kernel(self):
         # The failing site is remembered: later calls run the scalar
         # specialization directly instead of re-deopting.
-        _, jit = engines_for(RECURRENCE)
+        _, jit = engines_for(RECURRENCE, jit_threshold=1)
+        frames = vm_frames(jit)
         (p,) = ptr_args(jit, [np.ones(32)])
         jit.call("f", [p, 32])
         assert jit.deopt_count == 1
         (p2,) = ptr_args(jit, [np.ones(32)])
         jit.call("f", [p2, 32])
         assert jit.deopt_count == 1  # no second deopt
+        assert frames == []
 
     def test_gather_bounds_deopt_reproduces_wraparound(self):
-        # Negative indirect indices: the kernel's bounds check deopts and
-        # the VM replays python-style negative indexing bit-exactly.
+        # Negative indirect indices: the kernel's bounds check fails and
+        # the scalar loop replays python-style negative indexing
+        # bit-exactly.
         src = """
 double f(double *x, int *idx, int n) {
   double s = 0.0;
@@ -142,7 +191,8 @@ double f(double *x, int *idx, int n) {
   return s;
 }
 """
-        vm, jit = engines_for(src)
+        vm, jit = engines_for(src, jit_threshold=1)
+        frames = vm_frames(jit)
         x = np.arange(1.0, 17.0)
         idx = np.array([0, 5, -1, 3, 2, 7, -2, 1], dtype=np.int64)
         (xv, iv), (xj, ij) = ptr_args(vm, [x, idx]), ptr_args(jit, [x, idx])
@@ -154,6 +204,8 @@ double f(double *x, int *idx, int n) {
         (xv, iv), (xj, ij) = ptr_args(vm, [x, ok]), ptr_args(jit, [x, ok])
         assert vm.call("f", [xv, iv, 8]) == jit.call("f", [xj, ij, 8])
         assert jit.deopt_count == 1  # unchanged
+        assert vm.profile.block_counts == jit.profile.block_counts
+        assert frames == []
 
     def test_out_of_bounds_faults_identically(self):
         src = """
@@ -163,7 +215,8 @@ double f(double *x, int *idx, int n) {
   return s;
 }
 """
-        vm, jit = engines_for(src)
+        vm, jit = engines_for(src, jit_threshold=1)
+        frames = vm_frames(jit)
         x = np.ones(8)
         idx = np.full(8, 1000, dtype=np.int64)
         (xv, iv), (xj, ij) = ptr_args(vm, [x, idx]), ptr_args(jit, [x, idx])
@@ -172,11 +225,13 @@ double f(double *x, int *idx, int n) {
         with pytest.raises(InterpreterError):
             jit.call("f", [xj, ij, 8])
         assert vm.steps == jit.steps
+        assert frames == []
 
     def test_budget_exhaustion_deopts_then_raises_like_vm(self):
         src = "void f(double *a, int n) " \
               "{ for (int i = 0; i < n; i++) a[i] = 1.0; }"
-        vm, jit = engines_for(src)
+        vm, jit = engines_for(src, jit_threshold=1)
+        frames = vm_frames(jit)
         vm.max_steps = jit.max_steps = 50
         (pv,), (pj,) = ptr_args(vm, [np.zeros(512)]), \
             ptr_args(jit, [np.zeros(512)])
@@ -185,12 +240,14 @@ double f(double *x, int *idx, int n) {
         with pytest.raises(InterpreterError, match="budget"):
             jit.call("f", [pj, 512])
         assert vm.steps == jit.steps
+        np.testing.assert_array_equal(pv.buffer.data, pj.buffer.data)
+        assert frames == []
 
     def test_zero_trip_loop_skips_kernel(self):
         src = "double f(double *a, int n) " \
               "{ double s = 0.0; for (int i = 0; i < n; i++) s += a[i]; " \
               "return s; }"
-        vm, jit = engines_for(src)
+        vm, jit = engines_for(src, jit_threshold=1)
         (pv,), (pj,) = ptr_args(vm, [np.ones(4)]), ptr_args(jit, [np.ones(4)])
         assert vm.call("f", [pv, 0]) == jit.call("f", [pj, 0]) == 0.0
         assert jit.deopt_count == 0
@@ -206,7 +263,7 @@ class TestKvOrdering:
         src = "double f(double *a, int n) { double s = 0; " \
               "for (int i = 0; i < n; i++) s += a[i] * (double)i; " \
               "return s; }"
-        vm, jit = engines_for(src)
+        vm, jit = engines_for(src, jit_threshold=1)
         data = np.linspace(0.5, 2.0, 16)
         (pv,), (pj,) = ptr_args(vm, [data]), ptr_args(jit, [data])
         assert vm.call("f", [pv, 16]) == jit.call("f", [pj, 16])
@@ -221,35 +278,62 @@ class TestCodegenDefectSafetyNet:
           "{ double s = 0.0; for (int i = 0; i < n; i++) s += a[i]; " \
           "return s; }"
 
-    def _defective_pair(self):
-        vm, jit = engines_for(self.SRC)
+    def _defective_pair(self, **jit_kwargs):
+        vm, jit = engines_for(self.SRC, **jit_kwargs)
+        entries = []
 
         def fake_compile(name, bc):
-            def broken(vm, args):
+            def broken(vm, args, bx=0, regs=None, allocas=None):
+                entries.append("call" if regs is None else f"loop:{bx}")
                 vm.steps += 999           # state the fallback must undo
+                vm.rng.next()
                 if vm.profiling:
                     vm._counts[name][0] += 7
                 raise NameError("_kv is not defined")
             jit._jit_fns[name] = broken
             return broken
         jit._compile_jit = fake_compile
-        return vm, jit
+        return vm, jit, entries
 
     def test_unexpected_exception_blacklists_and_replays_on_vm(self):
-        vm, jit = self._defective_pair()
+        vm, jit, entries = self._defective_pair(jit_threshold=1)
         (pv,), (pj,) = ptr_args(vm, [np.ones(8)]), ptr_args(jit, [np.ones(8)])
         assert vm.call("f", [pv, 8]) == jit.call("f", [pj, 8]) == 8.0
+        assert entries == ["call"]
         assert jit._jit_fns["f"] is None  # permanently on the VM tier
         assert vm.steps == jit.steps
+        assert vm.rng.state == jit.rng.state
         assert vm.profile.block_counts == jit.profile.block_counts
         # Later calls go straight to the VM, no recompilation attempt.
         (p2,) = ptr_args(jit, [np.ones(8)])
         assert jit.call("f", [p2, 8]) == 8.0
+        assert entries == ["call"]
+
+    def test_on_stack_entry_defect_continues_frame_on_vm(self):
+        # The loop gets hot mid-call: the defective code is entered at the
+        # loop header, blacklisted, and the VM finishes the same frame
+        # from that header with steps, RNG and counts as if it never left.
+        vm, jit, entries = self._defective_pair(jit_threshold=4)
+        frames = vm_frames(jit)
+        data = np.arange(64.0)
+        (pv,), (pj,) = ptr_args(vm, [data]), ptr_args(jit, [data])
+        assert vm.call("f", [pv, 64]) == jit.call("f", [pj, 64]) == \
+            float(data.sum())
+        assert entries == ["loop:1"]
+        assert frames == ["f"]           # one frame, never restarted
+        assert jit._jit_fns["f"] is None
+        assert jit.codegen_defect_replays == {"f": 1}
+        assert vm.steps == jit.steps
+        assert vm.rng.state == jit.rng.state
+        assert vm.profile.block_counts == jit.profile.block_counts
+        (p2,) = ptr_args(jit, [data])
+        assert jit.call("f", [p2, 64]) == float(data.sum())
+        assert entries == ["loop:1"]     # blacklisted: never re-entered
 
     def test_interpreter_errors_still_propagate(self):
         # Guest-visible faults raised by generated code must NOT trigger
         # the fallback: they are the correct result.
-        _, jit = engines_for(self.SRC)
+        _, jit = engines_for(self.SRC, jit_threshold=1)
         jit.max_steps = 5
         (p,) = ptr_args(jit, [np.ones(512)])
         with pytest.raises(InterpreterError, match="budget"):
@@ -260,21 +344,121 @@ class TestTieringPolicy:
     SRC = "double f(double *a, int n) " \
           "{ double s = 0.0; for (int i = 0; i < n; i++) s += a[i] * a[i]; " \
           "return s; }"
+    #: A multi-block loop body: never batched into a kernel.
+    BRANCHY = """
+double f(double *a, int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    if (a[i] > 0.5) s += a[i]; else a[i] = s;
+  }
+  return s;
+}
+"""
+
+    @staticmethod
+    def _call_both(src, fn, arrays, scalars, **jit_kwargs):
+        """Run ``fn`` once on each tier; assert value, buffers, block
+        counts and steps agree. Returns the jit engine."""
+        vm, jit = engines_for(src, **jit_kwargs)
+        pv, pj = ptr_args(vm, arrays), ptr_args(jit, arrays)
+        assert vm.call(fn, pv + scalars) == jit.call(fn, pj + scalars)
+        for a, b in zip(pv, pj):
+            np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
+        if jit.profiling:
+            assert vm.profile.block_counts == jit.profile.block_counts
+        assert vm.steps == jit.steps
+        return jit
 
     def test_threshold_transition(self):
-        _, jit = engines_for(self.SRC, jit_threshold=3)
-        expected = float(np.sum(np.arange(16.0) ** 2))
+        # A loop-free function's heat is its call count.
+        src = "double f(double *a, int i) { return a[i] * a[i]; }"
+        _, jit = engines_for(src, jit_threshold=3)
         for call in range(1, 5):
             (p,) = ptr_args(jit, [np.arange(16.0)])
-            assert jit.call("f", [p, 16]) == expected
+            assert jit.call("f", [p, 5]) == 25.0
             compiled = "f" in jit.jit_compiled()
             assert compiled == (call >= 3), call
 
     def test_threshold_one_compiles_first_call(self):
-        _, jit = engines_for(self.SRC)
+        _, jit = engines_for(self.SRC, jit_threshold=1)
+        frames = vm_frames(jit)
         (p,) = ptr_args(jit, [np.ones(8)])
         jit.call("f", [p, 8])
         assert jit.jit_compiled() == ["f"]
+        assert frames == []
+
+    def test_hot_loop_tiers_up_mid_call(self):
+        data = np.linspace(0.0, 1.0, 200)
+        cache = CodeCache()
+        jit = self._call_both(self.BRANCHY, "f", [data], [200],
+                              code_cache=cache)
+        assert jit.jit_compiled() == ["f"]
+        assert cache.compiles == 1
+        assert jit.hotness.heat["f"] == DEFAULT_JIT_THRESHOLD
+
+    def test_cold_function_is_never_compiled(self):
+        before = GLOBAL_CODE_CACHE.compiles
+        jit = self._call_both(self.BRANCHY, "f", [np.ones(4)], [4])
+        assert jit.jit_compiled() == []
+        assert GLOBAL_CODE_CACHE.compiles == before
+
+    def test_on_stack_entry_runs_kernel_for_rest_of_loop(self, monkeypatch):
+        trips = []
+        guard = _STATIC_NS["_vec_guard"]
+
+        def recording_guard(accesses, n):
+            trips.append(n)
+            return guard(accesses, n)
+        monkeypatch.setitem(_STATIC_NS, "_vec_guard", recording_guard)
+        jit = self._call_both(self.SRC, "f", [np.linspace(0.0, 1.0, 200)],
+                              [200], jit_threshold=16)
+        # One call's heat, then 15 back edges: entered at i == 15, and
+        # the kernel batches the 185 iterations left.
+        assert trips == [185]
+        assert jit.deopt_count == 0
+
+    def test_budget_exhaustion_straddling_entry_raises_like_vm(self):
+        src = "void f(double *a, int n) " \
+              "{ for (int i = 0; i < n; i++) a[i] = 1.0; }"
+        vm, jit = engines_for(src, jit_threshold=16)
+        vm.max_steps = jit.max_steps = 100
+        (pv,), (pj,) = ptr_args(vm, [np.zeros(512)]), \
+            ptr_args(jit, [np.zeros(512)])
+        with pytest.raises(InterpreterError, match="budget"):
+            vm.call("f", [pv, 512])
+        with pytest.raises(InterpreterError, match="budget"):
+            jit.call("f", [pj, 512])
+        assert jit.jit_compiled() == ["f"]   # entered before running out
+        assert vm.steps == jit.steps == 101
+        np.testing.assert_array_equal(pv.buffer.data, pj.buffer.data)
+        assert vm.profile.block_counts == jit.profile.block_counts
+
+    def test_entry_with_allocas_and_globals(self):
+        src = """
+double g[32];
+double f(int n) {
+  double t[32];
+  for (int i = 0; i < 32; i++) t[i] = g[i] * 2.0;
+  double s = 0.0;
+  for (int k = 0; k < n; k++) {
+    s += t[k % 32] - g[(k * 7) % 32];
+    t[(k * 3) % 32] = s;
+  }
+  return s;
+}
+"""
+        m = compile_c(src)
+        optimize(m)
+        engines = [VirtualMachine(m), JitVirtualMachine(m, jit_threshold=20)]
+        for engine in engines:
+            engine.bind_global("g", np.linspace(1.0, 2.0, 32))
+        vm, jit = engines
+        assert vm.call("f", [300]) == jit.call("f", [300])
+        assert jit.jit_compiled() == ["f"]
+        np.testing.assert_array_equal(vm.globals["g"].data,
+                                      jit.globals["g"].data)
+        assert vm.profile.block_counts == jit.profile.block_counts
+        assert vm.steps == jit.steps
 
     def test_profile_opt_out(self):
         _, jit = engines_for(self.SRC, profile=False)
@@ -283,13 +467,18 @@ class TestTieringPolicy:
         with pytest.raises(InterpreterError):
             jit.profile
 
+    def test_profile_off_still_tiers_up(self):
+        jit = self._call_both(self.BRANCHY, "f", [np.linspace(0.0, 1.0, 200)],
+                              [200], profile=False)
+        assert jit.jit_compiled() == ["f"]
+
     def test_code_cache_shared_across_vms(self):
         cache = CodeCache()
-        _, jit1 = engines_for(self.SRC, code_cache=cache)
+        _, jit1 = engines_for(self.SRC, code_cache=cache, jit_threshold=1)
         (p,) = ptr_args(jit1, [np.ones(8)])
         jit1.call("f", [p, 8])
         assert cache.stats()["compiles"] == 1
-        _, jit2 = engines_for(self.SRC, code_cache=cache)
+        _, jit2 = engines_for(self.SRC, code_cache=cache, jit_threshold=1)
         (p,) = ptr_args(jit2, [np.ones(8)])
         jit2.call("f", [p, 8])
         stats = cache.stats()
@@ -356,7 +545,7 @@ def test_scalar_load_forms_identical_across_tiers(ty):
     dtype, values = LOAD_BUFFERS[ty]
     module = parse_module(LOAD_FORMS_IR.format(t=ty))
     tiers = [Interpreter(module), VirtualMachine(module),
-             JitVirtualMachine(module)]
+             JitVirtualMachine(module, jit_threshold=1)]
     forms = {"load": OP_LOAD, "loadidx": OP_LOADIDX, "loadn": OP_LOADN}
     for fn, op in forms.items():
         assert [i[0] for i in tiers[1]._compiled(fn).code][0] == op, fn

@@ -110,7 +110,8 @@ def test_accelerated_run_identical_across_engines(name, engine,
                                                   accelerated_reference,
                                                   monkeypatch):
     """API call-outs (OP_CALL_API) produce identical results and stats,
-    whether the bytecode VM or JIT-generated code makes them."""
+    whether the bytecode VM or JIT-generated code makes them (the jit
+    tier compiles on first call here, so generated code makes them)."""
     made = []
     real_new_engine = runner.new_engine
 
@@ -122,7 +123,7 @@ def test_accelerated_run_identical_across_engines(name, engine,
     w = get_workload(name)
     ref = accelerated_reference(name)
     run = run_accelerated(compile_workload(name, w.source), w.entry,
-                          w.make_inputs(1), engine=engine)
+                          w.make_inputs(1), engine=engine, jit_threshold=1)
     assert type(made[0]) is runner.ENGINES[engine]
     assert outputs_match(ref, run)
     assert ref.total_instructions == run.total_instructions
