@@ -22,7 +22,7 @@ keeps the gate meaningful on arbitrarily slow CI hardware::
 
     PYTHONPATH=src python -m repro.experiments.bench_interp --check \
         --repeat 3 --baseline BENCH_interp.json \
-        --workloads CG IS UA histo sgemm stencil
+        --workloads BT CG IS LU SP UA histo sgemm stencil
 
 Per-block profile identity (stronger than the total/opcode checks here) is
 asserted by ``tests/test_vm.py`` and ``tests/test_jit.py`` on every

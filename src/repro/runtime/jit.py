@@ -16,14 +16,19 @@ whose back edge crossed the threshold enters at that loop header
 unpacks them into locals and rebinds its array base caches, and the frame
 finishes in compiled code.
 
-On top of the scalar specialization, innermost counted loops whose bodies
-are affine array traversals are batched into vectorized numpy kernels,
-placed at the top of the loop header's dispatch arm so every entry into
-the loop (a call's or an on-stack one) runs them. A runtime guard checks
-bounds, aliasing and stride preconditions first; when it fails, the
-failure is recorded (``deopt_count``, ``deopt_sites``) and the loop runs
-in the specialized scalar code instead. The VM is only ever the tier that
-runs functions which are cold, uncompilable or blacklisted.
+On top of the scalar specialization, counted loops whose bodies are
+affine array traversals are batched into vectorized numpy kernels
+(:mod:`repro.runtime.jit_vectorize`): an innermost loop gets a loop
+kernel, and a rectangular two-deep nest also gets a nest kernel at its
+parent loop's header, which runs every remaining outer iteration at once
+behind one hoisted guard. Each kernel is placed at the top of its
+header's dispatch arm so every entry into the loop (a call's or an
+on-stack one) runs it. A runtime guard checks bounds, aliasing and stride
+preconditions first; when it fails, the failure is recorded
+(``deopt_count``, ``deopt_sites``) and the loop runs in the specialized
+code instead — a nest its inner loop's kernel per outer iteration, an
+innermost loop its scalar code. The VM is only ever the tier that runs
+functions which are cold, uncompilable or blacklisted.
 
 Observability contract: the generated code increments the same dense
 per-block count arrays the VM uses (one increment per taken CFG edge; a
@@ -113,7 +118,8 @@ def _csinf(a):
 
 def _vslice(d, start, step, n):
     """``n`` elements of flat array ``d`` starting at ``start`` with stride
-    ``step``; a zero stride broadcasts the single element (read-only)."""
+    ``step``, as a view kernel stores write through; a zero stride
+    broadcasts the single element (read-only)."""
     if step == 0:
         return np.broadcast_to(d[start], (n,))
     stop = start + step * n
@@ -122,12 +128,11 @@ def _vslice(d, start, step, n):
     return d[start:stop if stop >= 0 else None:step]
 
 
-def _vstore(d, start, step, n, rhs):
-    stop = start + step * n
-    if step > 0:
-        d[start:stop:step] = rhs
-    else:
-        d[start:stop if stop >= 0 else None:step] = rhs
+def _vlist(x, n):
+    """The ``n`` operands of a reduction as Python numbers, in loop order:
+    a vector's elements, or a scalar operand repeated."""
+    a = np.asarray(x)
+    return a.tolist() if a.ndim else [a.item()] * n
 
 
 def _vfdiv(a, b):
@@ -143,9 +148,20 @@ def _vsqrt(a):
         return np.sqrt(a)
 
 
+def _vview(d, start, step, ostep, n, m):
+    """``m`` x ``n`` view of flat array ``d`` whose element ``[o, k]`` is
+    ``d[start + o * ostep + k * step]``; writes go through to ``d``, zero
+    strides broadcast (read-only use). numpy refuses a view reaching
+    outside ``d``, but only :func:`_vec_guard` makes it the right one."""
+    size = d.itemsize
+    return np.ndarray((m, n), d.dtype, d, start * size,
+                      (ostep * size, step * size))
+
+
 def _ranges_disjoint(a0, sa, b0, sb, n):
-    """May two strided index sets of length ``n`` share an element?  False
-    negatives are safe (the loop runs scalar); False positives are not."""
+    """True if two strided index sets of length ``n`` are shown to share
+    no element. False when that cannot be shown, which is safe (the loop
+    runs scalar); True for sets that do share one would not be."""
     a_lo = min(a0, a0 + sa * (n - 1))
     a_hi = max(a0, a0 + sa * (n - 1))
     b_lo = min(b0, b0 + sb * (n - 1))
@@ -157,8 +173,10 @@ def _ranges_disjoint(a0, sa, b0, sb, n):
     return False
 
 
-def _vec_guard(accesses, n):
-    """All preconditions for running a batched kernel of ``n`` iterations.
+def _vec_guard(accesses, n, outer=None):
+    """All preconditions for running a batched kernel of ``n`` iterations
+    (a loop kernel), or of ``outer`` x ``n`` iterations (a nest kernel,
+    see :func:`_nest_guard`).
 
     ``accesses`` is a tuple of ``(flat array, start, stride, writes)``.
     Checks, in order: every touched index in bounds (scalar loads wrap on
@@ -170,6 +188,8 @@ def _vec_guard(accesses, n):
     so both orders observe pre-loop values), anything else must be
     range-disjoint.
     """
+    if outer is not None:
+        return _nest_guard(accesses, n, outer)
     for d, start, stride, _w in accesses:
         lo = min(start, start + stride * (n - 1))
         hi = max(start, start + stride * (n - 1))
@@ -196,6 +216,54 @@ def _vec_guard(accesses, n):
     return True
 
 
+def _nest_guard(accesses, n, m):
+    """The hoisted guard of a nest kernel: ``m`` outer by ``n`` inner
+    iterations, each access a ``(flat array, start, stride, outer stride,
+    writes)`` lattice ``start + o * outer stride + k * stride``.
+
+    Every touched index is in bounds (both extremes of the lattice); every
+    store lattice is injective, so no two iterations write one element;
+    and a store shares its array only with an identical lattice (each
+    element is then read and written by one iteration alone, loads
+    first) or with a disjoint index range. Anything else, such as a
+    recurrence carried across outer iterations, fails.
+    """
+    extents = []
+    for d, start, stride, ostride, _w in accesses:
+        lo = start + min(0, stride * (n - 1)) + min(0, ostride * (m - 1))
+        hi = start + max(0, stride * (n - 1)) + max(0, ostride * (m - 1))
+        if lo < 0 or hi >= d.size:
+            return False
+        extents.append((lo, hi))
+    for i, (d, start, stride, ostride, writes) in enumerate(accesses):
+        if not writes:
+            continue
+        if not _lattice_injective(stride, n, ostride, m):
+            return False
+        lo, hi = extents[i]
+        for j, (d2, start2, stride2, ostride2, _w2) in enumerate(accesses):
+            if j == i or d2 is not d:
+                continue
+            if (start2, stride2, ostride2) == (start, stride, ostride):
+                continue
+            lo2, hi2 = extents[j]
+            if not (hi < lo2 or hi2 < lo):
+                return False
+    return True
+
+
+def _lattice_injective(stride, n, ostride, m):
+    """Whether ``(o, k) -> o * ostride + k * stride`` is one-to-one over
+    ``m`` x ``n``. Sufficient test: one stride spans the other's whole
+    extent; False negatives are safe."""
+    if n == 1:
+        return m == 1 or ostride != 0
+    if m == 1:
+        return stride != 0
+    a, b = abs(stride), abs(ostride)
+    return a != 0 and b != 0 and (b >= a * n or a >= b * m)
+
+
 #: Names under which non-inlinable callables appear in generated source.
 _CALL_NAMES = {id(_sdiv): "_sdiv", id(_srem): "_srem", id(_frem): "_frem"}
 
@@ -205,8 +273,9 @@ _STATIC_NS = {
     "Pointer": Pointer, "Buffer": Buffer, "np": np,
     "NAN": math.nan, "INF": math.inf,
     "_sdiv": _sdiv, "_srem": _srem, "_frem": _frem, "_csinf": _csinf,
-    "_vslice": _vslice, "_vstore": _vstore, "_vfdiv": _vfdiv,
-    "_vsqrt": _vsqrt, "_vec_guard": _vec_guard,
+    "_vslice": _vslice, "_vfdiv": _vfdiv,
+    "_vsqrt": _vsqrt, "_vec_guard": _vec_guard, "_vview": _vview,
+    "_vlist": _vlist,
 }
 for _pred, _fn in FCMP_FNS.items():
     if id(_fn) not in _INLINE_BIN:

@@ -38,7 +38,7 @@ from ..ir.printer import print_function_canonical
 
 #: Bump whenever the generated-code shape changes (new preamble, changed
 #: guard structure, …); stale persisted sources then simply miss.
-JIT_VERSION = 3
+JIT_VERSION = 4
 
 #: Heat at which the jit tier compiles a function. Measured on the
 #: suite-eval benchmark (EXPERIMENTS.md → "Tier-up threshold"): 16 and 64

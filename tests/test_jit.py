@@ -139,6 +139,42 @@ def ptr_args(engine, arrays):
             for i, a in enumerate(arrays)]
 
 
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """``(inner trip, outer trip)`` of every kernel guard call from code
+    compiled during the test; the outer trip is None for a loop kernel."""
+    calls = []
+    guard = _STATIC_NS["_vec_guard"]
+
+    def recording_guard(accesses, n, outer=None):
+        calls.append((n, outer))
+        return guard(accesses, n, outer)
+    monkeypatch.setitem(_STATIC_NS, "_vec_guard", recording_guard)
+    return calls
+
+
+def call_both(src, arrays, scalars, fault=False, **jit_kwargs):
+    """Call ``f`` once on the VM and once on the JIT: the same value (or
+    fault), buffers, block counts and steps. Returns the JIT engine and
+    the VM frames it started (see :func:`vm_frames`)."""
+    vm, jit = engines_for(src, **jit_kwargs)
+    frames = vm_frames(jit)
+    pv, pj = ptr_args(vm, arrays), ptr_args(jit, arrays)
+    if fault:
+        with pytest.raises(InterpreterError):
+            vm.call("f", pv + scalars)
+        with pytest.raises(InterpreterError):
+            jit.call("f", pj + scalars)
+    else:
+        assert vm.call("f", pv + scalars) == jit.call("f", pj + scalars)
+    for a, b in zip(pv, pj):
+        np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
+    if jit.profiling:
+        assert vm.profile.block_counts == jit.profile.block_counts
+    assert vm.steps == jit.steps
+    return jit, frames
+
+
 RECURRENCE = """
 void f(double *a, int n) {
   for (int i = 0; i < n - 1; i++) a[i + 1] = a[i] * 0.5 + 1.0;
@@ -194,15 +230,16 @@ double f(double *x, int *idx, int n) {
         vm, jit = engines_for(src, jit_threshold=1)
         frames = vm_frames(jit)
         x = np.arange(1.0, 17.0)
-        idx = np.array([0, 5, -1, 3, 2, 7, -2, 1], dtype=np.int64)
+        # Trip 24 clears MIN_GATHER_TRIP, so the kernel is attempted.
+        idx = np.array([0, 5, -1, 3, 2, 7, -2, 1] * 3, dtype=np.int64)
         (xv, iv), (xj, ij) = ptr_args(vm, [x, idx]), ptr_args(jit, [x, idx])
-        assert vm.call("f", [xv, iv, 8]) == jit.call("f", [xj, ij, 8])
+        assert vm.call("f", [xv, iv, 24]) == jit.call("f", [xj, ij, 24])
         assert jit.deopt_count == 1
         assert vm.steps == jit.steps
         # In-range indices vectorize without deopting.
-        ok = np.array([0, 5, 1, 3, 2, 7, 4, 1], dtype=np.int64)
+        ok = np.array([0, 5, 1, 3, 2, 7, 4, 1] * 3, dtype=np.int64)
         (xv, iv), (xj, ij) = ptr_args(vm, [x, ok]), ptr_args(jit, [x, ok])
-        assert vm.call("f", [xv, iv, 8]) == jit.call("f", [xj, ij, 8])
+        assert vm.call("f", [xv, iv, 24]) == jit.call("f", [xj, ij, 24])
         assert jit.deopt_count == 1  # unchanged
         assert vm.profile.block_counts == jit.profile.block_counts
         assert frames == []
@@ -218,12 +255,13 @@ double f(double *x, int *idx, int n) {
         vm, jit = engines_for(src, jit_threshold=1)
         frames = vm_frames(jit)
         x = np.ones(8)
-        idx = np.full(8, 1000, dtype=np.int64)
+        idx = np.full(24, 1000, dtype=np.int64)
         (xv, iv), (xj, ij) = ptr_args(vm, [x, idx]), ptr_args(jit, [x, idx])
         with pytest.raises(InterpreterError):
-            vm.call("f", [xv, iv, 8])
+            vm.call("f", [xv, iv, 24])
         with pytest.raises(InterpreterError):
-            jit.call("f", [xj, ij, 8])
+            jit.call("f", [xj, ij, 24])
+        assert jit.deopt_count == 1   # the gather bounds check failed first
         assert vm.steps == jit.steps
         assert frames == []
 
@@ -253,6 +291,155 @@ double f(double *x, int *idx, int n) {
         assert jit.deopt_count == 0
         assert vm.steps == jit.steps
 
+    # -- nest kernels: the guard hoisted to the parent loop's header -------
+
+    #: Row i reads row k + s*i of b: with s = -1 and k = n - 2 only the
+    #: last row is out of range (negative, so the scalar code wraps),
+    #: with s = 1 and k = 1 only the last row runs past the end (fault).
+    SHIFTED_NEST = """
+void f(double *a, double *b, int n, int k, int s) {
+  for (int i = 0; i < n; i++)
+    for (int m = 0; m < 16; m++)
+      a[i*16+m] = b[(k + s*i)*16+m] * 0.5 + 1.0;
+}
+"""
+
+    @pytest.mark.parametrize("case", ["wrap", "fault"])
+    def test_nest_guard_fails_on_last_outer_iteration(self, case,
+                                                      guard_calls):
+        # The hoisted guard fails, so every row runs its own loop kernel;
+        # those pass until the last row, whose kernel fails too and whose
+        # scalar loop wraps or faults exactly where the VM does.
+        n = 12
+        k, s = (n - 2, -1) if case == "wrap" else (1, 1)
+        data = [np.zeros(16 * n), np.linspace(1.0, 2.0, 16 * n)]
+        jit, frames = call_both(self.SHIFTED_NEST, data, [n, k, s],
+                                fault=case == "fault", jit_threshold=1)
+        assert frames == []
+        assert guard_calls == [(16, n)] + [(16, None)] * n
+        assert jit.deopt_count == 2
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_nest_short_outer_trip(self, n, guard_calls):
+        src = """
+void f(double *a, double *b, int n) {
+  for (int i = 0; i < n; i++)
+    for (int m = 0; m < 16; m++)
+      a[i*16+m] = b[i*16+m] * 2.0;
+}
+"""
+        jit, frames = call_both(src, [np.zeros(32), np.arange(32.0)], [n],
+                                jit_threshold=1)
+        assert frames == []
+        assert guard_calls == ([(16, 1)] if n else [])
+        assert jit.deopt_count == 0
+
+    def test_self_overlapping_nest_store_falls_back(self, guard_calls):
+        # Rows of 16 stored 4 apart: iterations (i, m) and (i + 1, m - 4)
+        # write one element, so the 2-D store lattice is not injective
+        # and the nest must not run as one kernel. Each row alone is
+        # injective: per-row kernels, later rows overwriting earlier ones.
+        src = """
+void f(double *a, double *b, int n) {
+  for (int i = 0; i < n; i++)
+    for (int m = 0; m < 16; m++)
+      a[i*4+m] = b[i*16+m] + 1.0;
+}
+"""
+        n = 10
+        jit, frames = call_both(src, [np.zeros(4 * n + 12),
+                                      np.arange(16.0 * n)], [n],
+                                jit_threshold=1)
+        assert frames == []
+        assert guard_calls == [(16, n)] + [(16, None)] * n
+        assert jit.deopt_count == 1
+
+    def test_lu_recurrence_fails_hoisted_guard_once(self, guard_calls):
+        # LU's sweep reads row i - 1, which the previous outer iteration
+        # wrote: the hoisted guard fails once and blacklists the nest;
+        # 5-element rows are below MIN_KERNEL_TRIP, so they run scalar.
+        src = get_workload("LU").source
+        n = 40
+        rng = np.random.default_rng(3)
+        data = [rng.uniform(-1, 1, 5 * n), rng.uniform(-1, 1, 5 * n)]
+        vm, jit = engines_for(src, jit_threshold=1)
+        frames = vm_frames(jit)
+        pv, pj = ptr_args(vm, data), ptr_args(jit, data)
+        vm.call("ssor_sweep", [n] + pv)
+        jit.call("ssor_sweep", [n] + pj)
+        for a, b in zip(pv, pj):
+            np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
+        assert vm.profile.block_counts == jit.profile.block_counts
+        assert vm.steps == jit.steps
+        assert frames == []
+        assert guard_calls == [(5, n - 2)]
+        assert jit.deopt_count == 1
+
+
+class TestNestKernel:
+    def test_bt_compute_rhs_one_guard_per_sweep(self, guard_calls):
+        workload = get_workload("BT")
+        inputs = workload.make_inputs(1)
+        n = inputs["n"]
+        vm, jit = engines_for(workload.source, jit_threshold=1)
+        frames = vm_frames(jit)
+        data = [inputs["u"], inputs["rhs"]]
+        pv, pj = ptr_args(vm, data), ptr_args(jit, data)
+        vm.call("compute_rhs", [n] + pv)
+        jit.call("compute_rhs", [n] + pj)
+        # 14 sweeps, each one kernel over all n - 2 rows of 5.
+        assert guard_calls == [(5, n - 2)] * 14
+        assert jit.deopt_count == 0
+        for a, b in zip(pv, pj):
+            np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
+        assert vm.profile.block_counts == jit.profile.block_counts
+        assert vm.steps == jit.steps
+        assert frames == []
+
+    def test_identical_store_lattice_reads_values_before_the_store(
+            self, guard_calls):
+        # a is loaded and stored through one 2-D lattice, which the guard
+        # admits; b's value is computed after a's store in the kernel and
+        # must still see a's old elements, as each scalar iteration does.
+        src = """
+void f(double *a, double *b, int n) {
+  for (int i = 0; i < n; i++)
+    for (int m = 0; m < 16; m++) {
+      double x = a[i*16+m];
+      a[i*16+m] = x * 2.0;
+      b[i*16+m] = x + 1.0;
+    }
+}
+"""
+        n = 8
+        jit, frames = call_both(src, [np.arange(16.0 * n),
+                                      np.zeros(16 * n)], [n], jit_threshold=1)
+        assert frames == []
+        assert guard_calls == [(16, n)]
+        assert jit.deopt_count == 0
+
+    def test_on_stack_entry_at_inner_header_then_nest(self, guard_calls):
+        # Heat 16 is reached on the first row's 15th inner back edge: the
+        # frame enters at the inner header with one iteration left, runs
+        # it scalar, and the parent header then batches the other rows.
+        src = """
+void f(double *a, double *b, int n) {
+  for (int i = 0; i < n; i++)
+    for (int m = 0; m < 16; m++)
+      a[i*16+m] = b[i*16+m] * 2.0;
+}
+"""
+        n = 20
+        vm, jit = engines_for(src, jit_threshold=16)
+        data = [np.zeros(16 * n), np.arange(16.0 * n)]
+        pv, pj = ptr_args(vm, data), ptr_args(jit, data)
+        vm.call("f", pv + [n])
+        jit.call("f", pj + [n])
+        assert jit.jit_compiled() == ["f"]
+        assert guard_calls == [(16, n - 1)]
+        np.testing.assert_array_equal(pv[0].buffer.data, pj[0].buffer.data)
+        assert vm.profile.block_counts == jit.profile.block_counts
+        assert vm.steps == jit.steps
 
 class TestKvOrdering:
     def test_sitofp_reduction_operand_defines_kv(self):
@@ -355,20 +542,6 @@ double f(double *a, int n) {
 }
 """
 
-    @staticmethod
-    def _call_both(src, fn, arrays, scalars, **jit_kwargs):
-        """Run ``fn`` once on each tier; assert value, buffers, block
-        counts and steps agree. Returns the jit engine."""
-        vm, jit = engines_for(src, **jit_kwargs)
-        pv, pj = ptr_args(vm, arrays), ptr_args(jit, arrays)
-        assert vm.call(fn, pv + scalars) == jit.call(fn, pj + scalars)
-        for a, b in zip(pv, pj):
-            np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
-        if jit.profiling:
-            assert vm.profile.block_counts == jit.profile.block_counts
-        assert vm.steps == jit.steps
-        return jit
-
     def test_threshold_transition(self):
         # A loop-free function's heat is its call count.
         src = "double f(double *a, int i) { return a[i] * a[i]; }"
@@ -390,31 +563,23 @@ double f(double *a, int n) {
     def test_hot_loop_tiers_up_mid_call(self):
         data = np.linspace(0.0, 1.0, 200)
         cache = CodeCache()
-        jit = self._call_both(self.BRANCHY, "f", [data], [200],
-                              code_cache=cache)
+        jit, _ = call_both(self.BRANCHY, [data], [200], code_cache=cache)
         assert jit.jit_compiled() == ["f"]
         assert cache.compiles == 1
         assert jit.hotness.heat["f"] == DEFAULT_JIT_THRESHOLD
 
     def test_cold_function_is_never_compiled(self):
         before = GLOBAL_CODE_CACHE.compiles
-        jit = self._call_both(self.BRANCHY, "f", [np.ones(4)], [4])
+        jit, _ = call_both(self.BRANCHY, [np.ones(4)], [4])
         assert jit.jit_compiled() == []
         assert GLOBAL_CODE_CACHE.compiles == before
 
-    def test_on_stack_entry_runs_kernel_for_rest_of_loop(self, monkeypatch):
-        trips = []
-        guard = _STATIC_NS["_vec_guard"]
-
-        def recording_guard(accesses, n):
-            trips.append(n)
-            return guard(accesses, n)
-        monkeypatch.setitem(_STATIC_NS, "_vec_guard", recording_guard)
-        jit = self._call_both(self.SRC, "f", [np.linspace(0.0, 1.0, 200)],
-                              [200], jit_threshold=16)
+    def test_on_stack_entry_runs_kernel_for_rest_of_loop(self, guard_calls):
+        jit, _ = call_both(self.SRC, [np.linspace(0.0, 1.0, 200)], [200],
+                           jit_threshold=16)
         # One call's heat, then 15 back edges: entered at i == 15, and
         # the kernel batches the 185 iterations left.
-        assert trips == [185]
+        assert guard_calls == [(185, None)]
         assert jit.deopt_count == 0
 
     def test_budget_exhaustion_straddling_entry_raises_like_vm(self):
@@ -468,8 +633,8 @@ double f(int n) {
             jit.profile
 
     def test_profile_off_still_tiers_up(self):
-        jit = self._call_both(self.BRANCHY, "f", [np.linspace(0.0, 1.0, 200)],
-                              [200], profile=False)
+        jit, _ = call_both(self.BRANCHY, [np.linspace(0.0, 1.0, 200)], [200],
+                           profile=False)
         assert jit.jit_compiled() == ["f"]
 
     def test_code_cache_shared_across_vms(self):
