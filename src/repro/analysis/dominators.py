@@ -3,6 +3,9 @@
 One generic core handles four variants: {dominance, post-dominance} ×
 {block granularity, instruction granularity}. Queries are O(1) via
 Euler-tour interval numbering of the dominator tree.
+:class:`InstructionDominance` gives the instruction-granularity answers
+from a block tree and instruction positions, without building the larger
+instruction tree.
 """
 
 from __future__ import annotations
@@ -195,6 +198,103 @@ class DominatorTree:
 
     def contains(self, node) -> bool:
         return self._tree.contains(node)
+
+
+class InstructionDominance:
+    """Instruction-granularity dominance answered from a block-level tree.
+
+    Answers the same queries as :meth:`DominatorTree.instruction_level`
+    over the same function, as LLVM answers instruction dominance: two
+    instructions in one block compare their positions (reversed for
+    post-dominance); otherwise the block tree decides. Positions are a
+    snapshot (see :class:`InstructionPositions`), so an instruction
+    inserted later is unknown and, like one in a block the tree does not
+    reach, dominates nothing and has no immediate dominator.
+    """
+
+    def __init__(self, blocks: DominatorTree,
+                 positions: "InstructionPositions"):
+        self.post = blocks.post
+        tree = blocks._tree
+        self._tree = tree
+        self._tin = tree._tin
+        self._tout = tree._tout
+        self._where = positions.where
+        self._insts = positions.insts
+
+    def contains(self, node) -> bool:
+        where = self._where.get(id(node))
+        return where is not None and where[0] in self._tin
+
+    def dominates(self, a, b) -> bool:
+        """a dominates b (reflexive). Unreachable nodes dominate nothing."""
+        where_a = self._where.get(id(a))
+        where_b = self._where.get(id(b))
+        if where_a is None or where_b is None:
+            return False
+        block_a, index_a = where_a
+        block_b, index_b = where_b
+        tin = self._tin
+        if block_a == block_b:
+            if block_a not in tin:
+                return False
+            return index_b <= index_a if self.post else index_a <= index_b
+        in_a = tin.get(block_a)
+        in_b = tin.get(block_b)
+        if in_a is None or in_b is None:
+            return False
+        return in_a <= in_b and self._tout[block_b] <= self._tout[block_a]
+
+    def strictly_dominates(self, a, b) -> bool:
+        return a is not b and self.dominates(a, b)
+
+    def idom(self, node):
+        """The previous instruction in the block (the next one for
+        post-dominance); at the block edge, the idom block's terminator
+        (the ipostdom block's first instruction). None for the root and
+        for unknown or unreachable instructions."""
+        where = self._where.get(id(node))
+        if where is None or where[0] not in self._tin:
+            return None
+        block_id, index = where
+        insts = self._insts[block_id]
+        if self.post:
+            if index + 1 < len(insts):
+                return insts[index + 1]
+        elif index:
+            return insts[index - 1]
+        parent = self._tree.idom(self._tree._node_by_id[block_id])
+        if parent is None:
+            return None
+        return self._insts[id(parent)][0 if self.post else -1]
+
+
+class InstructionPositions:
+    """Snapshot of where each instruction of a function sits: ``where``
+    maps its ``id`` to its block's ``id`` and its index there, and
+    ``insts`` maps a block's ``id`` to its instructions.
+
+    ``chained`` is true when every block is non-empty and holds its only
+    terminator last. Only then is the instruction-level CFG the block CFG
+    with each block expanded into a chain, which is what
+    :class:`InstructionDominance` relies on.
+    """
+
+    def __init__(self, function: Function):
+        self.where: dict[int, tuple[int, int]] = {}
+        self.insts: dict[int, list[Instruction]] = {}
+        self.chained = True
+        for block in function.blocks:
+            block_insts = list(block.instructions)
+            block_id = id(block)
+            last = len(block_insts) - 1
+            if last < 0:
+                self.chained = False
+            for index, inst in enumerate(block_insts):
+                if inst.is_terminator() != (index == last):
+                    self.chained = False
+                self.where[id(inst)] = (block_id, index)
+            self.insts[block_id] = block_insts
 
 
 def dominance_frontiers(function: Function) -> dict[int, set[BasicBlock]]:

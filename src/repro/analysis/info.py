@@ -17,7 +17,8 @@ from ..ir.instructions import Instruction, LoadInst, PhiInst, StoreInst
 from ..ir.module import Function
 from ..ir.values import GlobalVariable, Value
 from .cfg import InstructionCFG
-from .dominators import DominatorTree
+from .dominators import (DominatorTree, InstructionDominance,
+                         InstructionPositions)
 from .loops import LoopInfo
 from .memdep import base_pointer
 from .sese import ControlDependence
@@ -69,8 +70,9 @@ class FunctionAnalyses:
     def __init__(self, function: Function):
         self.function = function
         self._cfg: InstructionCFG | None = None
-        self._dom: DominatorTree | None = None
-        self._postdom: DominatorTree | None = None
+        self._dom: InstructionDominance | DominatorTree | None = None
+        self._postdom: InstructionDominance | DominatorTree | None = None
+        self._positions: InstructionPositions | None = None
         self._block_dom: DominatorTree | None = None
         self._block_postdom: DominatorTree | None = None
         self._loops: LoopInfo | None = None
@@ -101,16 +103,35 @@ class FunctionAnalyses:
         return self._cfg
 
     @property
-    def dom(self) -> DominatorTree:
+    def dom(self) -> InstructionDominance | DominatorTree:
+        """Instruction-level dominance, answered from :attr:`block_dom` and
+        each instruction's position in its block (snapshotted on the first
+        ``dom`` or ``postdom`` access). Gives the same answers as
+        :meth:`DominatorTree.instruction_level`, which still serves a
+        function with an empty or unterminated block."""
         if self._dom is None:
-            self._dom = DominatorTree.instruction_level(self.cfg)
+            positions = self._instruction_positions()
+            self._dom = InstructionDominance(self.block_dom, positions) \
+                if positions.chained else \
+                DominatorTree.instruction_level(self.cfg)
         return self._dom
 
     @property
-    def postdom(self) -> DominatorTree:
+    def postdom(self) -> InstructionDominance | DominatorTree:
+        """Instruction-level post-dominance, answered like :attr:`dom`
+        from :attr:`block_postdom`."""
         if self._postdom is None:
-            self._postdom = DominatorTree.instruction_level(self.cfg, post=True)
+            positions = self._instruction_positions()
+            self._postdom = \
+                InstructionDominance(self.block_postdom, positions) \
+                if positions.chained else \
+                DominatorTree.instruction_level(self.cfg, post=True)
         return self._postdom
+
+    def _instruction_positions(self) -> InstructionPositions:
+        if self._positions is None:
+            self._positions = InstructionPositions(self.function)
+        return self._positions
 
     @property
     def block_dom(self) -> DominatorTree:

@@ -88,11 +88,8 @@ def is_sese_pair(cfg: InstructionCFG, dom: DominatorTree,
         return False
     if not postdom.dominates(end, begin):
         return False
-    # Cycle equivalence, phrased as in the paper's IDL (Figure 9): any path
-    # looping from end back to begin must pass through both; equivalently a
-    # cycle through begin must pass end and vice versa.
-    if cfg.reachable_avoiding(end, begin, [end, begin]) and False:
-        return False
+    # Cycle equivalence, phrased as in the paper's IDL (Figure 9): a cycle
+    # through begin must pass end and vice versa.
     # Cycle containing begin must contain end:
     if cfg.reachable_avoiding(begin, begin, [end]):
         return False

@@ -29,6 +29,7 @@ class BasicBlock(Value):
             raise IRError(f"instruction {inst.ref()} already has a parent")
         inst.parent = self
         self.instructions.append(inst)
+        self._note_name(inst)
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
@@ -36,11 +37,20 @@ class BasicBlock(Value):
             raise IRError(f"instruction {inst.ref()} already has a parent")
         inst.parent = self
         self.instructions.insert(index, inst)
+        self._note_name(inst)
         return inst
 
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
+        if self.parent is not None:
+            self.parent._used_names = None
+
+    def _note_name(self, inst: Instruction) -> None:
+        if inst.name and self.parent is not None:
+            used = self.parent._used_names
+            if used is not None:
+                used.add(inst.name)
 
     @property
     def terminator(self) -> Instruction | None:
@@ -107,6 +117,11 @@ class Function:
         self.args = [Argument(ty, nm, self, i)
                      for i, (ty, nm) in enumerate(zip(ftype.params, names))]
         self._name_counter = 0
+        #: Names of the blocks, named instructions and arguments, built by
+        #: the first :meth:`unique_name` call and kept up to date by
+        #: :meth:`append_block` and the block insert methods; removals drop
+        #: it so the next call rebuilds it without the freed names.
+        self._used_names: set[str] | None = None
 
     @property
     def return_type(self) -> IRType:
@@ -124,30 +139,45 @@ class Function:
     def append_block(self, name: str = "") -> BasicBlock:
         block = BasicBlock(self.unique_name(name or "bb"), self)
         self.blocks.append(block)
+        self._used_names.add(block.name)
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
+        self._used_names = None
 
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions
 
     def unique_name(self, base: str) -> str:
-        """Generate a name unique within this function."""
-        existing = {b.name for b in self.blocks}
-        for inst in self.instructions():
-            if inst.name:
-                existing.add(inst.name)
-        for arg in self.args:
-            existing.add(arg.name)
-        if base and base not in existing:
+        """Generate a name unique within this function: ``base`` itself if
+        no block, instruction or argument uses it, else ``base`` followed by
+        the next value of a per-function counter that is not in use.
+
+        The set of names in use is kept between calls rather than rebuilt
+        from every instruction, so building a function stays linear. It
+        holds names that are present in the function, not names handed
+        out: a name that is requested but never inserted stays free, and
+        one freed by a removal is reused, exactly as a fresh scan would.
+        Names must be set before an instruction is inserted (renaming an
+        instruction in place is not tracked)."""
+        used = self._used_names
+        if used is None:
+            used = {b.name for b in self.blocks}
+            for inst in self.instructions():
+                if inst.name:
+                    used.add(inst.name)
+            for arg in self.args:
+                used.add(arg.name)
+            self._used_names = used
+        if base and base not in used:
             return base
         while True:
             candidate = f"{base}{self._name_counter}"
             self._name_counter += 1
-            if candidate not in existing:
+            if candidate not in used:
                 return candidate
 
     def __repr__(self) -> str:

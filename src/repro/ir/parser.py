@@ -136,10 +136,10 @@ class _FunctionParser:
         if self.current is None:
             raise IRError(f"instruction outside block: {line!r}")
         inst, name = self._parse_instruction(line)
-        self.current.append(inst)
         if name is not None:
             inst.name = name
             self.define(name, inst)
+        self.current.append(inst)
 
     def _parse_instruction(self, line: str):
         name = None

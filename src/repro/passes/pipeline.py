@@ -8,7 +8,7 @@ elimination and CFG simplification, iterated to a fixed point.
 from __future__ import annotations
 
 from ..ir.module import Function, Module
-from ..ir.verifier import verify_function, verify_module
+from ..ir.verifier import verify_function
 from .constfold import fold_constants
 from .cse import eliminate_common_subexpressions, eliminate_redundant_loads
 from .dce import eliminate_dead_code
@@ -81,9 +81,10 @@ def optimize_function(function: Function, verify: bool = True) -> None:
 
 
 def optimize(module: Module, verify: bool = True) -> Module:
-    """Optimise all functions in place and return the module."""
+    """Optimise all functions in place and return the module.
+
+    Each defined function is verified once, after it converges (see
+    :func:`optimize_function`); ``verify=False`` skips that."""
     for function in module.functions.values():
         optimize_function(function, verify=verify)
-    if verify:
-        verify_module(module)
     return module

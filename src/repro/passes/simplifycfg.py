@@ -88,8 +88,7 @@ def merge_blocks(function: Function) -> int:
             term.drop_all_operands()
             for inst in list(succ.instructions):
                 succ.remove(inst)
-                inst.parent = block
-                block.instructions.append(inst)
+                block.append(inst)
             # Any branch still naming succ cannot exist (it had one pred),
             # but phi users referencing succ as incoming block must follow
             # the merge.
