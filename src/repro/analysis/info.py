@@ -149,7 +149,7 @@ class FunctionAnalyses:
     @property
     def loops(self) -> LoopInfo:
         if self._loops is None:
-            self._loops = LoopInfo(self.function)
+            self._loops = LoopInfo(self.function, self.block_dom)
         return self._loops
 
     @property

@@ -124,10 +124,13 @@ class Loop:
 class LoopInfo:
     """All natural loops of a function, with nesting structure."""
 
-    def __init__(self, function: Function):
+    def __init__(self, function: Function,
+                 dom: DominatorTree | None = None):
+        """``dom`` is the function's block-level dominator tree, when the
+        caller already has it."""
         self.function = function
         self.loops: list[Loop] = []
-        tree = DominatorTree.block_level(function)
+        tree = dom if dom is not None else DominatorTree.block_level(function)
 
         # Group back edges by header so each header yields one loop.
         back_edges: dict[int, tuple[BasicBlock, list[BasicBlock]]] = {}

@@ -3,13 +3,16 @@
 Every atom supports ``check`` (all variables bound) and, where the relation
 is efficiently enumerable, ``candidates`` (exactly one variable unbound) —
 the generator functions the backtracking solver uses to drive the search.
-``cost`` ranks how cheap an atom is to execute in the current environment;
-the solver always runs the cheapest ready constraint next, implementing the
-paper's "variables are collected and ordered to assist constraint solving".
+Checks dispatch through :data:`CHECKS`, one function per atom kind.
+:func:`atom_cost` ranks how cheap an atom is to execute in the current
+environment; the solver always runs the cheapest ready constraint next,
+implementing the paper's "variables are collected and ordered to assist
+constraint solving".
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from ..analysis.dataflow import (
@@ -28,7 +31,7 @@ from ..analysis.memdep import (
 )
 from ..errors import IDLError
 from ..ir.instructions import BranchInst, Instruction, PhiInst
-from ..ir.module import BasicBlock, Function
+from ..ir.module import Function
 from ..ir.values import (
     Argument,
     Constant,
@@ -261,92 +264,55 @@ class AtomEngine:
         self.indexed = indexed
 
     # -- public API -------------------------------------------------------------
-    def cost(self, atom: LAtom, env: dict) -> int:
-        return atom_cost(atom, env)
-
     def check(self, atom: LAtom, env: dict) -> bool:
-        values = [env[v] for v in atom.vars]
-        kind = atom.kind
-        if kind == "type":
-            return _type_check(atom.extra, values[0])
-        if kind == "class":
-            return _class_check(atom.extra["cls"], values[0])
-        if kind == "opcode":
-            return isinstance(values[0], Instruction) and \
-                values[0].opcode == atom.extra["opcode"]
-        if kind == "same":
-            equal = values_equal(values[0], values[1])
-            return (not equal) if atom.extra["negated"] else equal
-        if kind == "argument_of":
-            return self._check_argument_of(atom, values[0], values[1])
-        if kind == "edge":
-            return self._check_edge(atom.extra["edge"], values[0], values[1])
-        if kind == "reaches_phi":
-            return self._check_reaches_phi(values[0], values[1], values[2])
-        if kind == "dominates":
-            return self._check_dominates(atom, values[0], values[1])
-        if kind == "passes_through":
-            return self._check_passes_through(atom, values)
-        if kind == "killed":
-            lists = [[env[v] for v in vl] for vl in atom.varlists]
-            return flow_killed_by(lists[0], lists[1], lists[2],
-                                  self.ctx.analyses.cfg)
-        raise IDLError(f"unknown atom kind {atom.kind!r}")
+        test = CHECKS.get(atom.kind)
+        if test is None:
+            raise IDLError(f"unknown atom kind {atom.kind!r}")
+        return test(self, atom, env)
 
     def candidates(self, atom: LAtom, var: str, env: dict) -> Iterable[Value]:
-        """Yield candidate values for the single unbound variable ``var``."""
-        position = atom.vars.index(var) if var in atom.vars else -1
-        kind = atom.kind
-        if kind == "opcode" and position == 0:
-            yield from self.ctx.by_opcode.get(atom.extra["opcode"], ())
-            return
-        if kind == "class" and position == 0:
-            cls = atom.extra["cls"]
-            if cls == "instruction":
-                for insts in [self.ctx.by_opcode.get(op, ())
-                              for op in sorted(self.ctx.by_opcode)]:
-                    yield from insts
-                return
-            if cls == "argument":
-                yield from self.ctx.function.args
-                return
-            if cls == "compile_time":
-                yield from self.ctx.globals
-                if not self.indexed:
-                    # The seed also scanned the universe here, re-yielding
-                    # the globals; only they are compile-time constants.
-                    yield from self._scan(atom, var, env)
-                return
-        if kind == "same" and not atom.extra["negated"]:
-            other = atom.vars[1 - position]
-            yield env[other]
-            return
-        if kind == "argument_of":
-            yield from self._gen_argument_of(atom, position, env)
-            return
-        if kind == "edge":
-            yield from self._gen_edge(atom, position, env)
-            return
-        if kind == "reaches_phi":
-            yield from self._gen_reaches_phi(atom, position, env)
-            return
-        if self.indexed and kind == "type":
-            yield from self.ctx.analyses.by_type_kind.get(
-                atom.extra["type"], ())
-            return
-        yield from self._scan(atom, var, env)
+        """Candidate values for the single unbound variable ``var``.
 
-    # -- checks -----------------------------------------------------------------
-    def _check_argument_of(self, atom: LAtom, child: Value,
-                           parent: Value) -> bool:
-        position = atom.extra["position"]
+        Kinds with an index or a local relation generate through
+        :data:`GENERATORS`; everything else (and any generator declining
+        with None) filters the whole universe with :meth:`_scan`, lazily,
+        since scanning ticks per element."""
+        position = atom.vars.index(var) if var in atom.vars else -1
+        generate = GENERATORS.get(atom.kind)
+        found = None if generate is None else \
+            generate(self, atom, position, env)
+        return self._scan(atom, var, env) if found is None else found
+
+    # -- checks (one per atom kind; see CHECKS) ---------------------------------
+    def _check_type(self, atom: LAtom, env: dict) -> bool:
+        return _type_check(atom.extra, env[atom.vars[0]])
+
+    def _check_class(self, atom: LAtom, env: dict) -> bool:
+        return _class_check(atom.extra["cls"], env[atom.vars[0]])
+
+    def _check_opcode(self, atom: LAtom, env: dict) -> bool:
+        value = env[atom.vars[0]]
+        return isinstance(value, Instruction) and \
+            value.opcode == atom.extra["opcode"]
+
+    def _check_same(self, atom: LAtom, env: dict) -> bool:
+        equal = values_equal(env[atom.vars[0]], env[atom.vars[1]])
+        return (not equal) if atom.extra["negated"] else equal
+
+    def _check_argument_of(self, atom: LAtom, env: dict) -> bool:
+        parent = env[atom.vars[1]]
         if not isinstance(parent, Instruction):
             return False
-        if position >= len(parent.operands):
+        operands = parent.operands
+        position = atom.extra["position"]
+        if position >= len(operands):
             return False
-        return values_equal(parent.operands[position], child)
+        return values_equal(operands[position], env[atom.vars[0]])
 
-    def _check_edge(self, edge: str, a: Value, b: Value) -> bool:
+    def _check_edge(self, atom: LAtom, env: dict) -> bool:
+        edge = atom.extra["edge"]
+        a = env[atom.vars[0]]
+        b = env[atom.vars[1]]
         if edge == "data":
             return has_dataflow_edge(a, b)
         if edge == "control":
@@ -363,8 +329,10 @@ class AtomEngine:
             return has_dependence_edge(a, b)
         raise IDLError(f"unknown edge kind {edge!r}")
 
-    def _check_reaches_phi(self, value: Value, phi: Value,
-                           branch: Value) -> bool:
+    def _check_reaches_phi(self, atom: LAtom, env: dict) -> bool:
+        value = env[atom.vars[0]]
+        phi = env[atom.vars[1]]
+        branch = env[atom.vars[2]]
         if not isinstance(phi, PhiInst) or not isinstance(branch, BranchInst):
             return False
         for incoming, block in phi.incoming:
@@ -372,14 +340,16 @@ class AtomEngine:
                 return True
         return False
 
-    def _check_dominates(self, atom: LAtom, a: Value, b: Value) -> bool:
-        if atom.extra["flow"] == "data":
+    def _check_dominates(self, atom: LAtom, env: dict) -> bool:
+        extra = atom.extra
+        if extra["flow"] == "data":
             raise IDLError("data flow dominance is not implemented")
-        result = self.ctx.dominates(a, b, atom.extra["strict"],
-                                    atom.extra["post"])
-        return (not result) if atom.extra["negated"] else result
+        result = self.ctx.dominates(env[atom.vars[0]], env[atom.vars[1]],
+                                    extra["strict"], extra["post"])
+        return (not result) if extra["negated"] else result
 
-    def _check_passes_through(self, atom: LAtom, values: list[Value]) -> bool:
+    def _check_passes_through(self, atom: LAtom, env: dict) -> bool:
+        values = [env[v] for v in atom.vars]
         source, target, via = values
         flow = atom.extra.get("flow")
         if flow == "data":
@@ -396,51 +366,81 @@ class AtomEngine:
         return ok_data and self.ctx.analyses.cfg.all_paths_pass_through(
             source, target, via)
 
-    # -- generators -------------------------------------------------------------
-    def _gen_argument_of(self, atom: LAtom, position: int,
-                         env: dict) -> Iterable[Value]:
+    def _check_killed(self, atom: LAtom, env: dict) -> bool:
+        lists = [[env[v] for v in vl] for vl in atom.varlists]
+        return flow_killed_by(lists[0], lists[1], lists[2],
+                              self.ctx.analyses.cfg)
+
+    # -- generators (one per atom kind; see GENERATORS) -------------------------
+    def _gen_opcode(self, atom: LAtom, position: int, env: dict):
+        if position != 0:
+            return None
+        return self.ctx.by_opcode.get(atom.extra["opcode"], ())
+
+    def _gen_class(self, atom: LAtom, position: int, env: dict):
+        if position != 0:
+            return None
+        cls = atom.extra["cls"]
+        if cls == "instruction":
+            by_opcode = self.ctx.by_opcode
+            return chain.from_iterable(
+                [by_opcode.get(op, ()) for op in sorted(by_opcode)])
+        if cls == "argument":
+            return self.ctx.function.args
+        if cls == "compile_time":
+            if self.indexed:
+                return self.ctx.globals
+            # The seed also scanned the universe here, re-yielding the
+            # globals; only they are compile-time constants.
+            return chain(self.ctx.globals,
+                         self._scan(atom, atom.vars[0], env))
+        return None
+
+    def _gen_same(self, atom: LAtom, position: int, env: dict):
+        if atom.extra["negated"]:
+            return None
+        return (env[atom.vars[1 - position]],)
+
+    def _gen_type(self, atom: LAtom, position: int, env: dict):
+        if not self.indexed:
+            return None
+        return self.ctx.analyses.by_type_kind.get(atom.extra["type"], ())
+
+    def _gen_argument_of(self, atom: LAtom, position: int, env: dict):
         arg_pos = atom.extra["position"]
         if position == 0:  # child unbound
             parent = env[atom.vars[1]]
             if isinstance(parent, Instruction) and \
                     arg_pos < len(parent.operands):
-                yield parent.operands[arg_pos]
-            return
+                return (parent.operands[arg_pos],)
+            return ()
         # Parent unbound: walk the child's use list.
-        child = env[atom.vars[0]]
-        for use in child.uses:
-            if use.index == arg_pos and isinstance(use.user, Instruction):
-                yield use.user
+        return [use.user for use in env[atom.vars[0]].uses
+                if use.index == arg_pos and isinstance(use.user, Instruction)]
 
-    def _gen_edge(self, atom: LAtom, position: int,
-                  env: dict) -> Iterable[Value]:
+    def _gen_edge(self, atom: LAtom, position: int, env: dict):
         edge = atom.extra["edge"]
         if edge == "data":
             if position == 1:
-                yield from data_users(env[atom.vars[0]])
-            else:
-                yield from data_operands(env[atom.vars[1]])
-            return
+                return data_users(env[atom.vars[0]])
+            return data_operands(env[atom.vars[1]])
         if edge == "control":
             cfg = self.ctx.analyses.cfg
             if position == 1:
                 src = env[atom.vars[0]]
-                if isinstance(src, Instruction):
-                    yield from cfg.successors(src)
-            else:
-                dst = env[atom.vars[1]]
-                if isinstance(dst, Instruction):
-                    yield from cfg.predecessors(dst)
-            return
+                return cfg.successors(src) \
+                    if isinstance(src, Instruction) else ()
+            dst = env[atom.vars[1]]
+            return cfg.predecessors(dst) \
+                if isinstance(dst, Instruction) else ()
         if edge == "control_dominance" and position == 0:
             dst = env[atom.vars[1]]
             if isinstance(dst, Instruction):
-                yield from self.ctx.analyses.control_dep.controllers(dst)
-            return
+                return self.ctx.analyses.control_dep.controllers(dst)
+            return ()
         if self.indexed and edge == "dependence":
-            yield from self._gen_dependence(atom, position, env)
-            return
-        yield from self._scan(atom, atom.vars[position], env)
+            return self._gen_dependence(atom, position, env)
+        return None
 
     def _gen_dependence(self, atom: LAtom, position: int,
                         env: dict) -> Iterable[Value]:
@@ -464,33 +464,35 @@ class AtomEngine:
                 yield from insts
         yield from self.ctx.by_opcode.get("call", ())
 
-    def _gen_reaches_phi(self, atom: LAtom, position: int,
-                         env: dict) -> Iterable[Value]:
-        phi_var = atom.vars[1]
-        if phi_var in env:
-            phi = env[phi_var]
-            if not isinstance(phi, PhiInst):
-                return
-            for value, block in phi.incoming:
-                branch = block.terminator
-                if branch is None:
-                    continue
-                if position == 0:
-                    if atom.vars[2] not in env or \
-                            env[atom.vars[2]] is branch:
-                        yield value
-                elif position == 2:
-                    if atom.vars[0] not in env or \
-                            values_equal(env[atom.vars[0]], value):
-                        yield branch
-            return
+    def _gen_reaches_phi(self, atom: LAtom, position: int, env: dict):
+        if atom.vars[1] in env:
+            return self._phi_incoming(atom, position, env)
         if self.indexed and position == 1:
             # Unbound phi: enumerate the per-block phi index instead of
             # scanning the universe; the caller's check filters the rest.
-            for phis in self.ctx.analyses.phis_by_block.values():
-                yield from phis
+            return chain.from_iterable(
+                self.ctx.analyses.phis_by_block.values())
+        return None
+
+    def _phi_incoming(self, atom: LAtom, position: int,
+                      env: dict) -> Iterable[Value]:
+        """Incoming values (``position`` 0) or branches (2) of a bound
+        phi, consistent with whichever of the two is bound."""
+        phi = env[atom.vars[1]]
+        if not isinstance(phi, PhiInst):
             return
-        yield from self._scan(atom, atom.vars[position], env)
+        for value, block in phi.incoming:
+            branch = block.terminator
+            if branch is None:
+                continue
+            if position == 0:
+                if atom.vars[2] not in env or \
+                        env[atom.vars[2]] is branch:
+                    yield value
+            elif position == 2:
+                if atom.vars[0] not in env or \
+                        values_equal(env[atom.vars[0]], value):
+                    yield branch
 
     def _scan(self, atom: LAtom, var: str, env: dict) -> Iterable[Value]:
         """Last-resort generator: filter the whole function universe."""
@@ -500,8 +502,37 @@ class AtomEngine:
                 stats.tick()
             trial = dict(env)
             trial[var] = value
-            try:
-                if self.check(atom, trial):
-                    yield value
-            except IDLError:
-                raise
+            if self.check(atom, trial):
+                yield value
+
+
+#: Atom kind → check function, called as ``test(engine, atom, env)`` with
+#: every variable of ``atom`` bound in ``env``. The executor's step records
+#: hold their kind's entry, so an inline check is one call.
+CHECKS = {
+    "type": AtomEngine._check_type,
+    "class": AtomEngine._check_class,
+    "opcode": AtomEngine._check_opcode,
+    "same": AtomEngine._check_same,
+    "argument_of": AtomEngine._check_argument_of,
+    "edge": AtomEngine._check_edge,
+    "reaches_phi": AtomEngine._check_reaches_phi,
+    "dominates": AtomEngine._check_dominates,
+    "passes_through": AtomEngine._check_passes_through,
+    "killed": AtomEngine._check_killed,
+}
+
+#: Atom kind → candidate generator, called as
+#: ``generate(engine, atom, position, env)`` for the unbound variable at
+#: ``atom.vars[position]`` (-1: only in a variable list). Returns the
+#: candidates in generation order, or None to fall back to a universe
+#: scan. Kinds without an entry always scan.
+GENERATORS = {
+    "opcode": AtomEngine._gen_opcode,
+    "class": AtomEngine._gen_class,
+    "same": AtomEngine._gen_same,
+    "type": AtomEngine._gen_type,
+    "argument_of": AtomEngine._gen_argument_of,
+    "edge": AtomEngine._gen_edge,
+    "reaches_phi": AtomEngine._gen_reaches_phi,
+}

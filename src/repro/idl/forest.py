@@ -23,7 +23,7 @@ Three mechanisms stack:
   :func:`~repro.idl.plan.plan_signature` prefixes imply the exact same
   search in the exact same order, so sharing preserves each idiom's
   solution enumeration bit for bit. Once a path narrows to a single
-  idiom it collapses into a flat tail executed without trie overhead.
+  idiom, the rest of that idiom's step records run as one conjunction.
 * **A shared per-function subquery memo** (on
   :attr:`FunctionAnalyses.subquery_cache`) persists across all idioms in
   one detection pass. Self-contained steps — disjunction units like
@@ -38,10 +38,18 @@ Execution-order equivalence is the design invariant throughout: for every
 idiom, the sequence of solutions the forest emits is identical to what the
 per-idiom plan executor would emit, so match sets (and the representative
 chosen among witness variants) are bit-identical to ``ordering="plan"``.
+
+The forest has no executor of its own. Trie nodes and exclusive suffixes
+both run through :meth:`Solver.run_steps <repro.idl.solver.Solver.run_steps>`
+over the plans' step records (:class:`~repro.idl.plan.StepRecord`), with
+sinks that emit per idiom or fan out into child nodes; this module adds
+the walk, the per-idiom fallback at a shared node, and the subquery cache
+(:func:`run_cached_step`).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from ..errors import IDLError
@@ -52,9 +60,9 @@ from .plan import (
     CollectPlan,
     OrPlan,
     Plan,
+    StepRecord,
     node_cost,
     plan_signature,
-    simulated_env,
 )
 
 #: Context-binding marker for a subquery context variable the environment
@@ -244,46 +252,6 @@ def feasibility_signature(lowered) -> FeasibilitySignature:
 
 
 # ---------------------------------------------------------------------------
-# Guaranteed bindings / static readiness
-# ---------------------------------------------------------------------------
-
-def guaranteed_binds(plan: Plan) -> frozenset:
-    """Names bound in *every* environment a plan step yields.
-
-    Unlike ``plan.binds`` (the compiler's optimistic simulation), this is
-    the pessimistic set: a collect guarantees only its ``#len`` markers
-    (it may find zero instances), a disjunction only the intersection of
-    its branches. Steps whose inputs are guaranteed by their predecessors
-    need no runtime readiness check — the cost model is monotone in the
-    bound set, so a step ready under the guaranteed subset is ready under
-    any actual environment extending it.
-    """
-    if isinstance(plan, AndPlan):
-        out: frozenset = frozenset()
-        for step in plan.steps:
-            out |= guaranteed_binds(step)
-        return out
-    if isinstance(plan, OrPlan):
-        if not plan.branches:
-            return frozenset()
-        out = guaranteed_binds(plan.branches[0])
-        for branch in plan.branches[1:]:
-            out &= guaranteed_binds(branch)
-        return out
-    if isinstance(plan, CollectPlan):
-        return frozenset(f"#len:{base}"
-                         for base in plan.node.indexed_base_names())
-    if isinstance(plan.node, LMemo):
-        return frozenset(plan.node.mapping.values())
-    return plan.binds  # atom / native leaves bind what they planned
-
-
-def _provably_ready(step: Plan, guaranteed: frozenset) -> bool:
-    return node_cost(step.node, simulated_env(guaranteed),
-                     None) < COST_NOT_READY
-
-
-# ---------------------------------------------------------------------------
 # Root-canonical subquery signatures
 # ---------------------------------------------------------------------------
 # Flattened names are dotted paths over a root segment (``output.address``,
@@ -318,60 +286,84 @@ class _Canonicalizer:
 
 
 # ---------------------------------------------------------------------------
-# Step execution records
+# Subquery steps
 # ---------------------------------------------------------------------------
 
-class _StepExec:
-    """Everything the executor needs to run one plan step.
+class _SignatureKey(tuple):
+    """A subquery signature that hashes once.
 
-    ``cache_key``/``context``/``retarget`` are set for self-contained
-    subquery steps (pure disjunction units and collect bodies): the step's
-    results are memoized in the function-wide subquery cache under its
-    canonical structure plus the identity of its context bindings, and
-    replayed through ``retarget`` (canonical root → site root).
+    Signatures are deep tuples (thousands of elements for a collect
+    body) and tuples do not cache their hash, so a plain signature would
+    be rehashed on every cache probe. This subclass equals, and hashes like,
+    the plain tuple, so cache keys are unchanged; :func:`build_forest`
+    interns one per distinct signature, so equal signatures at different
+    sites also compare by identity.
     """
 
-    __slots__ = ("step", "node", "needs_ready_check", "kind", "cache_key",
-                 "context", "retarget", "rest_nodes")
+    def __new__(cls, signature: tuple):
+        key = super().__new__(cls, signature)
+        key._hash = tuple.__hash__(key)
+        return key
 
-    def __init__(self, step: Plan, needs_ready_check: bool,
-                 rest_nodes: list):
-        self.step = step
-        self.node = step.node
-        self.needs_ready_check = needs_ready_check
-        #: Remaining lowered conjuncts from this step on — the dynamic
-        #: fallback input when the step is not ready at runtime.
-        self.rest_nodes = rest_nodes
-        self.kind = "plain"
-        self.cache_key: tuple | None = None
-        self.context: tuple[str, ...] = ()
-        self.retarget: dict[str, str] = {}
-        if isinstance(step, CollectPlan) and \
-                _memoizable(step.node.instance):
-            self.kind = "collect"
-            # The *instance* free vars, not the collect's outer vars: the
-            # body solve is restricted by any instance-0 indexed name the
-            # environment happens to bind, so those belong in the key too
-            # (they hash as _UNBOUND in the common case).
-            free = step.node.instance.free_vars()
-        elif isinstance(step, OrPlan) and _memoizable(step.node):
-            self.kind = "or"
-            free = step.node.free_vars()
-        else:
-            return
-        canon = _Canonicalizer()
-        signature = plan_signature(step, canon.name)
-        # Context order must agree between sites sharing a signature:
-        # sort by the canonical form, keep the site names for lookups.
-        self.context = tuple(name for _, name in
-                             sorted((canon.name(v), v) for v in free))
-        self.cache_key = signature
-        self.retarget = {c: site for site, c in canon.roots.items()}
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rehash on unpickling.
+        return _SignatureKey, (tuple(self),)
 
 
-def _retarget_name(name: str, roots: dict[str, str]) -> str:
-    root, suffix = _name_root(name)
-    return roots[root] + suffix
+def _subquery_record(record: StepRecord,
+                     keys: dict[tuple, _SignatureKey]) -> StepRecord:
+    """``record`` itself, or for a self-contained step (a pure
+    disjunction unit or a collect body) a copy marked as a subquery: its
+    results are memoized in the function-wide subquery cache under its
+    canonical structure plus the identity of its context bindings, and
+    replayed through ``retarget`` (canonical → site names; ``canonize``
+    is the inverse)."""
+    step = record.step
+    if isinstance(step, CollectPlan) and _memoizable(step.node.instance):
+        kind = "collect"
+        # The *instance* free vars, not the collect's outer vars: the body
+        # solve is restricted by any instance-0 indexed name the
+        # environment happens to bind, so those belong in the key too
+        # (they hash as _UNBOUND in the common case).
+        free = step.node.instance.free_vars()
+    elif isinstance(step, OrPlan) and _memoizable(step.node):
+        kind = "or"
+        free = step.node.free_vars()
+    else:
+        return record
+    record = copy(record)
+    record.kind = kind
+    canon = _Canonicalizer()
+    signature = plan_signature(step, canon.name)
+    # Context order must agree between sites sharing a signature: sort by
+    # the canonical form, keep the site names for lookups.
+    record.context = tuple(name for _, name in
+                           sorted((canon.name(v), v) for v in free))
+    key = keys.get(signature)
+    if key is None:
+        key = keys[signature] = _SignatureKey(signature)
+    record.cache_key = key
+    record.retarget = _Renamer({c: site for site, c in canon.roots.items()})
+    record.canonize = _Renamer(dict(canon.roots))
+    return record
+
+
+class _Renamer(dict):
+    """Full names from one root vocabulary to another (``renamer[name]``),
+    each translated once: the subquery cache renames the same handful of
+    names on every store and replay."""
+
+    def __init__(self, roots: dict[str, str]):
+        super().__init__()
+        self.roots = roots
+
+    def __missing__(self, name: str) -> str:
+        root, suffix = _name_root(name)
+        renamed = self[name] = self.roots[root] + suffix
+        return renamed
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +373,15 @@ def _retarget_name(name: str, roots: dict[str, str]) -> str:
 class ForestNode:
     """One shared plan step; children keyed by structural signature.
 
-    A node whose subtree serves a single idiom is collapsed: ``tail``
-    holds that idiom's remaining step records and the executor runs them
-    as a flat chain (plan-executor style) instead of walking the trie.
+    A node whose subtree serves a single idiom is not walked as a trie:
+    the executor runs that idiom's remaining step records from ``depth``
+    as one conjunction.
     """
 
     __slots__ = ("step", "depth", "idioms", "sinks", "children",
-                 "_child_index", "exec")
+                 "_child_index", "record", "as_steps")
 
-    def __init__(self, step: Plan, depth: int, exec_info: _StepExec):
+    def __init__(self, step: Plan, depth: int, record: StepRecord):
         self.step = step
         self.depth = depth
         #: Idioms whose plan passes through this node, registration order.
@@ -398,7 +390,14 @@ class ForestNode:
         self.sinks: list[str] = []
         self.children: list[ForestNode] = []
         self._child_index: dict[tuple, ForestNode] = {}
-        self.exec = exec_info
+        self.record = record
+        #: The step as a one-record conjunction for the executor. The
+        #: walk establishes readiness itself (its fallback fans out per
+        #: idiom), so the record is marked ready.
+        if not record.ready:
+            record = copy(record)
+            record.ready = True
+        self.as_steps = [record]
 
 
 class PlanForest:
@@ -406,8 +405,9 @@ class PlanForest:
 
     def __init__(self, order: tuple[str, ...]):
         self.order = order
-        #: Per-idiom execution records, one per plan step.
-        self.step_execs: dict[str, list[_StepExec]] = {}
+        #: Per-idiom step records, one per plan step, subquery steps
+        #: marked (see :func:`_subquery_record`).
+        self.step_records: dict[str, list[StepRecord]] = {}
         self.signatures: dict[str, FeasibilitySignature] = {}
         self.roots: list[ForestNode] = []
         self._root_index: dict[tuple, ForestNode] = {}
@@ -432,21 +432,19 @@ def build_forest(order: list[str] | tuple[str, ...],
     would have executed that exact search step identically.
     """
     forest = PlanForest(tuple(order))
+    keys: dict[tuple, _SignatureKey] = {}
     for name in forest.order:
         plan = plans[name]
         steps = list(plan.steps) if isinstance(plan, AndPlan) else [plan]
         if not steps:
             raise IDLError(f"idiom {name!r} compiled to an empty plan")
         forest.signatures[name] = feasibility_signature(lowered[name])
-        lowered_nodes = [s.node for s in steps]
-        execs: list[_StepExec] = []
-        guaranteed: frozenset = frozenset()
-        for depth, step in enumerate(steps):
-            execs.append(_StepExec(step,
-                                   not _provably_ready(step, guaranteed),
-                                   lowered_nodes[depth:]))
-            guaranteed |= guaranteed_binds(step)
-        forest.step_execs[name] = execs
+        # The plan's own records, with the subquery steps swapped for
+        # cache-marked copies (per-idiom plan mode never caches).
+        records = [_subquery_record(record, keys) for record in
+                   (plan.records if isinstance(plan, AndPlan)
+                    else [StepRecord(plan, {}, [plan.node], 0)])]
+        forest.step_records[name] = records
 
         level_index = forest._root_index
         level_list = forest.roots
@@ -456,7 +454,7 @@ def build_forest(order: list[str] | tuple[str, ...],
             node = level_index.get(signature)
             forest.total_steps += 1
             if node is None:
-                node = ForestNode(step, depth, execs[depth])
+                node = ForestNode(step, depth, records[depth])
                 level_index[signature] = node
                 level_list.append(node)
             else:
@@ -471,6 +469,63 @@ def build_forest(order: list[str] | tuple[str, ...],
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
+
+def run_cached_step(solver, record: StepRecord, env: dict, sink) -> bool:
+    """A subquery step's extensions through the function-wide subquery
+    cache (see :meth:`~repro.idl.solver.Solver.run_steps`): replayed on a
+    hit, recorded while streaming on a miss. Returns True iff ``sink``
+    stopped the search."""
+    stats = solver.stats
+    cache = solver.context.analyses.subquery_cache
+    bound = tuple([id(env[v]) if v in env else _UNBOUND
+                   for v in record.context])
+    key = (record.cache_key, bound)
+    site = record.retarget
+    canon = record.canonize
+    if record.kind == "collect":
+        node = record.node
+        cached = cache.get(key)
+        if cached is None:
+            instances = solver.collect_instances(node, env,
+                                                 record.step.body)
+            # Stored under canonical names: a renamed-but-isomorphic
+            # collect at another site shares this entry and retargets on
+            # replay (exactly like the disjunction deltas below).
+            cache[key] = [tuple([(canon[k], v) for k, v in sol.items()])
+                          for sol in instances]
+        else:
+            stats.subquery_hits += 1
+            instances = [{site[ck]: v for ck, v in sol} for sol in cached]
+        for extended in solver.apply_collect(node, env, instances):
+            if sink(extended):
+                return True
+        return False
+    deltas = cache.get(key)
+    if deltas is not None:
+        stats.subquery_hits += 1
+        for delta in deltas:
+            new_env = dict(env)
+            for cname, value in delta:
+                new_env[site[cname]] = value
+            if sink(new_env):
+                return True
+        return False
+    # Stream extensions while recording them; the entry is only committed
+    # on full enumeration (an abandoned search would otherwise cache a
+    # truncated result set).
+    recorded = []
+
+    def record_delta(extended: dict) -> bool:
+        added = extended.keys() - env.keys()
+        recorded.append(tuple([(canon[k], extended[k])
+                               for k in filter(added.__contains__, extended)]))
+        return sink(extended)
+
+    if solver._run_plan(record.step, env, record_delta):
+        return True
+    cache[key] = recorded
+    return False
+
 
 def execute_forest(solver, forest: PlanForest,
                    active: list[str]) -> dict[str, list[dict]]:
@@ -487,128 +542,67 @@ def execute_forest(solver, forest: PlanForest,
     max_solutions = solver.limits.max_solutions
     stats = solver.stats
     context = solver.context
-    cache = context.analyses.subquery_cache
 
-    def emit(idiom: str, env: dict) -> None:
+    def emit(idiom: str, env: dict) -> bool:
+        """Record one solution; True once the idiom's cap is reached."""
         clean = {k: v for k, v in env.items() if not k.startswith("#")}
         key = tuple((k, value_key(v)) for k, v in sorted(clean.items()))
         bucket = seen[idiom]
         if key in bucket:
-            return
+            return False
         bucket.add(key)
         out[idiom].append(clean)
         if len(out[idiom]) >= max_solutions:
             live.discard(idiom)
+            return True
+        return False
 
-    def step_envs(info: _StepExec, env: dict):
-        """Environment extensions of one step, through the subquery cache
-        for self-contained steps."""
-        if info.cache_key is None:
-            return solver._solve_plan(info.step, env)
-        bound = tuple(id(env[v]) if v in env else _UNBOUND
-                      for v in info.context)
-        key = (info.cache_key, bound)
-        if info.kind == "collect":
-            cached = cache.get(key)
-            if cached is None:
-                instances = solver.collect_instances(info.node, env,
-                                                     info.step.body)
-                # Stored under canonical names: a renamed-but-isomorphic
-                # collect at another site shares this entry and retargets
-                # on replay (exactly like the disjunction deltas below).
-                canon = {site: c for c, site in info.retarget.items()}
-                cache[key] = [tuple((_retarget_name(k, canon), v)
-                                    for k, v in sol.items())
-                              for sol in instances]
-            else:
-                stats.subquery_hits += 1
-                roots = info.retarget
-                instances = [{_retarget_name(ck, roots): v
-                              for ck, v in sol} for sol in cached]
-            return solver.apply_collect(info.node, env, instances)
-        deltas = cache.get(key)
-        if deltas is not None:
-            stats.subquery_hits += 1
-
-            def replay():
-                roots = info.retarget
-                for delta in deltas:
-                    new_env = dict(env)
-                    for cname, value in delta:
-                        new_env[_retarget_name(cname, roots)] = value
-                    yield new_env
-            return replay()
-
-        def produce():
-            # Stream extensions while recording them; the entry is only
-            # committed on full enumeration (an abandoned search would
-            # otherwise cache a truncated result set).
-            canon = {site: c for c, site in info.retarget.items()}
-            recorded = []
-            for extended in solver._solve_plan(info.step, env):
-                recorded.append(tuple(
-                    (_retarget_name(k, canon), v)
-                    for k, v in extended.items() if k not in env))
-                yield extended
-            cache[key] = recorded
-        return produce()
-
-    def run_tail(idiom: str, execs: list[_StepExec], index: int,
-                 env: dict) -> None:
-        """Flat per-idiom execution of an exclusive suffix (mirrors
-        Solver._solve_and_plan, plus the static-readiness elision and the
-        subquery cache)."""
-        if index == len(execs):
-            emit(idiom, env)
-            return
-        info = execs[index]
-        if info.needs_ready_check and \
-                node_cost(info.node, env, context) >= COST_NOT_READY:
-            stats.plan_fallbacks += 1
-            for solution in solver._solve_and(info.rest_nodes, env):
-                emit(idiom, solution)
-                if idiom not in live:
-                    return
-            return
-        for extended in step_envs(info, env):
-            run_tail(idiom, execs, index + 1, extended)
-            if idiom not in live:
-                return
+    tails = {idiom: (lambda env, idiom=idiom: emit(idiom, env))
+             for idiom in active}
 
     def run(node: ForestNode, env: dict) -> None:
         idioms = node.idioms
         if len(idioms) == 1:
+            # An exclusive suffix: the idiom's own records, run flat.
             idiom = idioms[0]
             if idiom in live:
-                run_tail(idiom, forest.step_execs[idiom], node.depth, env)
+                solver.run_steps(forest.step_records[idiom], node.depth,
+                                 env, tails[idiom])
             return
         relevant = [i for i in idioms if i in live]
         if not relevant:
             return
-        info = node.exec
-        if info.needs_ready_check and \
-                node_cost(info.node, env, context) >= COST_NOT_READY:
+        record = node.record
+        if not record.ready and \
+                node_cost(record.node, env, context) >= COST_NOT_READY:
             # The shared path assumed a binding this search path did not
             # produce. Exactly like the per-idiom executor, the remainder
             # re-derives its order dynamically — but the remainder now
             # differs per idiom, so the environment fans out here.
             for idiom in relevant:
                 stats.plan_fallbacks += 1
-                rest = forest.step_execs[idiom][node.depth].rest_nodes
+                rest = forest.step_records[idiom][node.depth].rest_nodes
                 for solution in solver._solve_and(rest, env):
-                    emit(idiom, solution)
-                    if idiom not in live:
+                    if emit(idiom, solution):
                         break
             return
-        for extended in step_envs(info, env):
+
+        def fan_out(extended: dict) -> bool:
             for idiom in node.sinks:
                 if idiom in live:
                     emit(idiom, extended)
             for child in node.children:
                 run(child, extended)
-            if not any(i in live for i in idioms):
-                return
+            return live.isdisjoint(idioms)
 
-    for root in forest.roots:
-        run(root, {})
+        solver.run_steps(node.as_steps, 0, env, fan_out)
+
+    try:
+        for root in forest.roots:
+            run(root, {})
+    finally:
+        # ``run`` is recursive, so its closure cell refers back to it: a
+        # reference cycle through the solver, and with it the function's
+        # analyses and caches, which only the cyclic collector would free.
+        run = None
     return out

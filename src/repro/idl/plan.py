@@ -20,6 +20,11 @@ Where the simulation is optimistic (an ``or`` branch or an under-filled
 :mod:`.solver` detects the not-ready step and falls back to the dynamic
 ordering for the remainder of that conjunction, preserving the seed's
 ``stuck_branches`` semantics bit for bit.
+
+Every conjunction is also compiled once into :class:`StepRecord` s, the
+executor's input: per step, whether it is provably ready (no run-time
+readiness check) and whether it is an atom that only checks or only
+generates one variable (run inline, without a generator).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import IDLError
-from .atoms import COST_NOT_READY, atom_bindings, atom_cost
+from .atoms import CHECKS, COST_NOT_READY, atom_bindings, atom_cost
 from .lowering import LAnd, LAtom, LCollect, LMemo, LNative, LOr
 
 #: Cost rank for a ready collect (late: after its outer variables bind).
@@ -111,6 +116,8 @@ class AndPlan(Plan):
     """An ordered conjunction: execute ``steps`` left to right."""
 
     steps: list[Plan] = field(default_factory=list)
+    #: One :class:`StepRecord` per step, attached by :func:`compile_plan`.
+    records: list | None = field(default=None, repr=False, compare=False)
 
     def describe(self, depth: int = 0) -> str:
         pad = "  " * depth
@@ -156,20 +163,26 @@ def compile_plan(node, bound: frozenset = frozenset()) -> Plan:
     """Compile a lowered constraint into an execution plan.
 
     ``bound`` is the set of variable names assumed bound on entry. The
-    result is cached per idiom by :class:`~repro.idl.compiler.IdiomCompiler`
-    and shared by every solve.
+    result, step records included, is cached per idiom by
+    :class:`~repro.idl.compiler.IdiomCompiler` and shared by every solve.
     """
+    plan = _compile_node(node, bound)
+    _attach_records(plan, frozenset(), False, {})
+    return plan
+
+
+def _compile_node(node, bound: frozenset) -> Plan:
     if isinstance(node, LAnd):
         return _compile_and(node, bound)
     if isinstance(node, LOr):
-        branches = [compile_plan(c, bound) for c in node.children]
+        branches = [_compile_node(c, bound) for c in node.children]
         binds = frozenset()
         if branches:
             binds = frozenset.intersection(*[b.binds for b in branches])
         return OrPlan(node, 0, binds, branches)
     if isinstance(node, LCollect):
-        body = compile_plan(node.instance,
-                            bound | frozenset(node.free_vars()))
+        body = _compile_node(node.instance,
+                             bound | frozenset(node.free_vars()))
         return CollectPlan(node, COST_COLLECT,
                            _collect_bindings(node, bound), body)
     if isinstance(node, LMemo):
@@ -206,10 +219,10 @@ def _compile_and(node: LAnd, bound: frozenset) -> AndPlan:
             # executor's dynamic fallback (or the stuck-branch path)
             # resolves it with real bindings.
             for child in remaining:
-                steps.append(compile_plan(child, frozenset(current)))
+                steps.append(_compile_node(child, frozenset(current)))
             break
         child = remaining.pop(best_index)
-        sub = compile_plan(child, frozenset(current))
+        sub = _compile_node(child, frozenset(current))
         sub.cost = best_cost
         steps.append(sub)
         current |= sub.binds
@@ -297,3 +310,154 @@ def _collect_bindings(node: LCollect, bound: frozenset) -> frozenset:
         names.update(mapping.values())
     names.update(f"#len:{base}" for base in node.indexed_base_names())
     return frozenset(n for n in names if n not in bound)
+
+
+# ---------------------------------------------------------------------------
+# Step records (the executor's compiled form of a conjunction)
+# ---------------------------------------------------------------------------
+
+def guaranteed_binds(plan: Plan, memo: dict | None = None) -> frozenset:
+    """Names bound in *every* environment a plan step yields.
+
+    Unlike ``plan.binds`` (the compiler's optimistic simulation), this is
+    the pessimistic set: a collect guarantees only its ``#len`` markers
+    (it may find zero instances), a disjunction only the intersection of
+    its branches, a memo reference what its canonical plan guarantees.
+    Steps whose inputs are guaranteed by their predecessors need no
+    runtime readiness check — the cost model is monotone in the bound set,
+    so a step ready under the guaranteed subset is ready under any actual
+    environment extending it.
+
+    ``memo`` (plan ``id`` → result) shares the answers for nested plans
+    across the calls of one compilation.
+    """
+    node = plan.node
+    if isinstance(node, LAtom):
+        return node.free_vars()  # every path that solves an atom binds it
+    if isinstance(node, LNative):
+        return plan.binds  # natives bind what they planned
+    if memo is None:
+        memo = {}
+    out = memo.get(id(plan))
+    if out is not None:
+        return out
+    if isinstance(plan, AndPlan):
+        out = frozenset()
+        for step in plan.steps:
+            out |= guaranteed_binds(step, memo)
+    elif isinstance(plan, OrPlan):
+        branches = [guaranteed_binds(b, memo) for b in plan.branches]
+        out = frozenset.intersection(*branches) if branches else frozenset()
+    elif isinstance(plan, CollectPlan):
+        out = frozenset(f"#len:{base}" for base in node.indexed_base_names())
+    else:
+        out = frozenset(node.mapping[name]
+                        for name in guaranteed_binds(node.plan, memo)
+                        if name in node.mapping)
+    memo[id(plan)] = out
+    return out
+
+
+#: Step modes. A ``CHECK`` atom has every variable guaranteed bound; a
+#: ``GENERATE`` atom has every variable but ``var`` guaranteed bound (the
+#: executor still tests ``var`` against the environment, so a path that
+#: bound it anyway runs the atom as a check, exactly as the generic path
+#: would). Everything else is ``GENERIC``.
+CHECK = "check"
+GENERATE = "generate"
+GENERIC = "generic"
+
+
+class StepRecord:
+    """One conjunction step, compiled for the executor.
+
+    ``ready`` holds when the step is provably ready given the guaranteed
+    bindings of the steps before it (and of the conjunction's entry), so
+    the executor skips its run-time readiness check; :attr:`rest_nodes`
+    are the remaining lowered conjuncts from this step on, the dynamic
+    fallback's input when a step that is not provably ready turns out not
+    ready. ``test`` is the atom kind's check function (see
+    :data:`~repro.idl.atoms.CHECKS`).
+
+    The plan forest fills ``kind`` (``"or"`` or ``"collect"``),
+    ``cache_key``, ``context``, ``retarget`` and ``canonize`` for its
+    self-contained subquery steps; they stay unset everywhere else.
+    """
+
+    __slots__ = ("step", "node", "ready", "mode", "var", "test", "_nodes",
+                 "_index", "kind", "cache_key", "context", "retarget",
+                 "canonize")
+
+    def __init__(self, step: Plan, guaranteed: dict, nodes: list,
+                 index: int):
+        self.step = step
+        self.node = node = step.node
+        # ``guaranteed`` is a simulated environment: the cost model is
+        # monotone in the bound set, so ready here means ready at run time.
+        self.ready = node_cost(node, guaranteed, None) < COST_NOT_READY
+        self._nodes = nodes
+        self._index = index
+        self.mode = GENERIC
+        self.var: str | None = None
+        self.test = None
+        self.kind = "plain"
+        self.cache_key: tuple | None = None
+        self.context: tuple[str, ...] = ()
+        self.retarget: dict[str, str] | None = None
+        self.canonize: dict[str, str] | None = None
+        if not (self.ready and type(step) is Plan and
+                isinstance(node, LAtom) and node.kind in CHECKS):
+            return
+        unbound = [v for v in node.free_vars() if v not in guaranteed]
+        if len(unbound) <= 1:
+            self.mode = CHECK if not unbound else GENERATE
+            self.var = unbound[0] if unbound else None
+            self.test = CHECKS[node.kind]
+
+    @property
+    def rest_nodes(self) -> list:
+        """The conjunction's lowered conjuncts from this step on."""
+        return self._nodes[self._index:]
+
+
+def _attach_records(plan: Plan, entry: frozenset, checked: bool,
+                    memo: dict) -> None:
+    """Attach step records to every conjunction under ``plan``.
+
+    ``entry`` is guaranteed bound whenever ``plan`` starts, and a nested
+    plan starts from its enclosing step's environment. ``checked`` says
+    ``plan`` only runs once its readiness is established (it is a step of
+    a conjunction, or a branch of such a step's disjunction); only then
+    does a collect body also start with the collect's free variables
+    bound.
+    """
+    if isinstance(plan, AndPlan):
+        nodes = [step.node for step in plan.steps]
+        guaranteed = simulated_env(entry)
+        plan.records = []
+        for index, step in enumerate(plan.steps):
+            plan.records.append(StepRecord(step, guaranteed, nodes, index))
+            # Leaves hold no conjunction; a memo reference's canonical plan
+            # got its records when compile_plan compiled it as a root.
+            if not isinstance(step.node, (LAtom, LMemo, LNative)):
+                _attach_records(step, _visible(guaranteed, step), True, memo)
+            guaranteed.update(simulated_env(guaranteed_binds(step, memo)))
+    elif isinstance(plan, OrPlan):
+        for branch in plan.branches:
+            _attach_records(branch, entry, checked, memo)
+    elif isinstance(plan, CollectPlan):
+        if plan.body is not None:
+            if checked:
+                entry = entry | frozenset(plan.node.free_vars())
+            _attach_records(plan.body, entry, False, memo)
+
+
+def _visible(guaranteed: dict, step: Plan) -> frozenset:
+    """The part of ``guaranteed`` a nested step's records can consult: its
+    own variables and their family-length markers (what natives' cost
+    functions read). Dropping the rest only makes records more
+    conservative, and keeps each nested conjunction's entry small."""
+    names = step.node.free_vars()
+    return frozenset([name for name in names if name in guaranteed] +
+                     [marker for marker in (f"#len:{n}" for n in names)
+                      if marker in guaranteed])

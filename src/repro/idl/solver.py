@@ -11,6 +11,17 @@ branch bound fewer names than the plan assumed), the executor falls back
 to the seed's dynamic cheapest-ready selection for the remainder of that
 conjunction, so the enumerated solution set is identical either way. All
 solutions are enumerated and deduplicated.
+
+One executor, :meth:`Solver.run_steps`, runs every planned conjunction —
+idiom roots, memo canonical plans, collect bodies, or-branches and the
+plan forest's trie (:mod:`.forest`) — from step records compiled once per
+plan (:class:`~repro.idl.plan.StepRecord`): provably ready steps skip
+the readiness check, and atoms that only check, or only generate one
+variable, run inline instead of through generators. Solutions go to a
+sink callback rather than up a chain of generators. An inline step ticks,
+backtracks and falls back at exactly the points of the search where the
+generator path (:meth:`Solver._solve_atom`) does, so no search counter
+(:class:`SolverStats`) depends on which path ran a step.
 """
 
 from __future__ import annotations
@@ -21,14 +32,22 @@ from typing import Iterator
 
 from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError, SolveTimeout
+from ..ir.instructions import PhiInst
 from ..ir.module import Function
 from .atoms import COST_NOT_READY, AtomEngine, SolveContext, value_key, \
     values_equal
+from .forest import run_cached_step
 from .lowering import LAnd, LAtom, LCollect, LMemo, LNative, LOr
-from .plan import AndPlan, CollectPlan, OrPlan, Plan, node_cost
-
-# Re-exported for backward compatibility (they used to live here).
-from .plan import COST_COLLECT, COST_OR_DEFER  # noqa: F401
+from .plan import (
+    CHECK,
+    GENERIC,
+    AndPlan,
+    CollectPlan,
+    OrPlan,
+    Plan,
+    StepRecord,
+    node_cost,
+)
 
 #: Default search-step cap shared by :class:`SolveLimits` (the configured
 #: budget) and :class:`SolverStats` (the enforcing counter). Ticks count
@@ -143,12 +162,19 @@ class SolverStats:
         }
 
 
-def _is_negative_atom(node) -> bool:
-    return isinstance(node, LAtom) and node.extra.get("negated", False)
-
-
 class Solver:
-    """Enumerates all solutions of a lowered constraint over one function."""
+    """Enumerates all solutions of a lowered constraint over one function.
+
+    Plans run through one executor, :meth:`run_steps`, over the step
+    records :func:`~repro.idl.plan.compile_plan` attached. It hands each
+    solution to a *sink* instead of yielding it: ``sink(env)`` returns
+    True to stop the search (a solution cap was reached), and every
+    executor call returns True iff its sink stopped it. The per-idiom
+    entry points, memo tables, collect bodies and the plan forest are
+    all sinks over the same executor. The dynamic ordering (``plan is
+    None``, and the fallback for a step that turns out not ready) stays
+    a generator search.
+    """
 
     def __init__(self, function: Function,
                  analyses: FunctionAnalyses | None = None,
@@ -179,72 +205,150 @@ class Solver:
         """All distinct solutions, as dicts of variable name → IR value."""
         results: list[dict] = []
         seen: set = set()
-        for env in self._enumerate(lowered, plan):
+        cap = self.limits.max_solutions
+
+        def take(env: dict) -> bool:
             clean = {k: v for k, v in env.items() if not k.startswith("#")}
             key = tuple((k, value_key(v)) for k, v in sorted(clean.items()))
             if key in seen:
-                continue
+                return False
             seen.add(key)
             results.append(clean)
-            if len(results) >= self.limits.max_solutions:
-                break
+            return len(results) >= cap
+
+        self._search(lowered, plan, take)
         return results
 
     def first(self, lowered, plan: Plan | None = None) -> dict | None:
-        for env in self._enumerate(lowered, plan):
-            return {k: v for k, v in env.items() if not k.startswith("#")}
-        return None
+        found: list[dict] = []
 
-    def _enumerate(self, lowered, plan: Plan | None) -> Iterator[dict]:
+        def take(env: dict) -> bool:
+            found.append({k: v for k, v in env.items()
+                          if not k.startswith("#")})
+            return True
+
+        self._search(lowered, plan, take)
+        return found[0] if found else None
+
+    def _search(self, lowered, plan: Plan | None, sink,
+                env: dict | None = None) -> None:
+        """Every solution of ``lowered`` from ``env`` into ``sink``: by
+        ``plan`` when given, else by the dynamic ordering."""
+        env = {} if env is None else env
         if plan is not None:
-            return self._solve_plan(plan, {})
-        return self._solve(lowered, {})
+            self._run_plan(plan, env, sink)
+            return
+        for solution in self._solve(lowered, env):
+            if sink(solution):
+                return
 
     # -- plan execution ---------------------------------------------------------------
-    def _solve_plan(self, plan: Plan, env: dict) -> Iterator[dict]:
+    def run_steps(self, records: list[StepRecord], index: int, env: dict,
+                  sink) -> bool:
+        """Run ``records[index:]`` from ``env``, calling ``sink`` with each
+        solution; True iff the sink stopped the search.
+
+        A step not provably ready is readiness-checked first; a failing
+        check re-derives the rest dynamically (``plan_fallbacks``). Check
+        and generate atoms run inline: a passing check moves on with the
+        same environment, a generator loops over its candidates. Any other
+        step hands each extension to the rest of the conjunction, through
+        the forest's subquery cache when the record is marked for it
+        (:func:`~repro.idl.forest.run_cached_step`).
+        """
+        stats = self.stats
+        engine = self.engine
+        count = len(records)
+        while index < count:
+            record = records[index]
+            if not record.ready and node_cost(record.node, env, self.context) \
+                    >= COST_NOT_READY:
+                # The plan assumed a binding (or-branch intersection,
+                # collect instance) that this search path did not produce:
+                # re-derive the order dynamically for the remaining
+                # conjuncts.
+                stats.plan_fallbacks += 1
+                for solution in self._solve_and(record.rest_nodes, env):
+                    if sink(solution):
+                        return True
+                return False
+            index += 1
+            mode = record.mode
+            if mode is GENERIC:
+                if record.cache_key is not None:
+                    return run_cached_step(
+                        self, record, env,
+                        lambda extended: self.run_steps(records, index,
+                                                        extended, sink))
+                if type(record.step) is not Plan:
+                    return self._run_plan(
+                        record.step, env,
+                        lambda extended: self.run_steps(records, index,
+                                                        extended, sink))
+                # A leaf (atom, native or memo reference): its own
+                # generator, continued here without a sink frame.
+                for extended in self._solve(record.node, env):
+                    if self.run_steps(records, index, extended, sink):
+                        return True
+                return False
+            atom = record.node
+            stats.tick()
+            var = record.var
+            if mode is CHECK or var in env:
+                if record.test(engine, atom, env):
+                    continue
+                stats.backtracks += 1
+                return False
+            test = record.test
+            for candidate in engine.candidates(atom, var, env):
+                stats.tick()
+                trial = dict(env)
+                trial[var] = candidate
+                if test(engine, atom, trial):
+                    if self.run_steps(records, index, trial, sink):
+                        return True
+                else:
+                    stats.backtracks += 1
+            return False
+        return sink(env)
+
+    def _run_plan(self, plan: Plan, env: dict, sink) -> bool:
         if isinstance(plan, AndPlan):
-            yield from self._solve_and_plan(plan.steps, 0, env)
-        elif isinstance(plan, OrPlan):
+            return self.run_steps(plan.records, 0, env, sink)
+        if isinstance(plan, OrPlan):
             for branch in plan.branches:
-                yield from self._solve_plan(branch, env)
-        elif isinstance(plan, CollectPlan):
-            yield from self._solve_collect(plan.node, env, plan.body)
+                if self._run_plan(branch, env, sink):
+                    return True
+            return False
+        if isinstance(plan, CollectPlan):
+            instances = self.collect_instances(plan.node, env, plan.body)
+            extensions = self.apply_collect(plan.node, env, instances)
         else:
-            yield from self._solve(plan.node, env)
+            extensions = self._solve(plan.node, env)
+        for extended in extensions:
+            if sink(extended):
+                return True
+        return False
 
-    def _solve_and_plan(self, steps: list[Plan], index: int,
-                        env: dict) -> Iterator[dict]:
-        if index == len(steps):
-            yield env
-            return
-        step = steps[index]
-        if node_cost(step.node, env, self.context) >= COST_NOT_READY:
-            # The plan assumed a binding (or-branch intersection, collect
-            # instance) that this search path did not produce: re-derive
-            # the order dynamically for the remaining conjuncts.
-            self.stats.plan_fallbacks += 1
-            yield from self._solve_and([s.node for s in steps[index:]], env)
-            return
-        for extended in self._solve_plan(step, env):
-            yield from self._solve_and_plan(steps, index + 1, extended)
-
-    # -- node dispatch ---------------------------------------------------------------
+    # -- node dispatch (dynamic ordering) ---------------------------------------------
     def _solve(self, node, env: dict) -> Iterator[dict]:
         if isinstance(node, LAtom):
-            yield from self._solve_atom(node, env)
-        elif isinstance(node, LAnd):
-            yield from self._solve_and(list(node.children), env)
-        elif isinstance(node, LOr):
-            for child in node.children:
-                yield from self._solve(child, env)
-        elif isinstance(node, LNative):
-            yield from node.impl.solve(env, node.args, self.context)
-        elif isinstance(node, LCollect):
-            yield from self._solve_collect(node, env)
-        elif isinstance(node, LMemo):
-            yield from self._solve_memo(node, env)
-        else:
-            raise IDLError(f"unknown lowered node {type(node).__name__}")
+            return self._solve_atom(node, env)
+        if isinstance(node, LAnd):
+            return self._solve_and(list(node.children), env)
+        if isinstance(node, LOr):
+            return self._solve_or(node, env)
+        if isinstance(node, LNative):
+            return node.impl.solve(env, node.args, self.context)
+        if isinstance(node, LCollect):
+            return self._solve_collect(node, env)
+        if isinstance(node, LMemo):
+            return self._solve_memo(node, env)
+        raise IDLError(f"unknown lowered node {type(node).__name__}")
+
+    def _solve_or(self, node: LOr, env: dict) -> Iterator[dict]:
+        for child in node.children:
+            yield from self._solve(child, env)
 
     def _solve_atom(self, atom: LAtom, env: dict) -> Iterator[dict]:
         self.stats.tick()
@@ -270,8 +374,6 @@ class Solver:
         # the incoming value and the branch in one step.
         if atom.kind == "reaches_phi" and atom.vars[1] in env:
             phi = env[atom.vars[1]]
-            from ..ir.instructions import PhiInst
-
             if not isinstance(phi, PhiInst):
                 return
             for value, block in phi.incoming:
@@ -297,7 +399,7 @@ class Solver:
             return
         best_index, best_cost = -1, COST_NOT_READY + 1
         for i, child in enumerate(children):
-            cost = self._cost(child, env)
+            cost = node_cost(child, env, self.context)
             if cost < best_cost:
                 best_index, best_cost = i, cost
                 if cost == 0:
@@ -314,9 +416,6 @@ class Solver:
         rest = children[:best_index] + children[best_index + 1:]
         for extended in self._solve(chosen, env):
             yield from self._solve_and(rest, extended)
-
-    def _cost(self, node, env: dict) -> int:
-        return node_cost(node, env, self.context)
 
     # -- memoized sub-constraints -----------------------------------------------
     def _solve_memo(self, node: LMemo, env: dict) -> Iterator[dict]:
@@ -347,19 +446,19 @@ class Solver:
         self.stats.memo_misses += 1
         solutions = []
         seen: set = set()
-        source = self._solve_plan(node.plan, {}) if node.plan is not None \
-            else self._solve(node.canonical, {})
-        for env in source:
+
+        def take(env: dict) -> bool:
             key = tuple((k, value_key(v)) for k, v in sorted(env.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            solutions.append(env)
+            if key not in seen:
+                seen.add(key)
+                solutions.append(env)
+            return False
+
+        self._search(node.canonical, node.plan, take)
         cache[node.key] = solutions
         return solutions
 
-    def _solve_collect(self, node: LCollect, env: dict,
-                       body_plan: Plan | None = None) -> Iterator[dict]:
+    def _solve_collect(self, node: LCollect, env: dict) -> Iterator[dict]:
         """Enumerate all body solutions; bind indexed families.
 
         Per the paper: collect "capture[s] all possible solutions of a given
@@ -367,7 +466,7 @@ class Solver:
         subsets: there is exactly one extension (possibly with zero
         instances found).
         """
-        solutions = self.collect_instances(node, env, body_plan)
+        solutions = self.collect_instances(node, env)
         yield from self.apply_collect(node, env, solutions)
 
     def collect_instances(self, node: LCollect, env: dict,
@@ -379,18 +478,19 @@ class Solver:
         indexed = sorted(node.indexed_vars())
         solutions: list[dict] = []
         seen: set = set()
-        source = self._solve_plan(body_plan, env) if body_plan is not None \
-            else self._solve(node.instance, env)
-        for sol in source:
+        limit = node.limit
+
+        def take(sol: dict) -> bool:
             key = tuple(value_key(sol[name]) for name in indexed
                         if name in sol)
             if key in seen:
-                continue
+                return False
             seen.add(key)
             solutions.append({name: sol[name] for name in indexed
                               if name in sol})
-            if len(solutions) >= node.limit:
-                break
+            return len(solutions) >= limit
+
+        self._search(node.instance, body_plan, take, env)
         return solutions
 
     def apply_collect(self, node: LCollect, env: dict,

@@ -23,10 +23,10 @@ from repro.idl import (
 from repro.idl.forest import (
     FeasibilitySignature,
     feasibility_signature,
-    guaranteed_binds,
     min_loop_depth,
     required_opcodes,
 )
+from repro.idl.plan import guaranteed_binds
 from repro.passes import optimize
 from repro.workloads import all_workloads
 
@@ -274,10 +274,8 @@ class TestForestStructure:
         collect-produced name, which a run-time readiness check guards."""
         forest, _ = detectors
         trie = forest.compiler.forest_for(tuple(forest.idioms))
-        assert not any(e.needs_ready_check
-                       for e in trie.step_execs["Reduction"])
-        assert any(e.needs_ready_check
-                   for e in trie.step_execs["Stencil1D"])
+        assert all(r.ready for r in trie.step_records["Reduction"])
+        assert not all(r.ready for r in trie.step_records["Stencil1D"])
 
     def test_guaranteed_binds_pessimistic_for_collect(self, detectors):
         forest, _ = detectors
