@@ -9,7 +9,7 @@ the :class:`ApiDescriptor` performance profile consumed by
 
 Descriptors are *deeply immutable*: the per-category efficiency table is a
 :class:`FrozenMap`, so a descriptor is hashable and safe to share (or
-pickle) across process-pool detection workers without aliasing hazards.
+pickle) across threads and processes without aliasing hazards.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class FrozenMap(Mapping):
     """An immutable, hashable, picklable mapping.
 
     ``types.MappingProxyType`` is neither hashable nor picklable, which
-    rules it out for descriptors shared with process-pool workers; this
-    stores a sorted item tuple instead.
+    rules it out for descriptors that must hash or pickle; this stores a
+    sorted item tuple instead.
     """
 
     __slots__ = ("_items", "_map")

@@ -5,10 +5,10 @@ to one detection configuration signature and speaks the store's payload
 schema:
 
 * ``kind="detection"`` — the function's final match list (post filter,
-  dedup and overlap resolution) in the structural wire format process-mode
-  detection already uses (:func:`repro.idioms.scheduler.encode_solution`:
-  instructions as (block index, instruction index), arguments by position,
-  globals by name, constants by value), with each match's own
+  dedup and overlap resolution) in the structural solution wire format
+  (:func:`encode_solution`: instructions as (block index, instruction
+  index), arguments by position, globals by name, constants by value),
+  which the daemon's response encoding shares, with each match's own
   :class:`~repro.idl.solver.SolverStats` plus the function-level
   aggregate. Per-match stats are interned into a pool by object identity
   — forest-mode matches of one function all share one stats object, and
@@ -34,13 +34,65 @@ from dataclasses import dataclass
 from ..analysis.info import AnalysisSummary
 from ..errors import IDLError
 from ..idl.solver import SolverStats
+from ..ir.instructions import Instruction
 from ..ir.module import Function, Module
+from ..ir.types import parse_type
+from ..ir.values import Argument, ConstantFloat, ConstantInt, GlobalVariable
 from .fingerprint import (
     function_fingerprint,
     globals_signature,
     summary_fingerprint,
 )
 from .store import ArtifactStore
+
+
+# ---------------------------------------------------------------------------
+# Solution wire format
+# ---------------------------------------------------------------------------
+# The printer/parser round-trip preserves structure, so (block index,
+# instruction index) identifies the same instruction in any copy of a
+# function with the same canonical text.
+
+def encode_value(value, function: Function) -> tuple:
+    if isinstance(value, Instruction):
+        block = value.parent
+        return ("i", function.blocks.index(block),
+                block.instructions.index(value))
+    if isinstance(value, Argument):
+        return ("a", function.args.index(value))
+    if isinstance(value, GlobalVariable):
+        return ("g", value.name)
+    if isinstance(value, ConstantInt):
+        return ("ci", str(value.type), value.value)
+    if isinstance(value, ConstantFloat):
+        return ("cf", str(value.type), value.value)
+    raise IDLError(f"cannot serialize solution value {value!r}")
+
+
+def decode_value(token: tuple, function: Function, module: Module):
+    kind = token[0]
+    if kind == "i":
+        return function.blocks[token[1]].instructions[token[2]]
+    if kind == "a":
+        return function.args[token[1]]
+    if kind == "g":
+        return module.globals[token[1]]
+    if kind == "ci":
+        return ConstantInt(parse_type(token[1]), token[2])
+    if kind == "cf":
+        return ConstantFloat(parse_type(token[1]), token[2])
+    raise IDLError(f"unknown solution token {token!r}")
+
+
+def encode_solution(solution: dict, function: Function) -> list[tuple]:
+    return [(name, encode_value(value, function))
+            for name, value in solution.items()]
+
+
+def decode_solution(encoded: list[tuple], function: Function,
+                    module: Module) -> dict:
+    return {name: decode_value(token, function, module)
+            for name, token in encoded}
 
 
 @dataclass
@@ -64,8 +116,6 @@ def encode_detection(function: Function, matches: list,
     fingerprint). None when the result must not be replayed elsewhere —
     a timed-out partial match list, or a solution binding values the
     wire format cannot express."""
-    from ..idioms.scheduler import encode_solution
-
     if stats.timed_out:
         return None
     pool: list = []
@@ -95,7 +145,6 @@ def decode_detection(payload: dict, function: Function,
     in ``module``. Raises on a mis-shaped payload — callers classify
     that as a corrupt entry (cache) or fall back to solving (dedupe)."""
     from ..idioms.matches import IdiomMatch
-    from ..idioms.scheduler import decode_solution
 
     stats = _stats_from(payload["stats"], payload["max_steps"])
     pool = [_stats_from(blob, max_steps)

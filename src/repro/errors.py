@@ -88,7 +88,7 @@ class InjectedFault(ReproError):
     Never raised in production: only an installed fault plan produces
     it. Every layer that supervises a fallible seam treats it exactly
     like the real failure it stands in for (an I/O error, a backend
-    crash, a worker death), which is what makes the fault-injection
+    crash, a failed solve), which is what makes the fault-injection
     matrix a faithful test of the recovery paths."""
 
 

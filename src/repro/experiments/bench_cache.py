@@ -20,8 +20,8 @@ Three stanzas:
   reports for the mutated modules are bit-identical to fresh no-cache
   solves of the edited IR.
 * **matrix** — cold vs warm bit-identity for every solve ordering
-  (``forest`` / ``plan`` / ``dynamic``) crossed with serial, thread-pool
-  and process-pool detection, sharing one store (the per-ordering config
+  (``forest`` / ``plan`` / ``dynamic``) crossed with serial and
+  thread-pool detection, sharing one store (the per-ordering config
   signatures keep their entries apart).
 
 CI runs the smoke variant on the full suite and fails if cold and warm
@@ -49,8 +49,8 @@ from .timing import best_of
 #: (--check raises it).
 REPEATS = 3
 
-#: The matrix' worker-pool flavours: (workers, mode).
-POOLS = ((1, "thread"), (2, "thread"), (2, "process"))
+#: The matrix' detection worker counts (1 runs serial, 2 a thread pool).
+POOLS = (1, 2)
 
 
 def _function_count(module) -> int:
@@ -199,19 +199,17 @@ def run_benchmark(workload_names: list[str] | None = None,
                                   indexed=indexed)
         cache_cfg = IdiomDetector(ordering=ordering, memo=memo,
                                   indexed=indexed, cache=store)
-        for workers, mode in POOLS:
-            key = f"{ordering}/{mode}x{workers}"
+        for workers in POOLS:
+            key = f"{ordering}/threadx{workers}"
             cold_s = warm_s = 0.0
             for name, module in modules:
-                cold = DetectionSession(plain_cfg, workers=workers,
-                                        mode=mode)
+                cold = DetectionSession(plain_cfg, workers=workers)
                 seconds, cold_report = best_of(
                     lambda: cold.detect(module), 1)
                 cold_s += seconds
-                DetectionSession(cache_cfg, workers=workers,
-                                 mode=mode).detect(module)  # populate
-                warm = DetectionSession(cache_cfg, workers=workers,
-                                        mode=mode)
+                DetectionSession(cache_cfg,
+                                 workers=workers).detect(module)  # populate
+                warm = DetectionSession(cache_cfg, workers=workers)
                 seconds, warm_report = best_of(
                     lambda: warm.detect(module), 1)
                 warm_s += seconds

@@ -21,7 +21,7 @@ workloads in three configurations::
   the function-wide subquery memo.
 
 Every run verifies that all measured configurations (and, in full mode,
-the seed's dynamic ordering plus thread/process worker pools) produce
+the seed's dynamic ordering and a thread pool) produce
 bit-identical match sets. The ``value_key`` stanza measures the solver's
 interned dedup keys against the uncached computation they replaced.
 
@@ -177,16 +177,6 @@ def run_benchmark(workload_names: list[str] | None = None,
         suite["independent_seconds"] = round(independent_total, 4)
         suite["speedup_vs_independent"] = round(
             independent_total / max(forest_total, 1e-9), 2)
-        # Process-pool spot check on one representative module: decoded
-        # matches must be structurally identical to the in-process ones.
-        name, module = modules[0]
-        process_report = DetectionSession(forest_det, workers=2,
-                                          mode="process").detect(module)
-        serial_report = forest_det.detect(module)
-        if report_fingerprint(process_report, by_identity=False) != \
-                report_fingerprint(serial_report, by_identity=False):
-            raise AssertionError(
-                f"{name}: process-mode forest match sets diverge")
         result["value_key"] = _value_key_bench(modules)
     result["suite"] = suite
     return result

@@ -12,8 +12,8 @@ Three stanzas:
 * **matrix** — one detection run per meaningful (seam, kind) pair from
   :mod:`repro.reliability.faults` (store read/write faults against the
   artifact cache, torn writes that must read back as corrupt misses,
-  worker exceptions/hangs in thread pools, worker crashes and poisoned
-  spawns in process pools). Every run must complete with no unhandled
+  solve exceptions retried in a thread pool, and solve hangs). Every run
+  must complete with no unhandled
   exception, produce a match set bit-identical to the fault-free
   baseline, and record the handled fault in the session outcomes.
 * **execution** — a guarded transformed workload executed while every
@@ -58,10 +58,7 @@ REPEATS = 5
 
 #: The (seam, kind) matrix. ``cache`` scenarios run against a fresh
 #: artifact store (the store seams never fire otherwise); ``warm``
-#: populates it first so read faults hit real entries. Process-pool
-#: scenarios run on the first workload only — each module costs the
-#: faulted run one pool respawn, which dominates the benchmark without
-#: adding coverage.
+#: populates it first so read faults hit real entries.
 SCENARIOS = (
     {"name": "store.write/exception", "cache": True,
      "specs": [{"site": "store.write", "kind": "exception", "at": [0]}]},
@@ -69,24 +66,12 @@ SCENARIOS = (
      "specs": [{"site": "store.write", "kind": "torn", "at": [0]}]},
     {"name": "store.read/exception", "cache": True, "warm": True,
      "specs": [{"site": "store.read", "kind": "exception", "at": [0]}]},
-    {"name": "worker.solve/exception", "workers": 2, "mode": "thread",
+    {"name": "worker.solve/exception", "workers": 2,
      "specs": [{"site": "worker.solve", "kind": "exception", "at": [0],
                 "epochs": [0]}]},
     {"name": "worker.solve/hang",
      "specs": [{"site": "worker.solve", "kind": "hang", "at": [0],
                 "seconds": 0.05}]},
-    {"name": "worker.solve/hang-past-deadline", "workers": 2,
-     "mode": "process", "limit": 1, "deadline": 0.4,
-     "specs": [{"site": "worker.solve", "kind": "hang", "at": [0],
-                "epochs": [0], "seconds": 30.0}]},
-    {"name": "worker.spawn/exception", "workers": 2, "mode": "process",
-     "limit": 1,
-     "specs": [{"site": "worker.spawn", "kind": "exception", "at": [0],
-                "epochs": [0]}]},
-    {"name": "worker.solve/crash", "workers": 2, "mode": "process",
-     "limit": 1,
-     "specs": [{"site": "worker.solve", "kind": "crash", "at": [0],
-                "epochs": [0]}]},
 )
 
 
@@ -100,13 +85,11 @@ def _fingerprints(modules, detector) -> dict:
 
 def _run_scenario(scenario: dict, modules, baseline: dict) -> dict:
     """One faulted detection sweep; raises on any identity violation."""
-    selected = modules[:scenario["limit"]] if scenario.get("limit") \
-        else modules
     if scenario.get("cache"):
         cache_dir = tempfile.mkdtemp(prefix="repro-faults-")
         detector = IdiomDetector(cache=cache_dir)
         if scenario.get("warm"):
-            for name, module in selected:
+            for name, module in modules:
                 DetectionSession(detector).detect(module)
     else:
         detector = IdiomDetector()
@@ -114,11 +97,9 @@ def _run_scenario(scenario: dict, modules, baseline: dict) -> dict:
     counts: dict[str, int] = {}
     notes = 0
     try:
-        for name, module in selected:
+        for name, module in modules:
             session = DetectionSession(
-                detector, workers=scenario.get("workers", 1),
-                mode=scenario.get("mode", "thread"),
-                deadline_s=scenario.get("deadline"))
+                detector, workers=scenario.get("workers", 1))
             report = session.detect(module)
             fp = report_fingerprint(report, by_identity=False)
             if fp != baseline[name]:
@@ -131,16 +112,13 @@ def _run_scenario(scenario: dict, modules, baseline: dict) -> dict:
         injected = len(plan.fired)
     finally:
         faults.install_plan(None)
-    # Process-pool faults fire inside the worker, whose plan (and fired
-    # record) is its own — the parent-side evidence is the supervisor's
-    # session-fault note for the killed batch.
-    if injected == 0 and notes == 0:
+    if injected == 0:
         raise AssertionError(f"{scenario['name']}: plan never fired")
     if scenario.get("cache"):
         # Whatever the fault did to the store, a subsequent warm pass
         # over it must still be bit-identical (torn entries read back as
         # corrupt misses and are re-solved, never served).
-        for name, module in selected:
+        for name, module in modules:
             report = DetectionSession(detector).detect(module)
             if report_fingerprint(report, by_identity=False) != \
                     baseline[name]:

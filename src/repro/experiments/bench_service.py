@@ -18,7 +18,7 @@ Stanzas:
   to amortise anything, so per-text cost × request count is exact).
 * **service** — the same request stream submitted concurrently from
   tenant threads to a resident :class:`~repro.service.DetectionService`
-  (per worker-pool flavour: serial / thread / process). Reports are
+  (serial and with a two-thread detection pool). Reports are
   asserted bit-identical to the cold baseline per request — structural
   wire fingerprints (request and baseline parse the text independently)
   plus solver-stats equality. Reported: sustained requests/sec,
@@ -52,8 +52,9 @@ from ..service.wire import report_wire_fingerprint
 from .suites import compile_suite
 from .timing import best_of
 
-#: Worker-pool flavours exercised by the service stanza.
-POOLS = ((1, "thread"), (2, "thread"), (2, "process"))
+#: Detection worker counts exercised by the service stanza (1 runs
+#: serial, 2 a thread pool).
+POOLS = (1, 2)
 
 
 def _edit(text: str, tenant: int) -> str:
@@ -190,17 +191,17 @@ def run_benchmark(workload_names: list[str] | None = None,
     cold, reference = cold_baseline(distinct, requests)
 
     service_rows: dict[str, dict] = {}
-    for workers, mode in POOLS:
+    for workers in POOLS:
         with tempfile.TemporaryDirectory(
                 prefix="repro-bench-service-") as cache_dir:
-            config = ServiceConfig(workers=workers, mode=mode,
+            config = ServiceConfig(workers=workers,
                                    cache_dir=cache_dir,
                                    batch_window_s=0.004)
             with DetectionService(config) as service:
                 row = drive_service(service, requests, reference, tenants)
         row["speedup_vs_cold"] = round(
             row["requests_per_s"] / max(cold["requests_per_s"], 1e-9), 2)
-        service_rows[f"{mode}x{workers}"] = row
+        service_rows[f"threadx{workers}"] = row
 
     # Restart stanza: the store tier only shows once the in-memory
     # tiers (parse cache -> shared modules) are gone — a new service on

@@ -97,11 +97,10 @@ class WorkloadEvaluation:
 
 _CACHE: dict[str, WorkloadEvaluation] = {}
 
-#: Detection worker-pool defaults, settable from the CLI (``--workers``).
+#: Detection thread-pool size, settable from the CLI (``--workers``).
 #: The report is identical at any worker count, so cached evaluations stay
 #: valid across settings.
 DETECT_WORKERS = 1
-DETECT_MODE = "thread"
 #: Solve configuration (``--ordering``): the cross-idiom plan forest by
 #: default; "plan" (per-idiom static plans) and "dynamic" (the seed's
 #: per-step ordering) produce bit-identical reports, more slowly.
@@ -159,7 +158,7 @@ CACHE_STORE = None
 #: Detection supervision (``--deadline`` / ``--max-retries``): a
 #: per-function solve wall-clock bound — overruns degrade to partial
 #: results flagged in ``report.outcomes`` — and the retry budget for
-#: transient worker failures (see :mod:`repro.reliability.supervisor`).
+#: transient detection failures (see :mod:`repro.reliability.supervisor`).
 DEADLINE_S: float | None = None
 MAX_RETRIES = 2
 
@@ -202,14 +201,13 @@ def evaluate_workload(workload: Workload, scale: int | None = None,
     # wall clock is not — keep the pool config in the cache key.
     backends_key = "*" if BACKENDS is None else ",".join(sorted(BACKENDS))
     key = f"{workload.name}@{scale}:{execute}:{effective_workers}:" \
-          f"{DETECT_MODE}:{DETECT_ORDERING}:{engine}:{JIT_THRESHOLD}:" \
+          f"{DETECT_ORDERING}:{engine}:{JIT_THRESHOLD}:" \
           f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}:{MAX_RETRIES}"
     if key in _CACHE:
         return _CACHE[key]
     compiled = compile_workload(
         workload.name, workload.source,
         workers=effective_workers,
-        detect_mode=DETECT_MODE,
         ordering=DETECT_ORDERING,
         verify=False,
         cache_dir=CACHE_STORE if CACHE_STORE is not None else CACHE_DIR,
@@ -643,7 +641,7 @@ def print_cache_stats() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global DETECT_WORKERS, DETECT_MODE, DETECT_ORDERING, ENGINE, SCALE, \
+    global DETECT_WORKERS, DETECT_ORDERING, ENGINE, SCALE, \
         JIT_THRESHOLD, BACKENDS, PLACEMENT, CACHE_DIR, CACHE_STORE, \
         DEADLINE_S, MAX_RETRIES, PROFILE, PROFILE_PATH
 
@@ -656,12 +654,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="print available workloads, engines, backends "
                              "and placement strategies, then exit")
     parser.add_argument("--workers", type=int, default=default_workers(),
-                        help="detection worker pool size (default "
+                        help="detection thread pool size (default "
                              f"{default_workers()}, override with "
                              "$REPRO_WORKERS)")
-    parser.add_argument("--detect-mode", choices=["thread", "process"],
-                        default="thread",
-                        help="worker pool flavour for detection")
     parser.add_argument("--ordering",
                         choices=["forest", "plan", "dynamic"],
                         default=DETECT_ORDERING,
@@ -716,8 +711,8 @@ def main(argv: list[str] | None = None) -> int:
                              "the report outcomes (default: none)")
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
                         help="retry budget for transient detection "
-                             "worker failures before the session "
-                             "degrades to a safer tier (default 2)")
+                             "failures before the session degrades to "
+                             "a safer tier (default 2)")
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="load a measured calibration profile (JSON "
                              "written by --calibrate) and cost every "
@@ -746,7 +741,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown backends: {', '.join(unknown)} "
                          f"(choose from {', '.join(sorted(known))})")
     DETECT_WORKERS = args.workers
-    DETECT_MODE = args.detect_mode
     DETECT_ORDERING = args.ordering
     ENGINE = args.engine
     SCALE = args.scale

@@ -63,9 +63,6 @@ class IdiomDetector:
                  cache=None):
         if ordering not in ("forest", "plan", "dynamic"):
             raise IDLError(f"unknown ordering {ordering!r}")
-        #: Process-mode workers rebuild the detector from configuration
-        #: alone, which only works for the standard library.
-        self.standard_library = compiler is None
         if compiler is None:
             compiler = IdiomCompiler(
                 memo_specs=None if memo else frozenset())
@@ -146,18 +143,17 @@ class IdiomDetector:
 
     # -- public API ---------------------------------------------------------------
     def detect(self, module: Module, workers: int = 1,
-               mode: str = "thread",
                deadline_s: float | None = None,
                max_retries: int = 2) -> DetectionReport:
         """Detect across a module; ``workers > 1`` fans functions out over
-        a :class:`~repro.idioms.scheduler.DetectionSession` worker pool
+        a :class:`~repro.idioms.scheduler.DetectionSession` thread pool
         (same report, deterministic merge order). ``deadline_s`` bounds
         each function's solve wall-clock (overruns degrade to partial
         results); ``max_retries`` bounds the session's retry ladder for
-        transient worker failures."""
+        transient failures."""
         from .scheduler import DetectionSession
 
-        return DetectionSession(self, workers=workers, mode=mode,
+        return DetectionSession(self, workers=workers,
                                 deadline_s=deadline_s,
                                 max_retries=max_retries).detect(module)
 
@@ -318,8 +314,6 @@ def _resolve_overlaps(matches: list[IdiomMatch]) -> list[IdiomMatch]:
 
 
 def detect_idioms(module: Module, workers: int = 1,
-                  mode: str = "thread",
                   cache_dir: str | None = None) -> DetectionReport:
     """One-shot convenience: build a detector and run it."""
-    return IdiomDetector(cache=cache_dir).detect(module, workers=workers,
-                                                 mode=mode)
+    return IdiomDetector(cache=cache_dir).detect(module, workers=workers)

@@ -179,7 +179,7 @@ def report_fingerprint(report: DetectionReport,
     ``by_identity=True`` keys values by object identity (exact for
     reports over one IR instance); ``by_identity=False`` uses the
     solver's structural :func:`~repro.idl.atoms.value_key`, which also
-    equates constants decoded from the process-mode / artifact-cache wire
+    equates constants decoded from the artifact-cache / daemon wire
     format with their originals.
     """
     from ..idl.atoms import value_key

@@ -1,60 +1,44 @@
-"""Detection scheduling: one compiled plan set, batched functions, a
-supervised worker pool.
+"""Detection scheduling: one compiled plan set, batched functions, an
+optional supervised thread pool.
 
-A :class:`DetectionSession` is the unit of repository-scale detection the
-ROADMAP's scaling work builds on: it compiles every idiom's execution plan
-once, shares one :class:`FunctionAnalyses` per function across all idioms,
-batches the module's functions, and fans the batches out over a
-``concurrent.futures`` pool. Results are merged back in module order, so a
-parallel session produces a :class:`DetectionReport` identical to the
-sequential one — same matches, same order.
-
-Two pool flavours:
-
-* ``mode="thread"`` shares the IR in place; matches reference the caller's
-  objects directly.
-* ``mode="process"`` ships each batch as textual IR (the printer/parser
-  round-trip preserves block and instruction order), detects in the worker
-  process, and sends solutions back as structural locators that are decoded
-  against the caller's module — so even process-mode matches point at the
-  caller's IR objects. Only the standard idiom library is supported there,
-  because workers rebuild the detector from configuration alone.
+A :class:`DetectionSession` is the unit of repository-scale detection:
+it compiles every idiom's execution plan once, shares one
+:class:`FunctionAnalyses` per function across all idioms, batches the
+module's functions and, with ``workers > 1``, fans the batches out over
+a thread pool that shares the IR in place. Results are merged back in
+module order, so a parallel session produces a :class:`DetectionReport`
+identical to the sequential one — same matches, same order.
 
 Execution is **supervised** (:mod:`repro.reliability.supervisor`): every
-function gets a wall-clock deadline (``deadline_s``, in-band via
-:class:`~repro.errors.SolveTimeout` plus out-of-band batch timeouts in
-process mode), transient worker failures are retried with backoff
-(``max_retries``), a dead worker pool is respawned for just the unfinished
-functions, and a tier that keeps failing degrades process → thread →
-serial. The session always returns a complete report — every function
+function gets a wall-clock deadline (``deadline_s``, enforced in-band by
+the solver via :class:`~repro.errors.SolveTimeout`, sampled every 4,096
+ticks), transient failures are retried with backoff (``max_retries``),
+and a thread tier that keeps failing degrades to serial. Nothing kills a
+solve that hangs outside the solver; the in-band deadline is the only
+bound. The session always returns a complete report — every function
 appears, in module order — and ``report.outcomes`` /
 ``session.outcomes`` records what it took per function (ok, cache-hit,
 retried, timed-out-partial, degraded).
 
 When the detector carries an artifact cache (:mod:`repro.cache`), the
 session consults it *before* scheduling: every function whose fingerprint
-has a stored entry is served from disk (matches decoded against the
+has a stored entry is served from the store (matches decoded against the
 caller's IR, solve stats restored), and only the remaining functions are
-batched out to workers — whatever the pool flavour. Freshly solved
-functions are written back — except timed-out partial results, which must
-never be served as the function's truth later — and hits and fresh solves
-are merged in module order, so the report is bit-identical to a cold
-run's: same matches, same order, same aggregated stats.
+solved. Freshly solved functions are written back — except timed-out
+partial results, which must never be served as the function's truth
+later — and hits and fresh solves are merged in module order, so the
+report is bit-identical to a cold run's: same matches, same order, same
+aggregated stats.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 
 from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError
-from ..idl.solver import SolveLimits, SolverStats
-from ..ir.instructions import Instruction
-from ..ir.module import Function, Module
-from ..ir.printer import print_module
-from ..ir.types import parse_type
-from ..ir.values import Argument, ConstantFloat, ConstantInt, GlobalVariable
+from ..ir.module import Module
 from ..reliability import faults
 from ..reliability.supervisor import (
     FunctionOutcome,
@@ -62,7 +46,7 @@ from ..reliability.supervisor import (
     SessionOutcomes,
     Supervisor,
 )
-from .matches import DetectionReport, IdiomMatch
+from .matches import DetectionReport
 
 
 class InflightLedger:
@@ -112,21 +96,23 @@ class InflightLedger:
 
 
 class _Job:
-    """One function of one module inside a cross-module fan-out.
+    """One function scheduled for detection.
 
-    ``uid`` doubles as the supervisor-facing ``name`` — function names
-    collide across tenants' modules, so supervisor bookkeeping (and the
-    session's ``analyses`` map) key on the module-qualified uid."""
+    ``uid`` doubles as the supervisor-facing ``name``: :meth:`detect`
+    uses the function name, while :meth:`DetectionSession.detect_many`
+    qualifies it with the module's position, because function names
+    collide across tenants' modules and supervisor bookkeeping (and the
+    session's ``analyses`` map) key on it. ``text`` is the canonical
+    print (None when nothing needed it) and ``key`` the content
+    fingerprint (detect_many only)."""
 
-    __slots__ = ("uid", "function", "module", "index", "text",
-                 "globals_sig", "key")
+    __slots__ = ("uid", "function", "module", "text", "globals_sig", "key")
 
-    def __init__(self, uid, function, module, index, text, globals_sig,
-                 key):
+    def __init__(self, uid, function, module, text=None, globals_sig=None,
+                 key=None):
         self.uid = uid
         self.function = function
         self.module = module
-        self.index = index
         self.text = text
         self.globals_sig = globals_sig
         self.key = key
@@ -137,39 +123,26 @@ class _Job:
 
 
 class DetectionSession:
-    """Shared-plan, batched, supervised, optionally parallel detection."""
+    """Shared-plan, batched, supervised, optionally threaded detection."""
 
     def __init__(self, detector=None, workers: int = 1,
-                 mode: str = "thread", batch_size: int | None = None,
                  deadline_s: float | None = None, max_retries: int = 2,
                  backoff_s: float = 0.05):
         if detector is None:
             from .detector import IdiomDetector
 
             detector = IdiomDetector()
-        if mode not in ("thread", "process"):
-            raise IDLError(f"unknown detection mode {mode!r}")
-        if mode == "process" and not detector.standard_library:
-            # Fail at construction, not first use: a process session with
-            # a custom compiler would otherwise silently run the standard
-            # library (workers rebuild the detector from configuration).
-            raise IDLError(
-                "process-mode detection supports the standard idiom "
-                "library only (workers rebuild the detector from "
-                "configuration); use mode='thread' for custom compilers")
         self.detector = detector
         self.workers = max(1, int(workers))
-        self.mode = mode
-        self.batch_size = batch_size
         self.policy = RetryPolicy(deadline_s=deadline_s,
                                   max_retries=max(0, int(max_retries)),
                                   backoff_s=backoff_s)
         #: Per-function reliability records for the most recent detect()
         #: call (also attached to the report as ``report.outcomes``).
         self.outcomes = SessionOutcomes()
-        #: FunctionAnalyses per function name, reset and refilled by each
-        #: detect() call (thread/serial modes; process workers keep theirs)
-        #: for reuse by later pipeline stages. Cache-served functions have
+        #: FunctionAnalyses per function name (per job uid in
+        #: detect_many), reset and refilled by each detect() call for
+        #: reuse by later pipeline stages. Cache-served functions have
         #: no entry — nothing was analysed for them.
         self.analyses: dict[str, FunctionAnalyses] = {}
         #: Artifact-cache accounting for the most recent detect() call:
@@ -183,10 +156,6 @@ class DetectionSession:
         self.dedupe_hits = 0
         self.inflight_hits = 0
         self.solved_functions = 0
-        self._globals_sig: str | None = None
-        #: Canonical text per function name, printed once per detect()
-        #: call and shared by every fingerprint derived from it.
-        self._canonical: dict[str, str] = {}
 
     # -- public API ---------------------------------------------------------------
     def detect(self, module: Module) -> DetectionReport:
@@ -196,7 +165,6 @@ class DetectionSession:
         self.analyses = {}
         self.cache_hits = self.cache_misses = 0
         self.dedupe_hits = self.inflight_hits = self.solved_functions = 0
-        self._globals_sig = None
         self.outcomes = SessionOutcomes()
         report.outcomes = self.outcomes
         if not functions:
@@ -205,59 +173,30 @@ class DetectionSession:
         fired_before = len(plan.fired) if plan is not None else 0
         cache = self.detector.cache
         warm: dict[str, object] = {}
-        self._canonical = {}
         if cache is not None:
             from ..cache.fingerprint import globals_signature
             from ..ir.printer import print_function_canonical
 
-            self._globals_sig = globals_signature(module)
+            globals_sig = globals_signature(module)
+            cold = []
             for function in functions:
                 text = print_function_canonical(function)
-                self._canonical[function.name] = text
-                entry = cache.load(function, module, self._globals_sig,
-                                   text)
+                entry = cache.load(function, module, globals_sig, text)
                 if entry is not None:
                     warm[function.name] = entry
-            cold = [f for f in functions if f.name not in warm]
+                else:
+                    cold.append(_Job(function.name, function, module,
+                                     text, globals_sig))
             self.cache_hits = len(warm)
         else:
-            cold = functions
+            cold = [_Job(f.name, f, module) for f in functions]
         self.cache_misses = self.solved_functions = len(cold)
         for name in warm:
             self.outcomes.record(
                 FunctionOutcome(name, "cache-hit", "cache", attempts=0))
-        solved: dict[str, tuple] = {}
-        if cold:
-            # Lower and plan every idiom up front, whatever the ordering:
-            # workers must only read the compiler caches (the shared
-            # Lowerer's memo machinery, like the forest builder, is not
-            # safe to run concurrently).
-            self.detector.compiler.prepare(
-                self.detector.idioms, memo=self.detector.memo,
-                forest=self.detector.ordering == "forest")
-            mode = "serial" if self.workers <= 1 else self.mode
-            supervisor = Supervisor(self.policy, self.outcomes,
-                                    mode=mode, workers=self.workers)
-            kwargs = self._process_callbacks(module) \
-                if mode == "process" else {}
-            rows = supervisor.run(cold, self._solve_one, self._batches,
-                                  **kwargs)
-            for fname, matches, stats, summary in rows.values():
-                solved[fname] = (matches, stats, summary)
-            self._record_outcomes(cold, solved, supervisor)
-            if cache is not None:
-                # Process workers cannot consult the store, so they
-                # always return a summary; rewriting one that already
-                # exists is harmless (content-addressed puts of one key
-                # write identical bytes). The serial/thread path returns
-                # None for adopted summaries to skip the *recompute*.
-                for function in cold:
-                    matches, stats, summary = solved[function.name]
-                    if stats.timed_out:
-                        continue
-                    cache.save(function, matches, stats, summary,
-                               self._globals_sig,
-                               text=self._canonical.get(function.name))
+        solved = self._run(cold) if cold else {}
+        for job in cold:
+            self._save(cache, job, *solved[job.uid])
         if plan is not None:
             for event in plan.fired[fired_before:]:
                 self.outcomes.note_fault(
@@ -282,12 +221,11 @@ class DetectionSession:
         """Detect across several modules in ONE supervised fan-out — the
         serving layer's micro-batch unit.
 
-        All modules' cold functions are batched into a single worker-pool
-        run (process batches stay module-homogeneous; uids disambiguate
-        colliding function names). Three dedupe tiers serve a function
-        without solving it, every one replaying the same structural wire
-        format so each module's report still references its own IR
-        objects:
+        All modules' cold functions are batched into a single run (uids
+        disambiguate colliding function names). Three dedupe tiers serve
+        a function without solving it, every one replaying the same
+        structural wire format so each module's report still references
+        its own IR objects:
 
         1. the artifact store (when the detector carries a cache),
         2. ``dedupe=True``: identical functions *within this fan-out* —
@@ -301,7 +239,7 @@ class DetectionSession:
         never change a report. Per-module reports are merged in module
         order and are bit-identical to per-module :meth:`detect` calls.
         """
-        from ..cache.detection import decode_detection, encode_detection
+        from ..cache.detection import encode_detection
         from ..cache.fingerprint import (
             function_fingerprint,
             globals_signature,
@@ -329,7 +267,7 @@ class DetectionSession:
                 key = function_fingerprint(function, config_sig,
                                            globals_sig, text)
                 job = _Job(f"m{index}:{function.name}", function, module,
-                           index, text, globals_sig, key)
+                           text, globals_sig, key)
                 module_jobs.append(job)
                 entry = cache.load(function, module, globals_sig, text) \
                     if cache is not None else None
@@ -362,23 +300,9 @@ class DetectionSession:
         scheduled = [group[0] for group_key, group in groups.items()
                      if group_key not in waiting]
 
-        solved: dict[str, tuple] = {}  # uid -> (matches, stats, summary)
         try:
-            if scheduled:
-                self.detector.compiler.prepare(
-                    self.detector.idioms, memo=self.detector.memo,
-                    forest=self.detector.ordering == "forest")
-                mode = "serial" if self.workers <= 1 else self.mode
-                supervisor = Supervisor(self.policy, self.outcomes,
-                                        mode=mode, workers=self.workers)
-                kwargs = self._job_callbacks(scheduled) \
-                    if mode == "process" else {}
-                rows = supervisor.run(scheduled, self._solve_job,
-                                      self._job_batches, **kwargs)
-                for uid, matches, stats, summary in rows.values():
-                    solved[uid] = (matches, stats, summary)
-                self._record_outcomes(scheduled, solved, supervisor)
-                self.solved_functions += len(scheduled)
+            solved = self._run(scheduled) if scheduled else {}
+            self.solved_functions += len(scheduled)
 
             for group_key, group in groups.items():
                 if group_key in waiting:
@@ -386,10 +310,7 @@ class DetectionSession:
                 representative = group[0]
                 matches, stats, summary = solved[representative.uid]
                 results[representative.uid] = (matches, stats)
-                if cache is not None and not stats.timed_out:
-                    cache.save(representative.function, matches, stats,
-                               summary, representative.globals_sig,
-                               text=representative.text)
+                self._save(cache, representative, matches, stats, summary)
                 payload = None
                 if len(group) > 1 or group_key in owned:
                     payload = encode_detection(representative.function,
@@ -447,18 +368,35 @@ class DetectionSession:
                 self.outcomes.record(FunctionOutcome(
                     job.uid, status, "dedupe", attempts=0))
                 return
-        uid, matches, stats, summary = self._solve_job(job)
+        uid, matches, stats, summary = self._solve(job)
         results[uid] = (matches, stats)
         self.solved_functions += 1
-        cache = self.detector.cache
-        if cache is not None and not stats.timed_out:
-            cache.save(job.function, matches, stats, summary,
-                       job.globals_sig, text=job.text)
+        self._save(self.detector.cache, job, matches, stats, summary)
         self.outcomes.record(FunctionOutcome(uid, "ok", "serial"))
 
     # -- solving primitives -------------------------------------------------------
-    def _solve_one(self, function: Function, epoch: int = 0) -> tuple:
-        """Solve one function in-process (the serial/thread-tier unit)."""
+    def _run(self, jobs: list[_Job]) -> dict:
+        """Solve ``jobs`` through the supervisor's ladder; returns
+        uid -> (matches, stats, summary) and records each outcome."""
+        detector = self.detector
+        # Lower and plan every idiom up front, whatever the ordering:
+        # pool threads must only read the compiler caches (the shared
+        # Lowerer's memo machinery, like the forest builder, is not
+        # safe to run concurrently).
+        detector.compiler.prepare(detector.idioms, memo=detector.memo,
+                                  forest=detector.ordering == "forest")
+        supervisor = Supervisor(self.policy, self.outcomes,
+                                workers=self.workers)
+        rows = supervisor.run(jobs, self._solve, self._batches)
+        solved = {uid: (matches, stats, summary)
+                  for uid, matches, stats, summary in rows.values()}
+        self._record_outcomes(jobs, solved, supervisor)
+        return solved
+
+    def _solve(self, job: _Job, epoch: int = 0) -> tuple:
+        """Solve one function in-process — the unit both tiers run; the
+        row is keyed by the job's uid."""
+        function = job.function
         faults.maybe_fire("worker.solve", function.name)
         cache = self.detector.cache
         analyses = FunctionAnalyses(function)
@@ -467,36 +405,6 @@ class DetectionSession:
             # Body-keyed summaries survive config changes: a re-solve
             # under new limits / idiom sets still skips re-deriving the
             # feasibility-signature inputs.
-            summary = cache.load_summary(
-                function, self._canonical.get(function.name))
-            if summary is not None:
-                analyses.adopt_summary(summary)
-                adopted = True
-        self.analyses[function.name] = analyses
-        matches, stats = self.detector.detect_function_with_stats(
-            function, analyses, deadline_s=self.policy.deadline_s)
-        # An adopted summary is already in the store — returning None
-        # keeps save() from recomputing (loop info) and rewriting it.
-        return (function.name, matches, stats,
-                None if adopted or cache is None else analyses.summary())
-
-    def _batches(self, functions: list[Function]) -> list[list[Function]]:
-        size = self.batch_size
-        if size is None:
-            # Small batches load-balance; at least one per worker.
-            size = max(1, -(-len(functions) // (self.workers * 4)))
-        return [functions[i:i + size]
-                for i in range(0, len(functions), size)]
-
-    def _solve_job(self, job: _Job, epoch: int = 0) -> tuple:
-        """Solve one cross-module job in-process (detect_many's
-        serial/thread-tier unit; rows are keyed by uid, not name)."""
-        function = job.function
-        faults.maybe_fire("worker.solve", function.name)
-        cache = self.detector.cache
-        analyses = FunctionAnalyses(function)
-        adopted = False
-        if cache is not None:
             summary = cache.load_summary(function, job.text)
             if summary is not None:
                 analyses.adopt_summary(summary)
@@ -504,76 +412,29 @@ class DetectionSession:
         self.analyses[job.uid] = analyses
         matches, stats = self.detector.detect_function_with_stats(
             function, analyses, deadline_s=self.policy.deadline_s)
+        # An adopted summary is already in the store — returning None
+        # keeps save() from recomputing (loop info) and rewriting it.
         return (job.uid, matches, stats,
                 None if adopted or cache is None else analyses.summary())
 
-    def _job_batches(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """detect_many's load-balancing split. Batches never mix modules
-        — the process tier ships one module's textual IR per batch."""
-        by_module: dict[int, list[_Job]] = {}
+    @staticmethod
+    def _save(cache, job: _Job, matches, stats, summary) -> None:
+        """Write one fresh solve back to the store; timed-out partial
+        results are never stored."""
+        if cache is not None and not stats.timed_out:
+            cache.save(job.function, matches, stats, summary,
+                       job.globals_sig, text=job.text)
+
+    def _batches(self, jobs: list[_Job]) -> list[list[_Job]]:
+        # Small batches load-balance; at least one per worker.
+        size = max(1, -(-len(jobs) // (self.workers * 4)))
+        return [jobs[i:i + size] for i in range(0, len(jobs), size)]
+
+    def _record_outcomes(self, jobs, solved, supervisor) -> None:
         for job in jobs:
-            by_module.setdefault(job.index, []).append(job)
-        size = self.batch_size
-        if size is None:
-            size = max(1, -(-len(jobs) // (self.workers * 4)))
-        batches: list[list[_Job]] = []
-        for group in by_module.values():
-            batches.extend(group[i:i + size]
-                           for i in range(0, len(group), size))
-        return batches
-
-    def _job_callbacks(self, jobs: list[_Job]) -> dict:
-        """Process-tier callbacks for a cross-module fan-out: each batch
-        ships its own module's wire text plus the jobs' uids, which the
-        worker echoes back so rows decode against the right module even
-        when tenants' function names collide."""
-        detector = self.detector
-        texts: dict[int, str] = {}
-        for job in jobs:
-            if job.index not in texts:
-                texts[job.index] = print_module(job.module)
-        by_uid = {job.uid: job for job in jobs}
-        config = (tuple(detector.idioms),
-                  detector.limits.max_solutions, detector.limits.max_steps,
-                  detector.ordering, detector.memo, detector.indexed)
-        deadline_s = self.policy.deadline_s
-        plan = faults.active_plan()
-        plan_spec = plan.as_spec() if plan is not None else None
-
-        def process_pool(workers: int, epoch: int):
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(plan_spec, epoch))
-
-        def process_submit(pool, batch, epoch):
-            tags = [job.uid for job in batch]
-            inner = (texts[batch[0].index],
-                     [job.function.name for job in batch],
-                     config, deadline_s)
-            return pool.submit(_process_batch_tagged, (tags, inner))
-
-        def process_decode(raw) -> list[tuple]:
-            rows = []
-            for uid, enc_matches, stats, summary in raw:
-                job = by_uid[uid]
-                matches = [
-                    IdiomMatch(idiom, job.function,
-                               decode_solution(enc_sol, job.function,
-                                               job.module),
-                               stats=match_stats)
-                    for idiom, enc_sol, match_stats in enc_matches]
-                rows.append((uid, matches, stats, summary))
-            return rows
-
-        return {"process_pool": process_pool,
-                "process_submit": process_submit,
-                "process_decode": process_decode}
-
-    def _record_outcomes(self, cold, solved, supervisor) -> None:
-        for function in cold:
-            fname = function.name
-            _, stats, _ = solved[fname]
-            meta = supervisor.meta.get(fname, {})
+            name = job.name
+            _, stats, _ = solved[name]
+            meta = supervisor.meta.get(name, {})
             seen = tuple(meta.get("faults", ()))
             # Completions plus failed attempts the supervisor charged to
             # this function's batches.
@@ -587,186 +448,5 @@ class DetectionSession:
             else:
                 status = "ok"
             self.outcomes.record(FunctionOutcome(
-                fname, status, meta.get("tier") or "serial",
+                name, status, meta.get("tier") or "serial",
                 attempts=attempts, faults=seen))
-
-    # -- process execution -------------------------------------------------------
-    def _process_callbacks(self, module: Module) -> dict:
-        """The pool-factory / submit / decode triple the supervisor's
-        process tier drives; closes over the module's wire form."""
-        detector = self.detector
-        ir_text = print_module(module)
-        config = (tuple(detector.idioms),
-                  detector.limits.max_solutions, detector.limits.max_steps,
-                  detector.ordering, detector.memo, detector.indexed)
-        deadline_s = self.policy.deadline_s
-        plan = faults.active_plan()
-        plan_spec = plan.as_spec() if plan is not None else None
-
-        def process_pool(workers: int, epoch: int):
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(plan_spec, epoch))
-
-        def process_submit(pool, batch, epoch):
-            return pool.submit(
-                _process_batch,
-                (ir_text, [f.name for f in batch], config, deadline_s))
-
-        def process_decode(raw) -> list[tuple]:
-            rows = []
-            for fname, enc_matches, stats, summary in raw:
-                function = module.functions[fname]
-                matches = [
-                    IdiomMatch(idiom, function,
-                               decode_solution(enc_sol, function, module),
-                               stats=match_stats)
-                    for idiom, enc_sol, match_stats in enc_matches]
-                rows.append((fname, matches, stats, summary))
-            return rows
-
-        return {"process_pool": process_pool,
-                "process_submit": process_submit,
-                "process_decode": process_decode}
-
-
-# ---------------------------------------------------------------------------
-# Solution wire format (process mode)
-# ---------------------------------------------------------------------------
-# The printer/parser round-trip preserves structure, so (block index,
-# instruction index) identifies the same instruction in both copies.
-
-def encode_value(value, function: Function) -> tuple:
-    if isinstance(value, Instruction):
-        block = value.parent
-        return ("i", function.blocks.index(block),
-                block.instructions.index(value))
-    if isinstance(value, Argument):
-        return ("a", function.args.index(value))
-    if isinstance(value, GlobalVariable):
-        return ("g", value.name)
-    if isinstance(value, ConstantInt):
-        return ("ci", str(value.type), value.value)
-    if isinstance(value, ConstantFloat):
-        return ("cf", str(value.type), value.value)
-    raise IDLError(
-        f"cannot serialize solution value {value!r} for process-mode "
-        f"detection")
-
-
-def decode_value(token: tuple, function: Function, module: Module):
-    kind = token[0]
-    if kind == "i":
-        return function.blocks[token[1]].instructions[token[2]]
-    if kind == "a":
-        return function.args[token[1]]
-    if kind == "g":
-        return module.globals[token[1]]
-    if kind == "ci":
-        return ConstantInt(parse_type(token[1]), token[2])
-    if kind == "cf":
-        return ConstantFloat(parse_type(token[1]), token[2])
-    raise IDLError(f"unknown solution token {token!r}")
-
-
-def encode_solution(solution: dict, function: Function) -> list[tuple]:
-    return [(name, encode_value(value, function))
-            for name, value in solution.items()]
-
-
-def decode_solution(encoded: list[tuple], function: Function,
-                    module: Module) -> dict:
-    return {name: decode_value(token, function, module)
-            for name, token in encoded}
-
-
-# -- worker side --------------------------------------------------------------
-_WORKER_CACHE: dict = {}
-
-
-def _worker_init(plan_spec, epoch: int) -> None:
-    """Pool-worker initializer: arm fault injection inside the worker.
-
-    The parent's installed plan (if any) ships as its JSON spec with the
-    current retry epoch, so a respawned pool starts at the epoch the
-    supervisor reached — a crash spec scoped to epoch 0 does not re-fire
-    after the respawn. ``mark_worker`` lets ``crash`` faults genuinely
-    ``os._exit`` here (the parent observes ``BrokenProcessPool``)."""
-    faults.mark_worker(True)
-    if plan_spec is not None:
-        faults.install_plan(plan_spec, epoch=epoch)
-    faults.maybe_fire("worker.spawn")
-
-
-def _worker_detector(config: tuple):
-    from .detector import IdiomDetector
-
-    detector = _WORKER_CACHE.get(("detector", config))
-    if detector is None:
-        idioms, max_solutions, max_steps, ordering, memo, indexed = config
-        detector = IdiomDetector(
-            idioms=list(idioms),
-            limits=SolveLimits(max_solutions=max_solutions,
-                               max_steps=max_steps),
-            ordering=ordering, memo=memo, indexed=indexed)
-        _WORKER_CACHE[("detector", config)] = detector
-    return detector
-
-
-#: Parsed modules a pool worker keeps resident. One slot was enough when
-#: every session spanned one module; detect_many interleaves batches from
-#: several tenants' modules through one pool, and re-parsing on every
-#: module switch would forfeit the residency the service exists for.
-_WORKER_MODULES_MAX = 8
-
-
-def _worker_module(ir_text: str) -> tuple:
-    """(module, analyses dict) for one wire text, LRU-cached per worker."""
-    from ..ir.parser import parse_module
-
-    modules: dict[str, tuple] = _WORKER_CACHE.setdefault("modules", {})
-    entry = modules.get(ir_text)
-    if entry is None:
-        while len(modules) >= _WORKER_MODULES_MAX:
-            modules.pop(next(iter(modules)))
-        entry = modules[ir_text] = (parse_module(ir_text), {})
-    else:
-        modules[ir_text] = modules.pop(ir_text)  # refresh recency
-    return entry
-
-
-def _process_batch(payload: tuple) -> list[tuple]:
-    """Detect one batch of functions inside a worker process.
-
-    The worker also digests each function's analyses into a serializable
-    summary — the caller cannot (it never built analyses for functions it
-    shipped out), and the artifact cache persists the summary alongside
-    the matches."""
-    ir_text, fnames, config, deadline_s = payload
-    detector = _worker_detector(config)
-    module, analyses_cache = _worker_module(ir_text)
-    out = []
-    for fname in fnames:
-        faults.maybe_fire("worker.solve", fname)
-        function = module.functions[fname]
-        analyses = analyses_cache.get(fname)
-        if analyses is None:
-            analyses = analyses_cache[fname] = FunctionAnalyses(function)
-        matches, stats = detector.detect_function_with_stats(
-            function, analyses, deadline_s=deadline_s)
-        enc_matches = [
-            (m.idiom, encode_solution(m.solution, function), m.stats)
-            for m in matches]
-        out.append((fname, enc_matches, stats,
-                    analyses.summary().as_dict()))
-    return out
-
-
-def _process_batch_tagged(payload: tuple) -> list[tuple]:
-    """detect_many's process unit: :func:`_process_batch` with
-    caller-chosen row tags (module-qualified uids) echoed back in place
-    of function names, so one fan-out can span modules whose function
-    names collide."""
-    tags, inner = payload
-    rows = _process_batch(inner)
-    return [(tag,) + row[1:] for tag, row in zip(tags, rows)]

@@ -7,16 +7,15 @@ allowed to take the process down. Three pieces:
 
 * :mod:`.faults` — a deterministic, seeded, site-addressed fault plan.
   Named seams (``store.read``, ``store.write``, ``worker.solve``,
-  ``worker.spawn``, ``backend.dispatch``, ``jit.compile``) call
+  ``backend.dispatch``, ``jit.compile`` and the service's) call
   :func:`~repro.reliability.faults.maybe_fire`; an installed plan decides
-  per occurrence whether to raise, crash, hang or tear. With no plan
+  per occurrence whether to raise, hang or tear. With no plan
   installed the hook is one global read — injection stays compiled in at
   negligible cost (gated by ``bench_faults --check``).
 * :mod:`.supervisor` — the detection session's execution ladder:
-  per-function wall-clock deadlines, bounded retry with backoff for
-  transient failures, pool respawn on worker death re-solving only the
-  unfinished functions, and staged degradation process → thread → serial,
-  with per-function :class:`~repro.reliability.supervisor.FunctionOutcome`
+  per-function in-band wall-clock deadlines, bounded retry with backoff
+  for transient failures and staged degradation thread → serial, with
+  per-function :class:`~repro.reliability.supervisor.FunctionOutcome`
   records merged into a deterministic report.
 * :mod:`.quarantine` — (backend, category) pairs that failed at dispatch
   more than N times are quarantined: the aliasing-guard machinery steers

@@ -11,7 +11,6 @@ Seams instrumented across the codebase::
     store.read        ArtifactStore.get          (key = artifact key)
     store.write       ArtifactStore.put          (key = artifact key)
     worker.solve      per-function detection     (key = function name)
-    worker.spawn      process-pool worker init   (key = "")
     backend.dispatch  ApiRuntime.dispatch        (key = site callee)
     jit.compile       JIT specialization         (key = function name)
     service.admit     DetectionService.submit    (key = tenant)
@@ -24,13 +23,9 @@ Fault kinds:
 
 * ``exception`` — raise :class:`~repro.errors.InjectedFault`; the seam's
   supervisor must treat it like the real failure it stands in for.
-* ``crash`` — ``os._exit`` when running inside a pool worker process
-  (simulating a segfault: the parent observes ``BrokenProcessPool``);
-  degrades to ``exception`` in the main process, where dying would be
-  the one thing the reliability layer exists to prevent.
-* ``hang`` — sleep ``seconds`` (long enough to blow any configured
-  deadline), then continue normally; supervisors observe the overrun
-  out-of-band while the result stays correct.
+* ``hang`` — sleep ``seconds``, then continue normally; the result stays
+  correct, only late (detection runs in-process, so nothing interrupts
+  the sleep).
 * ``torn`` — returned to the seam as a directive rather than raised;
   only :meth:`ArtifactStore.put` consumes it, writing a truncated
   payload to the final path (simulating a non-atomic writer dying
@@ -46,8 +41,8 @@ active at every epoch models a persistent one (the ladder degrades).
 
 Activation: :func:`install_plan` programmatically, or the
 ``REPRO_FAULT_PLAN`` environment variable (inline JSON, or ``@path`` to
-a JSON file) consulted once on first use — which is how pool worker
-processes and the experiment CLI pick plans up.
+a JSON file) consulted once on first use — which is how the experiment
+CLIs and the daemon pick plans up.
 """
 
 from __future__ import annotations
@@ -64,12 +59,11 @@ from ..errors import InjectedFault, ReproError
 #: The seams maybe_fire accepts; a typo'd seam name in a plan would
 #: silently never fire, so both ends are validated against this set.
 SEAMS = frozenset({
-    "store.read", "store.write", "worker.solve", "worker.spawn",
-    "backend.dispatch", "jit.compile",
-    "service.admit", "service.batch", "daemon.conn",
+    "store.read", "store.write", "worker.solve", "backend.dispatch",
+    "jit.compile", "service.admit", "service.batch", "daemon.conn",
 })
 
-KINDS = frozenset({"exception", "crash", "hang", "torn"})
+KINDS = frozenset({"exception", "hang", "torn"})
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ class FaultPlan:
         self.fired: list[dict] = []
 
     def as_spec(self) -> dict:
-        """JSON-serializable form (ships to pool worker processes)."""
+        """JSON-serializable form; :func:`plan_from_spec` rebuilds it."""
         return {
             "seed": self.seed,
             "specs": [{
@@ -141,9 +135,8 @@ class FaultPlan:
     def fire(self, site: str, key: str = ""):
         """Advance the seam's occurrence counter and fire matching specs.
 
-        Raising kinds raise; ``torn`` (and ``crash`` outside a worker)
-        directives are returned for the seam to implement. Returns None
-        when nothing fires."""
+        Raising kinds raise; ``torn`` directives are returned for the
+        seam to implement. Returns None when nothing fires."""
         with self._lock:
             occurrence = self._counts.get(site, 0)
             self._counts[site] = occurrence + 1
@@ -163,12 +156,6 @@ def _execute(spec: FaultSpec, site: str, key: str, occurrence: int):
     if spec.kind == "hang":
         time.sleep(spec.seconds)
         return None
-    if spec.kind == "crash":
-        if _IN_WORKER:
-            os._exit(70)  # simulated segfault: parent sees a broken pool
-        raise InjectedFault(
-            f"injected crash at {site} (occurrence {occurrence}, "
-            f"key {key!r}; degraded to exception outside a worker)")
     if spec.kind == "torn":
         return spec  # seam-implemented (store.put tears the write)
     raise InjectedFault(
@@ -182,7 +169,6 @@ def _execute(spec: FaultSpec, site: str, key: str, occurrence: int):
 
 _ACTIVE: FaultPlan | None = None
 _ENV_CHECKED = False
-_IN_WORKER = False
 
 
 def plan_from_spec(spec) -> FaultPlan:
@@ -235,9 +221,3 @@ def maybe_fire(site: str, key: str = ""):
         return None
     return plan.fire(site, key)
 
-
-def mark_worker(active: bool = True) -> None:
-    """Tell the injector it runs inside a pool worker process, where a
-    ``crash`` fault may genuinely kill the process."""
-    global _IN_WORKER
-    _IN_WORKER = active

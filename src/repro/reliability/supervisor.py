@@ -1,4 +1,4 @@
-"""Supervised fan-out: deadlines, retries, respawn, staged degradation.
+"""Supervised fan-out: deadlines, retries, staged degradation.
 
 The :class:`Supervisor` owns the execution ladder a
 :class:`~repro.idioms.scheduler.DetectionSession` runs its cold
@@ -7,36 +7,32 @@ the session supplies
 
 * ``solve_one(function, epoch) -> row`` — solve one function in-process
   (rows are tuples whose first element is the function name),
-* ``batcher(functions) -> batches`` — the load-balancing split,
-* and, for process mode, a pool factory / submit / decode triple that
-  speaks the session's textual-IR wire format —
+* ``batcher(functions) -> batches`` — the thread tier's load-balancing
+  split —
 
 and the supervisor guarantees: **every function produces exactly one
-row**, in a dict the caller merges deterministically in module order, no
-matter what the workers do. Worker death (``BrokenProcessPool``) respawns
-the pool and re-solves only the unfinished functions; a batch stuck past
-its wall-clock allowance is killed and retried; transient failures
-(:class:`~repro.errors.InjectedFault`, pool breakage, timeouts) are
-retried with backoff up to ``max_retries`` per tier; a tier that keeps
-failing degrades process → thread → serial. Only a *persistent,
+row**, in a dict the caller merges deterministically in module order.
+The ladder is thread → serial with ``workers > 1`` and serial alone
+otherwise. Transient failures (:class:`~repro.errors.InjectedFault`) are
+retried with backoff up to ``max_retries`` per tier, and a thread tier
+that keeps failing degrades to serial. Only a *persistent,
 non-transient* error — one that survives serial retry — propagates,
 because at that point the failure is the workload's, not the
 infrastructure's.
 
-Interrupts (``KeyboardInterrupt``) shut pools down with
-``cancel_futures=True`` before re-raising, so an interrupted session
-leaks no worker processes.
+Every tier runs in-process, so a per-function deadline is enforced only
+in-band, by the solver's sampled wall clock
+(:class:`~repro.errors.SolveTimeout`); a solve that hangs outside the
+solver is not interrupted.
+
+Interrupts (``KeyboardInterrupt``) shut the thread pool down with
+``cancel_futures=True`` before re-raising.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    Future,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from ..errors import InjectedFault
@@ -45,7 +41,7 @@ from . import faults
 #: Failure classes the ladder retries/degrades on. Anything else is a
 #: deterministic workload error and propagates exactly as it did before
 #: the reliability layer existed.
-TRANSIENT = (InjectedFault, BrokenProcessPool, FutureTimeout)
+TRANSIENT = (InjectedFault,)
 
 
 @dataclass(frozen=True)
@@ -55,13 +51,6 @@ class RetryPolicy:
     deadline_s: float | None = None  # per-function wall-clock allowance
     max_retries: int = 2             # per tier, for transient failures
     backoff_s: float = 0.05          # base sleep between retries (linear)
-    grace_s: float = 1.0             # slack added to out-of-band waits
-
-    def batch_timeout(self, batch_len: int) -> float | None:
-        """Out-of-band allowance for a whole batch (process tier)."""
-        if self.deadline_s is None:
-            return None
-        return self.deadline_s * max(1, batch_len) + self.grace_s
 
     def tightened(self, budget_s: float | None) -> "RetryPolicy":
         """This policy with its per-function deadline clamped to a
@@ -88,7 +77,7 @@ class FunctionOutcome:
 
     function: str
     status: str          # ok|cache-hit|retried|timed-out-partial|degraded
-    tier: str            # cache|process|thread|serial
+    tier: str            # cache|dedupe|thread|serial
     attempts: int = 1
     faults: tuple = ()   # human-readable handled-fault descriptions
 
@@ -103,8 +92,8 @@ class SessionOutcomes:
     """Per-function outcome records plus session-level fault events."""
 
     records: dict = field(default_factory=dict)  # name -> FunctionOutcome
-    #: Handled faults not attributable to one function (pool deaths,
-    #: store faults, injector firings), in observation order.
+    #: Handled faults not attributable to one function (failed thread
+    #: batches, store faults, injector firings), in observation order.
     session_faults: list = field(default_factory=list)
 
     def record(self, outcome: FunctionOutcome) -> None:
@@ -134,10 +123,9 @@ class Supervisor:
     """Runs the ladder; collects one row per function, come what may."""
 
     def __init__(self, policy: RetryPolicy, outcomes: SessionOutcomes,
-                 mode: str = "thread", workers: int = 1):
+                 workers: int = 1):
         self.policy = policy
         self.outcomes = outcomes
-        self.mode = mode
         self.workers = max(1, int(workers))
         self.epoch = 0
         #: name -> {"attempts": int, "faults": [str], "tier": str}
@@ -167,30 +155,16 @@ class Supervisor:
             time.sleep(self.policy.backoff_s * (attempt + 1))
 
     # -- entry point ---------------------------------------------------------
-    def run(self, functions, solve_one, batcher, process_pool=None,
-            process_submit=None, process_decode=None) -> dict:
+    def run(self, functions, solve_one, batcher) -> dict:
         """Rows for every function in ``functions`` (dict name -> row)."""
         done: dict[str, object] = {}
         remaining = list(functions)
-        tiers = {"process": ("process", "thread", "serial"),
-                 "thread": ("thread", "serial"),
-                 "serial": ("serial",)}[self.mode]
-        for tier in tiers:
-            if not remaining:
-                break
-            degraded = tier != self.mode
-            if tier == "process":
-                self._run_process(remaining, done, batcher, process_pool,
-                                  process_submit, process_decode)
-            elif tier == "thread":
-                self._run_thread(remaining, done, solve_one, batcher,
-                                 degraded)
-            else:
-                self._run_serial(remaining, done, solve_one, degraded)
+        if self.workers > 1:
+            self._run_thread(remaining, done, solve_one, batcher)
             remaining = [f for f in remaining if f.name not in done]
-        if remaining:  # pragma: no cover - serial tier never leaves work
-            raise RuntimeError(
-                f"supervisor left {len(remaining)} functions unsolved")
+        if remaining:
+            self._run_serial(remaining, done, solve_one,
+                             degraded=self.workers > 1)
         return done
 
     # -- tiers ---------------------------------------------------------------
@@ -204,87 +178,7 @@ class Supervisor:
             meta["tier"] = tier
             meta["degraded"] = degraded
 
-    def _run_process(self, functions, done, batcher, process_pool,
-                     process_submit, process_decode) -> None:
-        policy = self.policy
-        remaining = list(functions)
-        for attempt in range(policy.max_retries + 1):
-            if not remaining:
-                return
-            if attempt:
-                self._backoff(attempt - 1)
-            pool = process_pool(self.workers, self.epoch)
-            batches = batcher(remaining)
-            try:
-                futures: list[tuple[Future, list]] = []
-                failed = False
-                for batch in batches:
-                    try:
-                        futures.append(
-                            (process_submit(pool, batch, self.epoch), batch))
-                    except BrokenProcessPool:
-                        # A worker died before this submit (e.g. in its
-                        # initializer): the pool takes no more work.
-                        self._note_batch_failure(
-                            batch, "worker process died "
-                            "(BrokenProcessPool) before the batch was "
-                            "submitted; pool respawned for the "
-                            "unfinished functions")
-                        failed = True
-                        break
-                for future, batch in futures:
-                    timeout = policy.batch_timeout(len(batch))
-                    try:
-                        raw = future.result(timeout=timeout)
-                    except FutureTimeout:
-                        self._note_batch_failure(
-                            batch, f"process batch of {len(batch)} "
-                            f"functions exceeded its "
-                            f"{timeout:.2f}s allowance; workers killed "
-                            f"and the batch re-solved")
-                        self._kill_pool(pool)
-                        failed = True
-                        break
-                    except BrokenProcessPool:
-                        self._note_batch_failure(
-                            batch, "worker process died "
-                            "(BrokenProcessPool); pool respawned for "
-                            "the unfinished functions")
-                        failed = True
-                        break
-                    except InjectedFault as exc:
-                        self._note_batch_failure(batch, str(exc))
-                        failed = True
-                        break
-                    self._mark_done(process_decode(raw), done, "process",
-                                    False)
-                pool.shutdown(wait=False, cancel_futures=True)
-                if not failed:
-                    return
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._kill_pool(pool)
-                raise
-            self._bump_epoch()
-            remaining = [f for f in remaining if f.name not in done]
-        # retries exhausted with work left: the caller degrades to the
-        # next tier (remaining recomputed there).
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Terminate a pool whose workers may be hung (shutdown alone
-        would join them forever)."""
-        # A broken pool has already dropped its process table (None).
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    def _run_thread(self, functions, done, solve_one, batcher,
-                    degraded: bool) -> None:
+    def _run_thread(self, functions, done, solve_one, batcher) -> None:
         policy = self.policy
         remaining = list(functions)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -310,7 +204,7 @@ class Supervisor:
                             self._note_batch_failure(batch, str(exc))
                             failed = True
                             continue
-                        self._mark_done(rows, done, "thread", degraded)
+                        self._mark_done(rows, done, "thread", False)
                     if not failed:
                         return
                     self._bump_epoch()

@@ -106,7 +106,6 @@ class ExecutionResult:
 
 
 def compile_workload(name: str, source: str, workers: int = 1,
-                     detect_mode: str = "thread",
                      ordering: str = "forest",
                      verify: bool = True,
                      cache_dir=None,
@@ -114,8 +113,7 @@ def compile_workload(name: str, source: str, workers: int = 1,
                      max_retries: int = 2) -> CompiledWorkload:
     """Compile and detect, recording wall-clock for Table 2.
 
-    ``workers``/``detect_mode`` configure the detection session's worker
-    pool and ``ordering`` the solve configuration (cross-idiom plan
+    ``workers`` sizes the detection session's thread pool and ``ordering`` the solve configuration (cross-idiom plan
     forest by default); the report is identical regardless
     (deterministic merge, bit-identical match sets). ``verify=False``
     skips post-convergence IR verification — the experiment harness's
@@ -126,7 +124,7 @@ def compile_workload(name: str, source: str, workers: int = 1,
     ``deadline_s``/``max_retries`` configure detection supervision: a
     per-function solve wall-clock bound (overruns become partial
     results, flagged in ``report.outcomes``) and the retry budget for
-    transient worker failures.
+    transient failures.
     """
     import time
 
@@ -135,8 +133,7 @@ def compile_workload(name: str, source: str, workers: int = 1,
     optimize(module, verify=verify)
     t1 = time.perf_counter()
     report = IdiomDetector(ordering=ordering, cache=cache_dir) \
-        .detect(module, workers=workers, mode=detect_mode,
-                deadline_s=deadline_s, max_retries=max_retries)
+        .detect(module, workers=workers, deadline_s=deadline_s, max_retries=max_retries)
     t2 = time.perf_counter()
     return CompiledWorkload(name, module, report,
                             compile_seconds=t1 - t0,

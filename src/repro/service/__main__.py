@@ -35,9 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run a daemon in the foreground")
     _add_endpoint(serve)
     serve.add_argument("--workers", type=int, default=1,
-                       help="detection worker pool size per batch")
-    serve.add_argument("--mode", choices=["thread", "process"],
-                       default="thread", help="worker pool flavour")
+                       help="detection thread pool size per batch")
     serve.add_argument("--ordering",
                        choices=["forest", "plan", "dynamic"],
                        default="forest", help="solve configuration")
@@ -117,7 +115,7 @@ def _serve(args) -> int:
 
         profile = read_profile_json(args.profile, strict=True)
     config = ServiceConfig(
-        workers=args.workers, mode=args.mode, ordering=args.ordering,
+        workers=args.workers, ordering=args.ordering,
         cache_dir=args.cache_dir,
         budget_bytes=None if args.budget_mb is None
         else int(args.budget_mb * 1024 * 1024),
@@ -142,7 +140,7 @@ def _serve(args) -> int:
     signal.signal(signal.SIGTERM, _graceful)
     print(f"repro detection daemon on {host}:{port} "
           f"(warmup {daemon.service.warmup_s:.2f}s, "
-          f"workers={config.workers}/{config.mode}, "
+          f"workers={config.workers}, "
           f"window={config.batch_window_s * 1e3:.1f}ms, "
           f"max_pending={config.max_pending})",
           flush=True)

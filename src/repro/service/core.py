@@ -32,7 +32,9 @@ to go fast when healthy:
   over the tenant queues (each pass grants every waiting tenant up to
   its weight in slots), so a tenant submitting 100 modules cannot
   monopolise ``max_batch``. Per-tenant depth, admits, sheds and p95
-  latency appear in :meth:`stats`.
+  latency appear in :meth:`stats`; past :data:`MAX_TENANTS` tenants, idle
+  ones are dropped oldest first, so the table stays bounded however
+  many tenant names clients invent.
 * **Deadline propagation** — :meth:`submit` accepts ``deadline_s``
   (remaining wall-clock budget). Already-expired work is rejected at
   admission with :class:`DeadlineExpired`; work that expires while
@@ -87,6 +89,12 @@ from ..platform.placement import ConcurrentPlan, plan_concurrent
 from ..reliability import faults
 from .latency import percentile, summarize_latencies
 
+#: Tenant states the service keeps before it drops idle ones (empty
+#: queue), oldest first. Every distinct tenant string a client sends
+#: would otherwise stay resident, each with its own latency window. A
+#: dropped tenant that returns starts fresh, with its configured weight.
+MAX_TENANTS = 256
+
 
 class ServiceError(IDLError):
     """Base of the typed serving-layer failures.
@@ -129,7 +137,7 @@ class DeadlineExpired(ServiceError):
 class ServiceConfig:
     """Every knob of a resident detection service, in one place.
 
-    ``workers``/``mode``/``deadline_s``/``max_retries`` configure each
+    ``workers``/``deadline_s``/``max_retries`` configure each
     batch's :class:`~repro.idioms.scheduler.DetectionSession`;
     ``ordering`` the resident detector; ``cache_dir``/``budget_bytes``/
     ``eviction``/``durable`` the shared artifact store (``cache_dir=None``
@@ -142,7 +150,6 @@ class ServiceConfig:
     """
 
     workers: int = 1
-    mode: str = "thread"
     ordering: str = "forest"
     cache_dir: str | None = None
     budget_bytes: int | None = None
@@ -178,8 +185,6 @@ class ServiceConfig:
     profile: object | None = None
 
     def __post_init__(self):
-        if self.mode not in ("thread", "process"):
-            raise IDLError(f"unknown detection mode {self.mode!r}")
         if self.eviction not in EVICTION_POLICIES:
             raise IDLError(f"unknown eviction policy {self.eviction!r}")
         if self.max_batch < 1:
@@ -565,9 +570,31 @@ class DetectionService:
         if state is None:
             weight = self.config.tenant_weights.get(
                 tenant, self.config.default_weight)
+            self._trim_tenants_locked(MAX_TENANTS - 1)
             state = self._tenants[tenant] = _TenantState(weight)
             self._tenant_order.append(tenant)
         return state
+
+    def _trim_tenants_locked(self, limit: int) -> None:
+        """Drop idle tenants, oldest first, until at most ``limit``
+        remain (tenants with queued work are never dropped). The
+        round-robin origin keeps pointing at the same tenant."""
+        order = self._tenant_order
+        excess = len(order) - limit
+        if excess <= 0:
+            return
+        kept: list[str] = []
+        rr_next = self._rr_next
+        for position, name in enumerate(order):
+            if excess and not self._tenants[name].queue:
+                del self._tenants[name]
+                excess -= 1
+                if position < self._rr_next:
+                    rr_next -= 1
+            else:
+                kept.append(name)
+        self._tenant_order = kept
+        self._rr_next = rr_next
 
     def _check_admission_locked(self, tenant: str) -> None:
         """Raise the typed admission failure for this submit, if any."""
@@ -656,6 +683,7 @@ class DetectionService:
             if not progressed:
                 break
         self._rr_next = (start + 1) % len(order)
+        self._trim_tenants_locked(MAX_TENANTS)
         return batch
 
     def _batch_loop(self):
@@ -776,7 +804,6 @@ class DetectionService:
                     unique.append(request.module)
             session = DetectionSession(
                 self.detector, workers=self.config.workers,
-                mode=self.config.mode,
                 deadline_s=self.config.deadline_s,
                 max_retries=self.config.max_retries)
             if budget is not None:

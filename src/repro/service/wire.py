@@ -4,8 +4,8 @@ The daemon's line protocol ships reports as pure JSON: matches carry the
 scheduler's structural solution tokens (block/instruction indices,
 argument positions, global names, constant values) plus an identity-
 interned pool of per-match solver stats — the same discipline the
-artifact cache and process-mode workers use, lifted from one function to
-one report. A client that parses the module text it submitted can
+artifact cache uses (:mod:`repro.cache.detection`), lifted from one
+function to one report. A client that parses the module text it submitted can
 :func:`decode_report` the payload back into a
 :class:`~repro.idioms.matches.DetectionReport` whose matches reference
 its own IR objects, bit-identical (under the structural fingerprint) to
@@ -27,10 +27,10 @@ import hashlib
 import json
 
 from ..backends.api import ApiCallSite
+from ..cache.detection import decode_solution, encode_solution
 from ..errors import IDLError, InjectedFault, ReproError
 from ..idl.solver import SolverStats
 from ..idioms.matches import DetectionReport, IdiomMatch
-from ..idioms.scheduler import decode_solution, encode_solution
 from ..ir.module import Module
 from ..platform.placement import PlacementRequest
 from .core import (

@@ -226,7 +226,7 @@ class TestCanonicalPrint:
     def test_print_parse_print_fixed_point(self, workload):
         """print → parse → print is a fixed point for every function of
         every suite workload — the property that lets content hashes
-        speak for IR structure (and process-mode detection trust its
+        speak for IR structure (and the solution wire format trust its
         structural locators)."""
         module = compile_c(workload.source, workload.name)
         optimize(module)
@@ -361,14 +361,13 @@ class TestDetectionCache:
         assert all(m.function is module.functions[m.function.name]
                    for m in warm.matches)
 
-    @pytest.mark.parametrize("workers,mode",
-                             [(2, "thread"), (2, "process")])
-    def test_warm_through_worker_pools(self, tmp_path, workers, mode):
+    @pytest.mark.parametrize("workers", [2], ids=["2-thread"])
+    def test_warm_through_worker_pools(self, tmp_path, workers):
         module = compiled()
         cold = IdiomDetector().detect(module)
         det = IdiomDetector(cache=str(tmp_path))
-        DetectionSession(det, workers=workers, mode=mode).detect(module)
-        session = DetectionSession(det, workers=workers, mode=mode)
+        DetectionSession(det, workers=workers).detect(module)
+        session = DetectionSession(det, workers=workers)
         warm = session.detect(module)
         assert session.cache_misses == 0
         assert warm_fp(warm) == warm_fp(cold)
@@ -565,7 +564,7 @@ class TestDetectionCache:
 
 class TestRunnerAndBench:
     def test_compile_workload_cache_dir(self, tmp_path):
-        from repro.idioms.scheduler import encode_solution
+        from repro.cache.detection import encode_solution
         from repro.runtime.runner import compile_workload
 
         def wire_fp(report):

@@ -87,16 +87,6 @@ class TestForestEquivalence:
             reports[1])
         assert reports[0].stats == reports[1].stats
 
-    def test_forest_process_mode_identical(self, suite_modules, detectors):
-        forest, _ = detectors
-        module = suite_modules["histo"]
-        serial = DetectionSession(forest).detect(module)
-        process = DetectionSession(forest, workers=2,
-                                   mode="process").detect(module)
-        assert report_fingerprint(process, by_identity=False) == \
-            report_fingerprint(serial, by_identity=False)
-        assert process.stats == serial.stats
-
     def test_forest_respects_max_solutions_like_plan(self):
         """The per-idiom solution cap truncates the same enumeration in
         both executors."""

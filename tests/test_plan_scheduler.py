@@ -278,37 +278,6 @@ class TestDetectionSession:
         fingerprints = [report_fingerprint(r) for r in reports]
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
-    def test_process_mode_equals_sequential(self, suite_modules):
-        """Process workers detect on a textual IR round-trip; decoded
-        matches reference the parent module's IR objects."""
-        module = suite_modules["histo"]
-        detector = IdiomDetector()
-        sequential = DetectionSession(detector).detect(module)
-        parallel = DetectionSession(detector, workers=2,
-                                    mode="process").detect(module)
-        # Instructions decode to the parent's objects (identity);
-        # constants are recreated, so compare them structurally.
-        assert report_fingerprint(parallel, by_identity=False) == \
-            report_fingerprint(sequential, by_identity=False)
-        for match in parallel.matches:
-            assert match.function is module.functions[match.function.name]
-
-    def test_process_mode_rejects_custom_compilers(self):
-        """A custom compiler with mode='process' fails at session
-        construction — before any work, even at workers=1 (where the old
-        lazy check never fired and the standard library was silently
-        assumed)."""
-        idl = IdiomCompiler()
-        load_library(idl)
-        detector = IdiomDetector(compiler=idl)
-        for workers in (1, 2):
-            with pytest.raises(IDLError, match="process-mode"):
-                DetectionSession(detector, workers=workers, mode="process")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(IDLError, match="unknown detection mode"):
-            DetectionSession(IdiomDetector(), workers=2, mode="fibers")
-
     def test_detect_idioms_worker_passthrough(self):
         from repro.idioms import detect_idioms
 

@@ -1,11 +1,13 @@
 """Tests for the reliability layer: deterministic fault injection,
-supervised detection sessions (retry, degradation, deadlines, crash
-respawn), crash-safe concurrent cache writes, backend quarantine with
+supervised detection sessions (retry, degradation, deadlines),
+crash-safe concurrent cache writes, backend quarantine with
 guaranteed fallback, and the JIT tier's fault containment."""
 
 import json
 import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,12 +160,33 @@ class TestFaultPlan:
         assert plan.fire("worker.solve") is None
         assert plan.fired[0]["kind"] == "hang"
 
-    def test_crash_degrades_to_exception_outside_worker(self):
-        faults.mark_worker(False)
-        plan = FaultPlan([{"site": "worker.solve", "kind": "crash",
-                           "at": [0]}])
-        with pytest.raises(InjectedFault, match="crash"):
-            plan.fire("worker.solve")
+    def test_process_pool_seam_and_kind_rejected(self):
+        """Detection runs in-process only: a plan naming the old
+        pool-worker seam or the worker-crash kind is a typed error, not
+        a plan that silently never fires."""
+        with pytest.raises(ReproError, match="unknown fault seam"):
+            plan_from_spec([{"site": "worker.spawn", "kind": "exception"}])
+        with pytest.raises(ReproError, match="unknown fault kind"):
+            plan_from_spec([{"site": "worker.solve", "kind": "crash"}])
+
+    def test_seam_census_matches_call_sites(self):
+        """Every seam in SEAMS has a literal ``maybe_fire("<seam>"`` call
+        in the package, and every call names a seam in SEAMS with a
+        literal — so a seam left behind by a deleted code path, or a
+        call site a plan could never address, fails here."""
+        root = Path(faults.__file__).resolve().parents[1]
+        calls = literal = 0
+        used: set[str] = set()
+        for path in root.rglob("*.py"):
+            text = path.read_text()
+            calls += len(re.findall(r"(?<!def )\bmaybe_fire\(", text))
+            names = re.findall(r"\bmaybe_fire\(\s*\"([^\"]+)\"", text)
+            literal += len(names)
+            used.update(names)
+        assert calls == literal, "maybe_fire called with a non-literal seam"
+        assert used == set(faults.SEAMS), (
+            f"seams without a call site: {sorted(faults.SEAMS - used)}; "
+            f"call sites outside SEAMS: {sorted(used - faults.SEAMS)}")
 
     def test_spec_roundtrip(self, tmp_path):
         plan = FaultPlan([FaultSpec("store.read", "exception", at=(2,),
@@ -215,8 +238,7 @@ class TestSupervisor:
             return (function.name, "row")
 
         outcomes = SessionOutcomes()
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), outcomes,
-                         mode="serial")
+        sup = Supervisor(RetryPolicy(backoff_s=0.0), outcomes)
         rows = sup.run([Fn("f")], solve_one, batch_all)
         assert rows["f"] == ("f", "row")
         assert calls["n"] == 2
@@ -228,7 +250,7 @@ class TestSupervisor:
             raise InjectedFault("always")
 
         sup = Supervisor(RetryPolicy(max_retries=1, backoff_s=0.0),
-                         SessionOutcomes(), mode="serial")
+                         SessionOutcomes())
         with pytest.raises(InjectedFault):
             sup.run([Fn("f")], solve_one, batch_all)
 
@@ -239,8 +261,7 @@ class TestSupervisor:
             calls["n"] += 1
             raise ValueError("workload bug")
 
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes(),
-                         mode="serial")
+        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes())
         with pytest.raises(ValueError):
             sup.run([Fn("f")], solve_one, batch_all)
         assert calls["n"] == 1
@@ -255,7 +276,7 @@ class TestSupervisor:
 
         outcomes = SessionOutcomes()
         sup = Supervisor(RetryPolicy(max_retries=2, backoff_s=0.0),
-                         outcomes, mode="thread", workers=2)
+                         outcomes, workers=2)
         rows = sup.run([Fn("f"), Fn("g")], solve_one, batch_all)
         assert set(rows) == {"f", "g"}
         assert sup.meta["f"]["tier"] == "serial"
@@ -267,14 +288,9 @@ class TestSupervisor:
             raise KeyboardInterrupt()
 
         sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes(),
-                         mode="thread", workers=2)
+                         workers=2)
         with pytest.raises(KeyboardInterrupt):
             sup.run([Fn("f")], solve_one, batch_all)
-
-    def test_batch_timeout_scales_with_size(self):
-        policy = RetryPolicy(deadline_s=2.0, grace_s=1.0)
-        assert policy.batch_timeout(3) == pytest.approx(7.0)
-        assert RetryPolicy().batch_timeout(3) is None
 
     def test_outcome_bookkeeping(self):
         outcomes = SessionOutcomes()
@@ -300,8 +316,7 @@ class TestSessionReliability:
         faults.install_plan({"specs": [{"site": "worker.solve",
                                         "kind": "exception", "at": [0],
                                         "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="thread")
+        session = DetectionSession(IdiomDetector(), workers=2)
         report = session.detect(module)
         assert fingerprint(report) == baseline
         assert report.outcomes is session.outcomes
@@ -317,29 +332,6 @@ class TestSessionReliability:
                                         "epochs": [0]}]})
         report = DetectionSession(IdiomDetector()).detect(module)
         assert fingerprint(report) == baseline
-
-    def test_process_worker_crash_respawned(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.solve",
-                                        "kind": "crash", "at": [0],
-                                        "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="process")
-        report = session.detect(module)
-        assert fingerprint(report) == baseline
-        assert any("respawned" in note or "died" in note
-                   for note in session.outcomes.session_faults)
-
-    def test_poisoned_spawn_recovered(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.spawn",
-                                        "kind": "exception", "at": [0],
-                                        "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="process")
-        assert fingerprint(session.detect(module)) == baseline
 
     def test_all_ok_outcomes_on_clean_run(self):
         module = compiled()

@@ -6,8 +6,11 @@ daemon and its wire format, and the ``$REPRO_WORKERS`` harness default."""
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -356,16 +359,14 @@ class TestResidency:
 # ---------------------------------------------------------------------------
 
 class TestDetectMany:
-    @pytest.mark.parametrize("workers,mode",
-                             [(1, "thread"), (2, "thread"), (2, "process")])
-    def test_identical_to_per_module_detect(self, workers, mode):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1-thread", "2-thread"])
+    def test_identical_to_per_module_detect(self, workers):
         modules = [compiled(name="a"), compiled(name="b"),
                    compiled(SRC_EDITED, name="c")]
         direct = [detect_idioms(compiled(src, name))
                   for src, name in ((SRC, "a"), (SRC, "b"),
                                     (SRC_EDITED, "c"))]
-        session = DetectionSession(IdiomDetector(), workers=workers,
-                                   mode=mode)
+        session = DetectionSession(IdiomDetector(), workers=workers)
         reports = session.detect_many(modules)
         assert len(reports) == 3
         for got, want in zip(reports, direct):
@@ -648,6 +649,34 @@ class TestDaemon:
         finally:
             daemon.server_close()
             daemon.service.close()
+
+    def test_serve_cli_starts_with_default_flags(self):
+        """``python -m repro.service serve`` builds its config from the
+        CLI flags, prints its address and stops on the shutdown op."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            banner = proc.stdout.readline()
+            assert " on " in banner, proc.stderr.read()
+            port = int(banner.split(" on ", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+            with ServiceClient("127.0.0.1", port) as client:
+                assert client.ping()
+                assert client.shutdown()["shutting_down"]
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_malformed_request_is_error_not_crash(self):
         daemon = DetectionDaemon(port=0)

@@ -29,7 +29,7 @@ from repro.service import (
     error_from_response,
     report_wire_fingerprint,
 )
-from repro.service.core import _Request
+from repro.service.core import MAX_TENANTS, _Request
 
 SRC = """
 double dot(double* a, double* b, int n) {
@@ -212,6 +212,33 @@ class TestFairBatching:
             batch = service._next_batch_locked(32)
         assert len(batch) == 3
         assert service._pending == 0
+
+    def test_tenant_table_stays_bounded(self):
+        """Distinct tenant names past MAX_TENANTS do not accumulate:
+        idle tenants are dropped oldest first, service-wide counters
+        keep their totals, and a dropped weighted tenant returns with
+        its configured weight."""
+        text = module_text()
+        flood = 4 * MAX_TENANTS
+        config = ServiceConfig(tenant_weights={"vip": 3},
+                               max_pending=flood + 1)
+        with DetectionService(config) as service:
+            service.detect(text, tenant="vip")
+            futures = [service.submit(text, tenant=f"t{i}")
+                       for i in range(flood)]
+            for future in futures:
+                future.result(timeout=60)
+            stats = service.stats()
+            assert len(stats["tenants"]) <= MAX_TENANTS
+            assert sorted(service._tenant_order) == \
+                sorted(stats["tenants"])
+            assert "vip" not in stats["tenants"]  # oldest idle: dropped
+            assert stats["requests"] == flood + 1
+            assert stats["errors"] == 0 and stats["sheds"] == 0
+            service.detect(text, tenant="vip")
+            vip = service.stats()["tenants"]["vip"]
+        assert vip["weight"] == 3
+        assert vip["admits"] == 1 and vip["completed"] == 1
 
 
 # ---------------------------------------------------------------------------
