@@ -11,12 +11,12 @@ schema:
   which the daemon's response encoding shares, with each match's own
   :class:`~repro.idl.solver.SolverStats` plus the function-level
   aggregate. Per-match stats are interned into a pool by object identity
-  — forest-mode matches of one function all share one stats object, and
-  the round trip preserves both the values and the sharing. Decoding
+  — the forest detector's matches of one function all share one stats
+  object, the per-idiom oracle's (:mod:`repro.idioms.oracle`) one per
+  idiom, and the round trip preserves both the values and the sharing. Decoding
   rebinds every locator against the *caller's* module, so cached matches
   point at live IR objects exactly like fresh ones — a warm report is
-  indistinguishable from the cold one, per-match ticks included, in
-  every ordering.
+  indistinguishable from the cold one, per-match ticks included.
 * ``kind="summary"`` — the function's serializable
   :class:`~repro.analysis.info.AnalysisSummary`, keyed by the canonical
   function text only (no config signature, no globals — its facts are

@@ -8,8 +8,8 @@ A function's detection outcome is a pure function of
   universe, so adding or retyping one can change the match set),
 * the idiom library (every loaded IDL source, the native constraints and
   the memoized building-block set),
-* the detector configuration (which idioms run, in what order, the solve
-  limits, ordering / memo / indexed switches), and
+* the detector configuration (which idioms run, in what order, and the
+  solve limits), and
 * the optimisation pipeline that shaped the IR (conservative: detection
   runs on already-optimised IR, but keying on the pass list means a
   pipeline change can never serve results computed for differently
@@ -96,19 +96,16 @@ def summary_fingerprint(function: Function,
 def detection_config_signature(library_signature: str,
                                idioms: list[str] | tuple[str, ...],
                                max_solutions: int, max_steps: int,
-                               ordering: str, memo: bool, indexed: bool,
                                pipeline_signature: str) -> str:
     """Fold every non-IR input of a detection run into one string.
 
-    ``ordering`` is included even though all orderings produce bit-
-    identical match sets: the guarantee is asserted by tests, not assumed
-    by the cache, so a regression in one ordering can never leak results
-    into another."""
+    Detection always solves with the plan forest, so no solve-engine
+    choice enters the key; the per-idiom oracles
+    (:mod:`repro.idioms.oracle`) take no cache."""
     return _digest(
         "config",
         library_signature,
         "\x1f".join(idioms),
         f"{max_solutions}:{max_steps}",
-        f"{ordering}:{int(memo)}:{int(indexed)}",
         pipeline_signature,
     )

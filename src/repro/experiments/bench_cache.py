@@ -19,10 +19,8 @@ Three stanzas:
   re-solved (the invalidation-granularity guarantee) and that the warm
   reports for the mutated modules are bit-identical to fresh no-cache
   solves of the edited IR.
-* **matrix** — cold vs warm bit-identity for every solve ordering
-  (``forest`` / ``plan`` / ``dynamic``) crossed with serial and
-  thread-pool detection, sharing one store (the per-ordering config
-  signatures keep their entries apart).
+* **matrix** — cold vs warm bit-identity for serial and thread-pool
+  detection, sharing one store.
 
 CI runs the smoke variant on the full suite and fails if cold and warm
 match sets diverge anywhere, if an edit round re-solves anything besides
@@ -68,14 +66,8 @@ def _mutate(function, round_no: int) -> None:
 
 def run_benchmark(workload_names: list[str] | None = None,
                   cache_dir: str | None = None,
-                  rounds: int = 5, mutate_k: int = 1,
-                  full: bool = True) -> dict:
-    """Measure cold vs warm detection and the edit-session workload.
-
-    ``full=False`` (the CI smoke mode) shrinks the correctness matrix to
-    the forest ordering (the other orderings' cold solves dominate the
-    runtime and are covered by the committed full run).
-    """
+                  rounds: int = 5, mutate_k: int = 1) -> dict:
+    """Measure cold vs warm detection and the edit-session workload."""
     if cache_dir is None:
         cache_dir = tempfile.mkdtemp(prefix="repro-cache-bench-")
     modules = [(w.name, module)
@@ -86,8 +78,8 @@ def run_benchmark(workload_names: list[str] | None = None,
     store = ArtifactStore(cache_dir)
     cold_det = IdiomDetector()
     warm_det = IdiomDetector(cache=store)
-    cold_det.compiler.prepare(cold_det.idioms, forest=True)
-    warm_det.compiler.prepare(warm_det.idioms, forest=True)
+    cold_det.warmup()
+    warm_det.warmup()
 
     # -- cold vs fully warm ---------------------------------------------------
     # Identity failures raise immediately (with the offending workload
@@ -183,51 +175,38 @@ def run_benchmark(workload_names: list[str] | None = None,
         "rounds_detail": detail,
     }
 
-    # -- ordering x worker-pool matrix ---------------------------------------
+    # -- worker-pool matrix ---------------------------------------------------
     # The edit session mutated the IR in place, so the matrix measures the
-    # edited suite; every configuration still populates and replays its
-    # own entries (per-config signatures) against identical cold solves.
+    # edited suite. The cold reference must be a genuinely uncached solve:
+    # the earlier stanzas already wrote entries under this configuration,
+    # so a cache-carrying "cold" run would be served from the store and
+    # the comparison would prove nothing.
     matrix: dict[str, dict] = {}
-    orderings = ("forest", "plan", "dynamic") if full else ("forest",)
-    for ordering in orderings:
-        memo = indexed = ordering != "dynamic"
-        # The cold reference must be a genuinely uncached solve: the
-        # forest config's signature matches entries already written by
-        # the earlier stanzas, so a cache-carrying "cold" run would be
-        # served from the store and the comparison would prove nothing.
-        plain_cfg = IdiomDetector(ordering=ordering, memo=memo,
-                                  indexed=indexed)
-        cache_cfg = IdiomDetector(ordering=ordering, memo=memo,
-                                  indexed=indexed, cache=store)
-        for workers in POOLS:
-            key = f"{ordering}/threadx{workers}"
-            cold_s = warm_s = 0.0
-            for name, module in modules:
-                cold = DetectionSession(plain_cfg, workers=workers)
-                seconds, cold_report = best_of(
-                    lambda: cold.detect(module), 1)
-                cold_s += seconds
-                DetectionSession(cache_cfg,
-                                 workers=workers).detect(module)  # populate
-                warm = DetectionSession(cache_cfg, workers=workers)
-                seconds, warm_report = best_of(
-                    lambda: warm.detect(module), 1)
-                warm_s += seconds
-                if warm.cache_misses != 0:
-                    raise AssertionError(
-                        f"{name}: {key} warm run re-solved "
-                        f"{warm.cache_misses} functions")
-                if report_fingerprint(cold_report, by_identity=False) != \
-                        report_fingerprint(warm_report,
-                                           by_identity=False):
-                    raise AssertionError(
-                        f"{key}: cold and warm match sets diverge "
-                        f"on {name}")
-            matrix[key] = {
-                "cold_seconds": round(cold_s, 4),
-                "warm_seconds": round(warm_s, 4),
-                "identical": True,  # divergence raises above
-            }
+    for workers in POOLS:
+        key = f"forest/threadx{workers}"
+        cold_s = warm_s = 0.0
+        for name, module in modules:
+            cold = DetectionSession(cold_det, workers=workers)
+            seconds, cold_report = best_of(lambda: cold.detect(module), 1)
+            cold_s += seconds
+            # Populate the store, then replay it warm.
+            DetectionSession(warm_det, workers=workers).detect(module)
+            warm = DetectionSession(warm_det, workers=workers)
+            seconds, warm_report = best_of(lambda: warm.detect(module), 1)
+            warm_s += seconds
+            if warm.cache_misses != 0:
+                raise AssertionError(
+                    f"{name}: {key} warm run re-solved "
+                    f"{warm.cache_misses} functions")
+            if report_fingerprint(cold_report, by_identity=False) != \
+                    report_fingerprint(warm_report, by_identity=False):
+                raise AssertionError(
+                    f"{key}: cold and warm match sets diverge on {name}")
+        matrix[key] = {
+            "cold_seconds": round(cold_s, 4),
+            "warm_seconds": round(warm_s, 4),
+            "identical": True,  # divergence raises above
+        }
 
     return {
         "workloads": rows,
@@ -273,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mutate", type=int, default=1, metavar="K",
                         help="functions mutated per round (default 1)")
     parser.add_argument("--check", action="store_true",
-                        help="smoke mode: forest-only matrix; fail if "
+                        help="smoke mode: fail if "
                              "cold/warm match sets diverge, an edit round "
                              "over-resolves, or warm is slower than cold")
     parser.add_argument("--max-ratio", type=float, default=1.0,
@@ -286,8 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         global REPEATS
         REPEATS = 5
     result = run_benchmark(args.workloads, cache_dir=args.cache_dir,
-                           rounds=args.rounds, mutate_k=args.mutate,
-                           full=not args.check)
+                           rounds=args.rounds, mutate_k=args.mutate)
 
     for name, row in result["workloads"].items():
         print(f"{name:8s} cold={row['cold_seconds']:.4f}s "

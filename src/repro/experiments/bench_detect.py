@@ -14,14 +14,17 @@ workloads in three configurations::
 * ``plan`` — the same per-idiom plan executor inside a
   :class:`~repro.idioms.scheduler.DetectionSession`, which already shares
   one ``FunctionAnalyses`` (and therefore the ``For`` memo) per function
-  across idioms. Retained as ``ordering="plan"``; the CI gate requires
-  the forest to never be slower than this stronger variant.
-* ``forest`` — the fused cross-idiom plan forest (``ordering="forest"``):
+  across idioms: the :class:`~repro.idioms.oracle.PerIdiomDetector`
+  oracle. The CI gate requires the forest to never be slower than this
+  stronger variant.
+* ``forest`` — the fused cross-idiom plan forest (the
+  :class:`~repro.idioms.IdiomDetector` every user path runs):
   compile-time feasibility signatures, shared constraint prefixes, and
   the function-wide subquery memo.
 
 Every run verifies that all measured configurations (and, in full mode,
-the seed's dynamic ordering and a thread pool) produce
+the seed configuration, ``PerIdiomDetector.seed()``, and a thread pool)
+produce
 bit-identical match sets. The ``value_key`` stanza measures the solver's
 interned dedup keys against the uncached computation they replaced.
 
@@ -42,6 +45,7 @@ import time
 
 from ..analysis.info import FunctionAnalyses
 from ..idioms import DetectionSession, IdiomDetector, report_fingerprint
+from ..idioms.oracle import PerIdiomDetector
 from ..idl.atoms import value_key
 from ..ir.values import ConstantFloat, ConstantInt
 from .suites import compile_suite
@@ -112,12 +116,9 @@ def run_benchmark(workload_names: list[str] | None = None,
                   full: bool = True) -> dict:
     """Measure per-workload detection wall clock; ``full=False`` (the CI
     smoke mode) skips the independent and dynamic configurations."""
-    forest_det = IdiomDetector(ordering="forest")
-    plan_det = IdiomDetector(ordering="plan")
-    dynamic_det = IdiomDetector(ordering="dynamic", memo=False,
-                                indexed=False)
-    forest_det.compiler.prepare(forest_det.idioms, forest=True)
-    plan_det.compiler.prepare(plan_det.idioms)
+    forest_det = IdiomDetector().warmup()
+    plan_det = PerIdiomDetector().warmup()
+    dynamic_det = PerIdiomDetector.seed()
 
     rows: dict[str, dict] = {}
     modules = []

@@ -212,8 +212,7 @@ def run_overhead(modules) -> dict:
     The two modes are measured interleaved (an inactive sweep then an
     active one, REPEATS times, best-of each) so clock drift or a noisy
     neighbour biases both sides equally."""
-    detector = IdiomDetector()
-    detector.compiler.prepare(detector.idioms, forest=True)
+    detector = IdiomDetector().warmup()
 
     def sweep():
         for name, module in modules:

@@ -1,10 +1,11 @@
 """Solver-stats benchmark: seed-style dynamic solving vs compiled plans.
 
-Runs idiom detection over the NAS + Parboil suite twice — once in the
-seed configuration (dynamic conjunct ordering, no memoized building
-blocks, unindexed generators) and once with the compiled execution plans —
-and records :class:`~repro.idl.solver.SolverStats` tick totals plus wall
-clock per workload::
+Runs idiom detection over the NAS + Parboil suite twice through the
+:class:`~repro.idioms.oracle.PerIdiomDetector` oracle — once in the seed
+configuration (dynamic conjunct ordering, no memoized building blocks,
+unindexed generators) and once with the compiled per-idiom execution
+plans — and records :class:`~repro.idl.solver.SolverStats` tick totals
+plus wall clock per workload::
 
     PYTHONPATH=src python -m repro.experiments.bench_solver \
         --output BENCH_solver.json
@@ -27,12 +28,12 @@ import argparse
 import json
 import sys
 
-from ..idioms import IdiomDetector
+from ..idioms.oracle import PerIdiomDetector
 from .suites import compile_suite
 from .timing import timed
 
 
-def _detect(detector: IdiomDetector, module) -> tuple:
+def _detect(detector: PerIdiomDetector, module) -> tuple:
     seconds, report = timed(lambda: detector.detect(module))
     return report, seconds
 
@@ -40,11 +41,10 @@ def _detect(detector: IdiomDetector, module) -> tuple:
 def run_benchmark(workload_names: list[str] | None = None,
                   legacy: bool = True) -> dict:
     """Measure per-workload solver stats; optionally skip the legacy pass."""
-    # This benchmark tracks the *per-idiom* plan executor (the detector's
-    # default is now the cross-idiom forest; bench_detect covers it).
-    plan_detector = IdiomDetector(ordering="plan")
-    legacy_detector = IdiomDetector(ordering="dynamic", memo=False,
-                                    indexed=False)
+    # This benchmark tracks the *per-idiom* plan executor (detection
+    # runs the cross-idiom forest; bench_detect covers it).
+    plan_detector = PerIdiomDetector()
+    legacy_detector = PerIdiomDetector.seed()
     rows: dict[str, dict] = {}
     for workload, module in compile_suite(workload_names):
         plan_report, plan_s = _detect(plan_detector, module)

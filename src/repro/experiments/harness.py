@@ -101,10 +101,6 @@ _CACHE: dict[str, WorkloadEvaluation] = {}
 #: The report is identical at any worker count, so cached evaluations stay
 #: valid across settings.
 DETECT_WORKERS = 1
-#: Solve configuration (``--ordering``): the cross-idiom plan forest by
-#: default; "plan" (per-idiom static plans) and "dynamic" (the seed's
-#: per-step ordering) produce bit-identical reports, more slowly.
-DETECT_ORDERING = "forest"
 
 #: Execution defaults, settable from the CLI (``--engine`` / ``--scale``;
 #: the ``REPRO_ENGINE`` environment variable supplies the ``--engine``
@@ -201,14 +197,13 @@ def evaluate_workload(workload: Workload, scale: int | None = None,
     # wall clock is not — keep the pool config in the cache key.
     backends_key = "*" if BACKENDS is None else ",".join(sorted(BACKENDS))
     key = f"{workload.name}@{scale}:{execute}:{effective_workers}:" \
-          f"{DETECT_ORDERING}:{engine}:{JIT_THRESHOLD}:" \
+          f"{engine}:{JIT_THRESHOLD}:" \
           f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}:{MAX_RETRIES}"
     if key in _CACHE:
         return _CACHE[key]
     compiled = compile_workload(
         workload.name, workload.source,
         workers=effective_workers,
-        ordering=DETECT_ORDERING,
         verify=False,
         cache_dir=CACHE_STORE if CACHE_STORE is not None else CACHE_DIR,
         deadline_s=DEADLINE_S,
@@ -641,7 +636,7 @@ def print_cache_stats() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global DETECT_WORKERS, DETECT_ORDERING, ENGINE, SCALE, \
+    global DETECT_WORKERS, ENGINE, SCALE, \
         JIT_THRESHOLD, BACKENDS, PLACEMENT, CACHE_DIR, CACHE_STORE, \
         DEADLINE_S, MAX_RETRIES, PROFILE, PROFILE_PATH
 
@@ -657,13 +652,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="detection thread pool size (default "
                              f"{default_workers()}, override with "
                              "$REPRO_WORKERS)")
-    parser.add_argument("--ordering",
-                        choices=["forest", "plan", "dynamic"],
-                        default=DETECT_ORDERING,
-                        help="constraint-solve configuration: the fused "
-                             "cross-idiom plan forest (default), per-idiom "
-                             "static plans, or the seed's dynamic ordering "
-                             "— reports are bit-identical")
     parser.add_argument("--engine", choices=sorted(ENGINES),
                         default=default_engine(),
                         help="execution tier (default "
@@ -741,7 +729,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown backends: {', '.join(unknown)} "
                          f"(choose from {', '.join(sorted(known))})")
     DETECT_WORKERS = args.workers
-    DETECT_ORDERING = args.ordering
     ENGINE = args.engine
     SCALE = args.scale
     JIT_THRESHOLD = args.jit_threshold

@@ -48,11 +48,19 @@ _PRECEDENCE = {
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
+#: Deepest expression nesting the parser accepts. Parentheses, subscripts,
+#: call arguments, prefix operators, casts and the right-hand sides of
+#: assignments and conditionals each open one level. Deeper input raises
+#: ParseError instead of exhausting the interpreter stack in the parser
+#: or in the recursive passes behind it.
+MAX_EXPR_DEPTH = 100
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------------
     @property
@@ -282,6 +290,17 @@ class Parser:
         return WhileStmt(cond, body, do_while=True, location=loc)
 
     # -- expressions ---------------------------------------------------------------
+    def _nested(self, parse) -> Expr:
+        """Parse a sub-expression one nesting level down with ``parse``."""
+        if self.depth >= MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than "
+                             f"{MAX_EXPR_DEPTH} levels",
+                             self.current.location)
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
+
     def parse_expression(self) -> Expr:
         expr = self.parse_assignment()
         while self.accept(","):
@@ -293,16 +312,16 @@ class Parser:
         tok = self.current
         if tok.kind == "op" and tok.text in _ASSIGN_OPS:
             self.advance()
-            rhs = self.parse_assignment()
+            rhs = self._nested(self.parse_assignment)
             return AssignExpr(tok.text, lhs, rhs, location=tok.location)
         return lhs
 
     def parse_conditional(self) -> Expr:
         cond = self.parse_binary(0)
         if self.accept("?"):
-            then = self.parse_assignment()
+            then = self._nested(self.parse_assignment)
             self.expect(":")
-            other = self.parse_conditional()
+            other = self._nested(self.parse_conditional)
             return ConditionalExpr(cond, then, other)
         return cond
 
@@ -321,14 +340,14 @@ class Parser:
         tok = self.current
         if tok.kind == "op" and tok.text in ("-", "+", "!", "~", "*", "&"):
             self.advance()
-            operand = self.parse_unary()
+            operand = self._nested(self.parse_unary)
             if tok.text == "+":
                 return operand
             return UnaryExpr(tok.text, operand, location=tok.location)
         if tok.kind == "op" and tok.text in ("++", "--"):
             self.advance()
-            return IncDecExpr(tok.text, self.parse_unary(), prefix=True,
-                              location=tok.location)
+            return IncDecExpr(tok.text, self._nested(self.parse_unary),
+                              prefix=True, location=tok.location)
         # Cast: '(' type ')' unary
         if tok.text == "(" and self._peek_is_type_after_paren():
             self.expect("(")
@@ -337,7 +356,8 @@ class Parser:
             while self.accept("*"):
                 pointers += 1
             self.expect(")")
-            return CastExpr(CType(base, pointers), self.parse_unary(),
+            return CastExpr(CType(base, pointers),
+                            self._nested(self.parse_unary),
                             location=tok.location)
         return self.parse_postfix()
 
@@ -352,7 +372,7 @@ class Parser:
             tok = self.current
             if tok.text == "[":
                 self.advance()
-                index = self.parse_expression()
+                index = self._nested(self.parse_expression)
                 self.expect("]")
                 expr = IndexExpr(expr, index, location=tok.location)
             elif tok.text == "(" and isinstance(expr, NameRef):
@@ -360,7 +380,7 @@ class Parser:
                 args: list[Expr] = []
                 if not self.accept(")"):
                     while True:
-                        args.append(self.parse_assignment())
+                        args.append(self._nested(self.parse_assignment))
                         if not self.accept(","):
                             break
                     self.expect(")")
@@ -388,7 +408,7 @@ class Parser:
             return NameRef(tok.text, location=tok.location)
         if tok.text == "(":
             self.advance()
-            expr = self.parse_expression()
+            expr = self._nested(self.parse_expression)
             self.expect(")")
             return expr
         raise ParseError(f"unexpected token {tok.text!r}", tok.location)

@@ -30,15 +30,13 @@ DETECTOR_LIMITS = SolveLimits(max_solutions=2_000)
 class IdiomDetector:
     """Detects the paper's five idiom classes across a module.
 
-    ``ordering``/``memo``/``indexed`` select the solve configuration.
-    The default ``ordering="forest"`` matches the whole idiom library as
-    one fused plan forest per function — compile-time feasibility
-    signatures skip provably unmatchable idioms, shared constraint
-    prefixes execute once, and one per-function subquery memo serves
-    every idiom (see :mod:`repro.idl.forest`). ``ordering="plan"``
-    retains the per-idiom static-plan executor and ``"dynamic"`` (with
-    ``memo=False``/``indexed=False``) the seed's per-step behaviour, both
-    for benchmarking; all three produce bit-identical match sets.
+    Each function is matched against the whole idiom library as one
+    fused plan forest — compile-time feasibility signatures skip provably
+    unmatchable idioms, shared constraint prefixes execute once, and one
+    per-function subquery memo serves every idiom (see
+    :mod:`repro.idl.forest`). The per-idiom engines the forest is built
+    from stay callable as oracles in :mod:`repro.idioms.oracle`; they
+    enumerate bit-identical match sets.
 
     ``cache`` (a directory path or an :class:`~repro.cache.ArtifactStore`)
     enables the content-addressed artifact cache: module-level detection
@@ -47,33 +45,23 @@ class IdiomDetector:
     disk when it has a root) and solves only the rest.
     Cached entries are keyed on :meth:`config_signature` plus each
     function's canonical IR text, so any change to the idiom library, the
-    solve configuration or the IR re-solves exactly the affected
-    functions. The per-function entry points (:meth:`detect_function*`)
-    never consult the cache — they are the solving primitive the
-    scheduler falls back to on a miss.
+    solve limits or the IR re-solves exactly the affected functions.
+    :meth:`detect_function_with_stats` never consults the cache — it is
+    the solving primitive the scheduler falls back to on a miss.
     """
 
     def __init__(self, compiler: IdiomCompiler | None = None,
                  idioms: list[str] | None = None,
                  limits: SolveLimits | None = None,
                  max_solutions: int | None = None,
-                 ordering: str = "forest",
-                 memo: bool = True,
-                 indexed: bool = True,
                  cache=None):
-        if ordering not in ("forest", "plan", "dynamic"):
-            raise IDLError(f"unknown ordering {ordering!r}")
         if compiler is None:
-            compiler = IdiomCompiler(
-                memo_specs=None if memo else frozenset())
+            compiler = IdiomCompiler()
             load_library(compiler)
         self.compiler = compiler
         self.idioms = idioms or list(TOP_LEVEL_IDIOMS)
         self.limits = (limits or DETECTOR_LIMITS).with_overrides(
             max_solutions)
-        self.ordering = ordering
-        self.memo = memo
-        self.indexed = indexed
         self._cache_store = self._bind_store(cache)
         self._cache = None
 
@@ -125,20 +113,21 @@ class IdiomDetector:
         return detection_config_signature(
             self.compiler.library_signature(), tuple(self.idioms),
             self.limits.max_solutions, self.limits.max_steps,
-            self.ordering, self.memo, self.indexed, pipeline_signature())
+            pipeline_signature())
 
     @property
     def max_solutions(self) -> int:
         return self.limits.max_solutions
 
     def warmup(self) -> "IdiomDetector":
-        """Eagerly compile every idiom's lowered form and plan (and, in
-        forest ordering, the fused plan forest) so the first request
-        pays no compile cost — the resident-daemon startup step. The
-        compiler caches make this idempotent; repeated detects through
-        a warmed detector never rebuild the forest. Returns self."""
-        self.compiler.prepare(self.idioms, memo=self.memo,
-                              forest=self.ordering == "forest")
+        """Eagerly compile every idiom's lowered form and plan and the
+        fused plan forest, so the first request pays no compile cost —
+        the resident-daemon startup step, and what a detection session
+        runs before its pool threads start (they must only read the
+        compiler caches). The caches make this idempotent; repeated
+        detects through a warmed detector never rebuild the forest.
+        Returns self."""
+        self.compiler.forest_for(tuple(self.idioms))
         return self
 
     # -- public API ---------------------------------------------------------------
@@ -156,12 +145,6 @@ class IdiomDetector:
         return DetectionSession(self, workers=workers,
                                 deadline_s=deadline_s,
                                 max_retries=max_retries).detect(module)
-
-    def detect_function(self, function: Function,
-                        analyses: FunctionAnalyses | None = None
-                        ) -> list[IdiomMatch]:
-        matches, _ = self.detect_function_with_stats(function, analyses)
-        return matches
 
     def detect_function_with_stats(
             self, function: Function,
@@ -185,44 +168,26 @@ class IdiomDetector:
             self.limits.with_overrides(deadline_s=deadline_s)
         matches: list[IdiomMatch] = []
         try:
-            if self.ordering == "forest":
-                # One fused pass: every idiom's matches from a single
-                # forest walk. Match.stats is the pass-level accounting,
-                # shared by every match of the function.
-                solutions, solve_stats = self.compiler.match_library(
-                    function, self.idioms, analyses=analyses,
-                    limits=limits, memo=self.memo, indexed=self.indexed)
-                stats.merge(solve_stats)
-                for idiom in self.idioms:
-                    matches.extend(
-                        m for m in (IdiomMatch(idiom, function, sol,
-                                               stats=solve_stats)
-                                    for sol in solutions[idiom])
-                        if _post_filter(m))
-            else:
-                for idiom in self.idioms:
-                    found, solve_stats = self._detect_idiom(
-                        function, idiom, analyses, limits)
-                    stats.merge(solve_stats)
-                    matches.extend(found)
+            # One fused pass: every idiom's matches from a single forest
+            # walk. Match.stats is the pass-level accounting, shared by
+            # every match of the function.
+            solutions, solve_stats = self.compiler.match_library(
+                function, self.idioms, analyses=analyses, limits=limits)
+            stats.merge(solve_stats)
+            for idiom in self.idioms:
+                matches.extend(idiom_matches(idiom, function,
+                                             solutions[idiom], solve_stats))
         except SolveTimeout:
             stats.timed_out = True
-        matches = _dedup_by_anchor(matches)
-        matches = _resolve_overlaps(matches)
-        return matches, stats
+        return resolve_matches(matches), stats
 
-    # -- internals --------------------------------------------------------------
-    def _detect_idiom(self, function: Function, idiom: str,
-                      analyses: FunctionAnalyses,
-                      limits: SolveLimits | None = None
-                      ) -> tuple[list[IdiomMatch], SolverStats]:
-        solutions, stats = self.compiler.match_with_stats(
-            function, idiom, analyses=analyses,
-            limits=limits or self.limits,
-            ordering=self.ordering, memo=self.memo, indexed=self.indexed)
-        matches = [IdiomMatch(idiom, function, sol, stats=stats)
-                   for sol in solutions]
-        return [m for m in matches if _post_filter(m)], stats
+
+def idiom_matches(idiom: str, function: Function, solutions: list[dict],
+                  stats: SolverStats) -> list[IdiomMatch]:
+    """One idiom's solutions as matches, post-filtered."""
+    matches = [IdiomMatch(idiom, function, sol, stats=stats)
+               for sol in solutions]
+    return [m for m in matches if _post_filter(m)]
 
 
 def _post_filter(match: IdiomMatch) -> bool:
@@ -263,8 +228,10 @@ def _dedup_by_anchor(matches: list[IdiomMatch]) -> list[IdiomMatch]:
     return result
 
 
-def _resolve_overlaps(matches: list[IdiomMatch]) -> list[IdiomMatch]:
-    """Drop matches subsumed by a more specific idiom on the same values.
+def resolve_matches(matches: list[IdiomMatch]) -> list[IdiomMatch]:
+    """A function's final match list: witness variants deduplicated by
+    anchor, then matches subsumed by a more specific idiom on the same
+    values dropped.
 
     A Reduction is the inner accumulation of every SPMV/GEMM (its
     ``old_value`` is the dot-product accumulator phi), so those matches are
@@ -273,7 +240,8 @@ def _resolve_overlaps(matches: list[IdiomMatch]) -> list[IdiomMatch]:
     histogram and conditional sum in one accept/reject loop) both count.
     """
     order = {name: i for i, name in enumerate(SPECIFICITY_ORDER)}
-    matches = sorted(matches, key=lambda m: order.get(m.idiom, 99))
+    matches = sorted(_dedup_by_anchor(matches),
+                     key=lambda m: order.get(m.idiom, 99))
     claimed_accumulators: set[int] = set()
     claimed_stores: set[int] = set()
     kept: list[IdiomMatch] = []

@@ -164,9 +164,6 @@ class DetectionReport:
     def total(self) -> int:
         return len(self.matches)
 
-    def of_idiom(self, name: str) -> list[IdiomMatch]:
-        return [m for m in self.matches if m.idiom == name]
-
 
 def report_fingerprint(report: DetectionReport,
                        by_identity: bool = True) -> list[tuple]:

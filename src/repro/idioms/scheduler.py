@@ -378,13 +378,10 @@ class DetectionSession:
     def _run(self, jobs: list[_Job]) -> dict:
         """Solve ``jobs`` through the supervisor's ladder; returns
         uid -> (matches, stats, summary) and records each outcome."""
-        detector = self.detector
-        # Lower and plan every idiom up front, whatever the ordering:
-        # pool threads must only read the compiler caches (the shared
-        # Lowerer's memo machinery, like the forest builder, is not
-        # safe to run concurrently).
-        detector.compiler.prepare(detector.idioms, memo=detector.memo,
-                                  forest=detector.ordering == "forest")
+        # Compile up front: pool threads must only read the compiler
+        # caches (the shared Lowerer's memo machinery, like the forest
+        # builder, is not safe to run concurrently).
+        self.detector.warmup()
         supervisor = Supervisor(self.policy, self.outcomes,
                                 workers=self.workers)
         rows = supervisor.run(jobs, self._solve, self._batches)

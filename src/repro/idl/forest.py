@@ -37,7 +37,8 @@ Three mechanisms stack:
 Execution-order equivalence is the design invariant throughout: for every
 idiom, the sequence of solutions the forest emits is identical to what the
 per-idiom plan executor would emit, so match sets (and the representative
-chosen among witness variants) are bit-identical to ``ordering="plan"``.
+chosen among witness variants) are bit-identical to per-idiom
+:meth:`~repro.idl.compiler.IdiomCompiler.match` solves.
 
 The forest has no executor of its own. Trie nodes and exclusive suffixes
 both run through :meth:`Solver.run_steps <repro.idl.solver.Solver.run_steps>`

@@ -367,7 +367,9 @@ class Lowerer:
     def lower_spec(self, name: str, params: dict[str, int] | None = None):
         """Lower a named specification to a solvable tree."""
         ctx = _Context(dict(params or {}), {}, None, None)
-        return self._lower_named(name, ctx)
+        lowered = self._lower_named(name, ctx)
+        _check_collects_bound(lowered, frozenset(), name)
+        return lowered
 
     def _lower_named(self, name: str, ctx: _Context):
         native = self.registry.native(name)
@@ -503,6 +505,33 @@ class Lowerer:
             raise IDLError(
                 f"collect index {node.index!r} unused in variable names")
         return LCollect(node.index, limit, instances[0], index_names)
+
+
+def _check_collects_bound(node, bound: frozenset, name: str) -> None:
+    """Reject a ``collect`` whose outer variables nothing binds: it has
+    no enclosing search to enumerate for, and the execution strategies
+    disagree on its meaning. An outer variable is bound by a non-collect
+    sibling in an enclosing conjunction, or, for a nested collect, by
+    being an outer variable of the collect around it."""
+    if isinstance(node, LAnd):
+        children = node.children
+        bound = bound.union(*[child.free_vars() for child in children
+                              if not isinstance(child, LCollect)])
+    elif isinstance(node, LOr):
+        children = node.children
+    elif isinstance(node, LCollect):
+        unbound = sorted(node.free_vars() - bound)
+        if unbound:
+            raise IDLError(
+                f"idiom {name!r}: collect over {node.index!r} uses outer "
+                f"variable {{{unbound[0]}}}, which no enclosing conjunct "
+                f"binds")
+        children = [node.instance]
+        bound = bound | node.free_vars()
+    else:
+        return
+    for child in children:
+        _check_collects_bound(child, bound, name)
 
 
 def _memoizable(lowered) -> bool:

@@ -97,7 +97,8 @@ class SolverStats:
     ``feasibility_skips`` counts (function, idiom) solves the forest's
     compile-time signatures proved empty without touching the solver, and
     ``subquery_hits`` replays of the forest's shared per-function collect
-    cache (both zero outside ``ordering="forest"``).
+    cache (both zero outside
+    :meth:`~repro.idl.compiler.IdiomCompiler.match_library`).
     """
 
     ticks: int = 0

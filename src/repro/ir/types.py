@@ -222,12 +222,21 @@ def ptr(ty: IRType) -> PointerType:
     return PointerType(ty)
 
 
+#: Deepest array nesting :func:`parse_type` accepts; deeper text raises
+#: IRError instead of exhausting the interpreter stack.
+MAX_TYPE_DEPTH = 64
+
+
 def parse_type(text: str) -> IRType:
     """Parse a type from its textual form (inverse of ``str``).
 
     Supports scalars, pointers and arrays, e.g. ``"double*"``,
     ``"[4 x [8 x float]]"``.
     """
+    # An array has one element type, so every bracket opens one more
+    # level of nesting.
+    if text.count("[") > MAX_TYPE_DEPTH:
+        raise IRError(f"type nested deeper than {MAX_TYPE_DEPTH} arrays")
     text = text.strip()
     stars = 0
     while text.endswith("*"):

@@ -106,16 +106,14 @@ class ExecutionResult:
 
 
 def compile_workload(name: str, source: str, workers: int = 1,
-                     ordering: str = "forest",
                      verify: bool = True,
                      cache_dir=None,
                      deadline_s: float | None = None,
                      max_retries: int = 2) -> CompiledWorkload:
     """Compile and detect, recording wall-clock for Table 2.
 
-    ``workers`` sizes the detection session's thread pool and ``ordering`` the solve configuration (cross-idiom plan
-    forest by default); the report is identical regardless
-    (deterministic merge, bit-identical match sets). ``verify=False``
+    ``workers`` sizes the detection session's thread pool; the report
+    is identical at any worker count (deterministic merge). ``verify=False``
     skips post-convergence IR verification — the experiment harness's
     hot path; tests keep it on. ``cache_dir`` (a directory path, or a shared
     :class:`~repro.cache.ArtifactStore` for aggregate telemetry) enables
@@ -132,8 +130,9 @@ def compile_workload(name: str, source: str, workers: int = 1,
     module = compile_c(source, name)
     optimize(module, verify=verify)
     t1 = time.perf_counter()
-    report = IdiomDetector(ordering=ordering, cache=cache_dir) \
-        .detect(module, workers=workers, deadline_s=deadline_s, max_retries=max_retries)
+    report = IdiomDetector(cache=cache_dir).detect(
+        module, workers=workers, deadline_s=deadline_s,
+        max_retries=max_retries)
     t2 = time.perf_counter()
     return CompiledWorkload(name, module, report,
                             compile_seconds=t1 - t0,

@@ -36,9 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_endpoint(serve)
     serve.add_argument("--workers", type=int, default=1,
                        help="detection thread pool size per batch")
-    serve.add_argument("--ordering",
-                       choices=["forest", "plan", "dynamic"],
-                       default="forest", help="solve configuration")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="keep the artifact store on disk, across "
                             "restarts (default: in memory)")
@@ -115,7 +112,7 @@ def _serve(args) -> int:
 
         profile = read_profile_json(args.profile, strict=True)
     config = ServiceConfig(
-        workers=args.workers, ordering=args.ordering,
+        workers=args.workers,
         cache_dir=args.cache_dir,
         budget_bytes=None if args.budget_mb is None
         else int(args.budget_mb * 1024 * 1024),

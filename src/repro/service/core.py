@@ -139,7 +139,7 @@ class ServiceConfig:
 
     ``workers``/``deadline_s``/``max_retries`` configure each
     batch's :class:`~repro.idioms.scheduler.DetectionSession`;
-    ``ordering`` the resident detector; ``cache_dir``/``budget_bytes``/
+    ``cache_dir``/``budget_bytes``/
     ``eviction``/``durable`` the shared artifact store (``cache_dir=None``
     keeps it in memory, capped at
     :data:`~repro.cache.store.DEFAULT_MEMORY_BUDGET_BYTES` unless
@@ -150,7 +150,6 @@ class ServiceConfig:
     """
 
     workers: int = 1
-    ordering: str = "forest"
     cache_dir: str | None = None
     budget_bytes: int | None = None
     eviction: str = "lru"
@@ -307,8 +306,7 @@ class DetectionService:
                                   budget_bytes=self.config.budget_bytes,
                                   eviction=self.config.eviction)
         self.store = store
-        self.detector = IdiomDetector(ordering=self.config.ordering,
-                                      cache=store)
+        self.detector = IdiomDetector(cache=store)
         self.ledger = InflightLedger()
         self.warmup_s = 0.0
         #: One lock guards every counter, the tenant queues and the parse

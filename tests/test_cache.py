@@ -17,7 +17,9 @@ from repro.cache import (
     STORE_VERSION,
     ArtifactStore,
     DetectionCache,
+    decode_detection,
     detection_config_signature,
+    encode_detection,
     function_fingerprint,
     globals_signature,
     summary_fingerprint,
@@ -30,6 +32,7 @@ from repro.idioms import (
     detect_idioms,
     report_fingerprint,
 )
+from repro.idioms.oracle import PerIdiomDetector
 from repro.ir.instructions import BinaryOperator
 from repro.ir.parser import parse_module
 from repro.ir.printer import (
@@ -271,28 +274,20 @@ class TestFingerprints:
 
     def test_detector_config_signature_inputs(self):
         base = detection_config_signature(
-            "lib", ("Reduction",), 100, 1000, "forest", True, True, "pp")
+            "lib", ("Reduction",), 100, 1000, "pp")
         assert base == detection_config_signature(
-            "lib", ("Reduction",), 100, 1000, "forest", True, True, "pp")
+            "lib", ("Reduction",), 100, 1000, "pp")
         for changed in (
             detection_config_signature(
-                "lib2", ("Reduction",), 100, 1000, "forest", True, True,
-                "pp"),
+                "lib2", ("Reduction",), 100, 1000, "pp"),
             detection_config_signature(
-                "lib", ("Reduction", "GEMM"), 100, 1000, "forest", True,
-                True, "pp"),
+                "lib", ("Reduction", "GEMM"), 100, 1000, "pp"),
             detection_config_signature(
-                "lib", ("Reduction",), 101, 1000, "forest", True, True,
-                "pp"),
+                "lib", ("Reduction",), 101, 1000, "pp"),
             detection_config_signature(
-                "lib", ("Reduction",), 100, 1000, "plan", True, True,
-                "pp"),
+                "lib", ("Reduction",), 100, 1001, "pp"),
             detection_config_signature(
-                "lib", ("Reduction",), 100, 1000, "forest", False, True,
-                "pp"),
-            detection_config_signature(
-                "lib", ("Reduction",), 100, 1000, "forest", True, True,
-                "pp2"),
+                "lib", ("Reduction",), 100, 1000, "pp2"),
         ):
             assert changed != base
 
@@ -387,23 +382,29 @@ class TestDetectionCache:
         session.detect(module)
         assert session.cache_misses == 0
 
-    def test_per_match_stats_survive_the_round_trip(self, tmp_path):
-        """Plan/dynamic orderings attach per-(function, idiom) solve
-        stats to each match; a warm report must restore them, not hand
-        every match the function aggregate."""
+    def test_per_match_stats_survive_the_round_trip(self):
+        """The per-idiom oracle attaches per-(function, idiom) solve
+        stats to each match; a decoded payload must restore them, not
+        hand every match the function aggregate."""
         module = compiled()
-        cold = IdiomDetector(ordering="plan").detect(module)
-        det = IdiomDetector(ordering="plan", cache=str(tmp_path))
-        det.detect(module)
-        warm = DetectionSession(det).detect(module)
-        assert [m.stats.as_dict() for m in cold.matches] == \
-            [m.stats.as_dict() for m in warm.matches]
-        assert [m.stats.max_steps for m in cold.matches] == \
-            [m.stats.max_steps for m in warm.matches]
+        detector = PerIdiomDetector()
+        cold, warm = [], []
+        for function in module.functions.values():
+            matches, stats = detector.detect_function_with_stats(function)
+            payload = json.loads(json.dumps(
+                encode_detection(function, matches, stats)))
+            entry = decode_detection(payload, function, module)
+            assert entry.stats.as_dict() == stats.as_dict()
+            cold.extend(matches)
+            warm.extend(entry.matches)
+        assert [m.stats.as_dict() for m in cold] == \
+            [m.stats.as_dict() for m in warm]
+        assert [m.stats.max_steps for m in cold] == \
+            [m.stats.max_steps for m in warm]
         # Distinct idioms of one function really do carry distinct
         # stats, so the assertion above is not vacuous.
         per_match = {tuple(sorted(m.stats.as_dict().items()))
-                     for m in cold.matches}
+                     for m in cold}
         assert len(per_match) > 1
 
     def test_forest_stats_sharing_survives_round_trip(self, tmp_path):
@@ -586,8 +587,7 @@ class TestRunnerAndBench:
         from repro.experiments import bench_cache
 
         result = bench_cache.run_benchmark(
-            ["histo", "sgemm"], cache_dir=str(tmp_path), rounds=2,
-            full=False)
+            ["histo", "sgemm"], cache_dir=str(tmp_path), rounds=2)
         assert result["suite"]["match_sets_identical"]
         assert result["edit_session"]["only_mutated_resolved"]
         for cell in result["matrix"].values():

@@ -13,6 +13,7 @@ from repro.idioms import (
     TOP_LEVEL_IDIOMS,
     load_library,
 )
+from repro.idioms.oracle import PerIdiomDetector
 from repro.idl import (
     DEFAULT_MAX_STEPS,
     IdiomCompiler,
@@ -40,11 +41,7 @@ def suite_modules():
 
 @pytest.fixture(scope="module")
 def detectors():
-    forest = IdiomDetector(ordering="forest")
-    plan = IdiomDetector(ordering="plan")
-    forest.compiler.prepare(forest.idioms, forest=True)
-    plan.compiler.prepare(plan.idioms)
-    return forest, plan
+    return IdiomDetector().warmup(), PerIdiomDetector().warmup()
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +65,8 @@ class TestForestEquivalence:
     def test_forest_matches_dynamic(self, name, suite_modules):
         """Spot check against the seed's dynamic ordering as well."""
         module = suite_modules[name]
-        forest_report = IdiomDetector(ordering="forest").detect(module)
-        dynamic_report = IdiomDetector(ordering="dynamic", memo=False,
-                                       indexed=False).detect(module)
+        forest_report = IdiomDetector().detect(module)
+        dynamic_report = PerIdiomDetector.seed().detect(module)
         assert report_fingerprint(forest_report) == \
             report_fingerprint(dynamic_report)
 
@@ -92,10 +88,8 @@ class TestForestEquivalence:
         both executors."""
         module = compiled(SNIPPETS["stencil"])
         for cap in (1, 2):
-            forest = IdiomDetector(ordering="forest", max_solutions=cap) \
-                .detect(module)
-            plan = IdiomDetector(ordering="plan", max_solutions=cap) \
-                .detect(module)
+            forest = IdiomDetector(max_solutions=cap).detect(module)
+            plan = PerIdiomDetector(max_solutions=cap).detect(module)
             assert report_fingerprint(forest) == report_fingerprint(plan)
 
 
@@ -178,7 +172,7 @@ End
         module = compiled(SNIPPETS["reduction"])
         analyses = FunctionAnalyses(module.get_function("f"))
         assert analyses.max_loop_depth == 1
-        forest = IdiomDetector(ordering="forest")
+        forest = IdiomDetector()
         trie = forest.compiler.forest_for(tuple(forest.idioms))
         assert trie.signatures["Reduction"].admits(analyses)
         assert not trie.signatures["GEMM"].admits(analyses)
@@ -189,7 +183,7 @@ End
         sequential loops satisfy it, so an idiom constraining only loop
         *headers* must keep min_loop_depth 1 and stay feasible
         (regression: it used to be pruned as depth 2, losing matches
-        under the default forest ordering)."""
+        under forest detection)."""
         idl = IdiomCompiler()
         load_library(idl)
         idl.load("""
@@ -292,7 +286,7 @@ void f(int n, double *x, double *q) {
   q[0] = s;
 }
 """)
-        detector = IdiomDetector(ordering="forest")
+        detector = IdiomDetector()
         session = DetectionSession(detector)
         report = session.detect(module)
         counts = report.by_idiom()
@@ -300,7 +294,7 @@ void f(int n, double *x, double *q) {
         assert report.stats.subquery_hits > 0
         assert session.analyses["f"].subquery_cache
         # Same matches as the per-idiom executor, cache or no cache.
-        plan_report = IdiomDetector(ordering="plan").detect(module)
+        plan_report = PerIdiomDetector().detect(module)
         assert report_fingerprint(report) == report_fingerprint(plan_report)
 
     def test_renamed_collects_share_cache_and_retarget(self):
@@ -344,13 +338,12 @@ void f(double *a, double *b) {
         assert root == "load"  # the retargeted family name, not read[0]
 
     def test_match_library_single_idiom_equals_match(self):
-        """ordering='forest' through match_with_stats routes one idiom
-        through the forest and agrees with the plan path."""
+        """A one-idiom forest pass agrees with the plan path."""
         idl = IdiomCompiler()
         load_library(idl)
         module = compiled(SNIPPETS["spmv"])
         function = module.get_function("f")
-        forest_sols = idl.match(function, "SPMV", ordering="forest")
+        forest_sols = idl.match_library(function, ["SPMV"])[0]["SPMV"]
         plan_sols = idl.match(function, "SPMV", ordering="plan")
         assert [sorted((k, value_key(v)) for k, v in s.items())
                 for s in forest_sols] == \
@@ -358,8 +351,11 @@ void f(double *a, double *b) {
              for s in plan_sols]
 
     def test_unknown_ordering_rejected(self):
+        idl = IdiomCompiler()
+        load_library(idl)
+        function = compiled(SNIPPETS["spmv"]).get_function("f")
         with pytest.raises(IDLError, match="unknown ordering"):
-            IdiomDetector(ordering="rete")
+            idl.match(function, "SPMV", ordering="rete")
 
     def test_forest_budget_scales_with_feasible_idioms(self):
         """The fused pass shares one solver, so its step budget scales by
@@ -443,3 +439,46 @@ class TestValueKeyInterning:
         assert inst._value_key == key
         assert value_key(inst) is inst._value_key or \
             value_key(inst) == inst._value_key
+
+
+# ---------------------------------------------------------------------------
+# One solve configuration on every user path
+# ---------------------------------------------------------------------------
+
+class TestKnobCensus:
+    KNOBS = {"ordering", "memo", "indexed"}
+
+    def test_no_solve_knobs_on_user_paths(self):
+        """Detection always solves with the forest: no user-facing entry
+        point takes an ordering, memo or indexed switch (the per-idiom
+        engines are reachable only through repro.idioms.oracle and
+        IdiomCompiler.match)."""
+        from dataclasses import fields
+        from inspect import signature
+
+        from repro.runtime.runner import compile_workload
+        from repro.service import ServiceConfig
+
+        surfaces = {
+            "IdiomDetector.__init__": signature(IdiomDetector).parameters,
+            "IdiomDetector instance": vars(IdiomDetector()),
+            "ServiceConfig": {f.name for f in fields(ServiceConfig)},
+            "compile_workload": signature(compile_workload).parameters,
+        }
+        for method in ("compile", "plan_for", "forest_for",
+                       "match_library"):
+            surfaces[f"IdiomCompiler.{method}"] = \
+                signature(getattr(IdiomCompiler, method)).parameters
+        for name, params in surfaces.items():
+            assert self.KNOBS.isdisjoint(params), name
+
+    def test_ordering_flag_rejected_by_the_clis(self, capsys):
+        from repro.experiments import harness
+        from repro.service.__main__ import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", "--ordering", "plan"])
+        assert "--ordering" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            harness.main(["table1", "--ordering", "plan"])
+        assert "--ordering" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import LexError, ParseError, SemanticError
 from repro.frontend import compile_c, parse_c, preprocess, tokenize
+from repro.frontend.parser import MAX_EXPR_DEPTH
+from repro.idioms import detect_idioms
 from repro.ir import verify_module
 from repro.passes import optimize
 from repro.runtime import Interpreter
@@ -62,6 +64,36 @@ class TestParser:
     def test_array_dims_constant_folded(self):
         unit = parse_c("double a[4*8];")
         assert unit.globals[0].ctype.dims == (32,)
+
+
+def _nested_sum(depth: int) -> str:
+    """``x+(x+(...(x)...))`` with ``depth`` parenthesised levels."""
+    return "int f(int x) { return " + "x+(" * depth + "x" + \
+        ")" * depth + "; }"
+
+
+class TestNestingLimit:
+    """Hostile nesting is a typed, located parse error, never a
+    RecursionError from the interpreter stack."""
+
+    def test_deep_parentheses(self):
+        source = "int f(int x) { return " + "(" * 3000 + "x" + \
+            ")" * 3000 + "; }"
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            compile_c(source)
+        assert info.value.location is not None
+
+    def test_deep_right_nested_binaries(self):
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            compile_c(_nested_sum(3000))
+        assert info.value.location is not None
+
+    def test_limit_is_exact_and_survives_the_pipeline(self):
+        module = compile_c(_nested_sum(MAX_EXPR_DEPTH))
+        optimize(module)
+        assert detect_idioms(module).total() == 0
+        with pytest.raises(ParseError):
+            compile_c(_nested_sum(MAX_EXPR_DEPTH + 1))
 
 
 class TestCodegenSemantics:

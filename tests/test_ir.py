@@ -33,6 +33,7 @@ from repro.ir import (
     ptr,
     verify_module,
 )
+from repro.ir.types import MAX_TYPE_DEPTH
 
 
 class TestTypes:
@@ -56,6 +57,16 @@ class TestTypes:
             IntType(0)
         with pytest.raises(IRError):
             parse_type("banana")
+
+    def test_deep_array_type_is_an_ir_error(self):
+        def nested(depth):
+            return "[2 x " * depth + "i32" + "]" * depth
+
+        assert str(parse_type(nested(MAX_TYPE_DEPTH))) == \
+            nested(MAX_TYPE_DEPTH)
+        for depth in (MAX_TYPE_DEPTH + 1, 3000):
+            with pytest.raises(IRError, match="nested deeper"):
+                parse_type(nested(depth))
 
     def test_int_bounds(self):
         assert I32.min_value() == -(2**31)

@@ -12,6 +12,7 @@ from repro.idioms import (
     TOP_LEVEL_IDIOMS,
     load_library,
 )
+from repro.idioms.oracle import PerIdiomDetector
 from repro.idl import (
     AndPlan,
     CollectPlan,
@@ -109,8 +110,7 @@ class TestPlanCompilation:
             for idiom in TOP_LEVEL_IDIOMS:
                 fast = plan_idl.match(function, idiom)
                 seed = legacy_idl.match(function, idiom,
-                                        ordering="dynamic", memo=False,
-                                        indexed=False)
+                                        ordering="dynamic", indexed=False)
                 assert solution_keys(fast) == solution_keys(seed), \
                     f"{idiom} diverged on snippet {snippet}"
 
@@ -146,7 +146,7 @@ class TestPlanCompilation:
         """All seven idioms share one cached For solution set (per-idiom
         plan mode: every feasible idiom replays the same memo entry)."""
         module = compiled(SNIPPETS["reduction"])
-        detector = IdiomDetector(ordering="plan")
+        detector = PerIdiomDetector()
         session = DetectionSession(detector)
         report = session.detect(module)
         assert report.by_idiom() == {"Reduction": 1}
@@ -160,8 +160,7 @@ class TestPlanCompilation:
         has no store, so every idiom but Reduction is skipped before the
         solver runs — same matches, fewer memo replays."""
         module = compiled(SNIPPETS["reduction"])
-        detector = IdiomDetector()  # ordering="forest" is the default
-        assert detector.ordering == "forest"
+        detector = IdiomDetector()
         session = DetectionSession(detector)
         report = session.detect(module)
         assert report.by_idiom() == {"Reduction": 1}
@@ -172,8 +171,7 @@ class TestPlanCompilation:
     def test_plan_reduces_search_steps(self):
         module = compiled(SNIPPETS["spmv"])
         fast = IdiomDetector().detect(module)
-        seed = IdiomDetector(ordering="dynamic", memo=False,
-                             indexed=False).detect(module)
+        seed = PerIdiomDetector.seed().detect(module)
         assert fast.by_idiom() == seed.by_idiom()
         assert fast.stats.ticks * 2 <= seed.stats.ticks
 
@@ -232,21 +230,6 @@ class TestSolveLimits:
         limits = SolveLimits().with_overrides(max_solutions=7)
         assert limits.max_solutions == 7
         assert limits.max_steps == SolveLimits().max_steps
-
-
-class TestMatchModule:
-    def test_reuses_provided_function_analyses(self):
-        idl = IdiomCompiler()
-        idl.load("Constraint AnyAdd ( {a} is add instruction ) End")
-        module = compiled("int f(int a) { return a + 1; }"
-                          "int g(int a) { return a + 2; }")
-        analyses = {}
-        first = idl.match_module(module, "AnyAdd", analyses=analyses)
-        assert sorted(analyses) == ["f", "g"]
-        kept = dict(analyses)
-        second = idl.match_module(module, "AnyAdd", analyses=analyses)
-        assert all(analyses[k] is kept[k] for k in kept)
-        assert len(first) == len(second) == 2
 
 
 @pytest.fixture(scope="module")

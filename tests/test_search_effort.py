@@ -13,14 +13,18 @@ expired deadline and pin where the search stood when the limit fired,
 so a tick taken outside :meth:`SolverStats.tick` cannot drift unseen.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.info import FunctionAnalyses
 from repro.errors import IDLError, SolveTimeout
 from repro.frontend import compile_c
 from repro.idioms import IdiomDetector
+from repro.idioms.oracle import PerIdiomDetector
 from repro.idl import IdiomCompiler
 from repro.idl.forest import execute_forest
+from repro.idl.plan import plan_signature
 from repro.idl.solver import SolveLimits, Solver
 from repro.passes import optimize
 from repro.service.wire import report_wire_fingerprint
@@ -99,8 +103,14 @@ PLAN_TOTALS = {"ticks": 79163, "backtracks": 9411, "plan_fallbacks": 19,
 DYNAMIC_TOTALS = dict(PLAN_TOTALS, plan_fallbacks=0)
 
 
+def _detector(ordering: str) -> IdiomDetector:
+    detector = IdiomDetector() if ordering == "forest" else \
+        PerIdiomDetector(ordering=ordering)
+    return detector.warmup()
+
+
 def _detect_suite(ordering: str) -> dict:
-    detector = IdiomDetector(ordering=ordering).warmup()
+    detector = _detector(ordering)
     out = {}
     for workload in all_workloads():
         module = optimize(compile_c(workload.source, workload.name))
@@ -171,7 +181,7 @@ def _trip(ordering: str, limits: SolveLimits):
     (``"forest"`` or the idiom name), the exception and the solver's
     stats at that instant. Fresh analyses keep the memo tables cold."""
     function = _cg_run()
-    detector = IdiomDetector(ordering=ordering).warmup()
+    detector = _detector(ordering)
     compiler = detector.compiler
     analyses = FunctionAnalyses(function)
     if ordering == "forest":
@@ -231,18 +241,12 @@ def test_expired_deadline_fires_at_first_clock_sample(ordering, where,
 # Plan shapes the idiom library does not use
 # ---------------------------------------------------------------------------
 
-#: A disjunction or a collect as the whole idiom (never readiness-checked),
-#: a collect whose outer variable nothing binds, disjunctions and collects
-#: nested in each other, and a multi-binding ``reaches phi`` step.
+#: A disjunction as the whole idiom (never readiness-checked), a collect
+#: with an outer variable, disjunctions and collects nested in each other,
+#: and a multi-binding ``reaches phi`` step.
 SHAPES_IDL = """
 Constraint TopOr
 ( {x} is fadd instruction or {x} is fmul instruction )
-End
-
-Constraint TopCollect
-( collect i 6
-  ( {ld[i]} is load instruction and
-    {ld[i]} has data flow to {user} ) )
 End
 
 Constraint CollectOuter
@@ -293,17 +297,13 @@ End
 
 #: Summed over every function of CG, histo and stencil and every shape.
 SHAPE_TOTALS = {
-    "plan": _stats(1883, 223, 87, 70, 0, 0, 0, 0),
-    "forest": _stats(1720, 223, 87, 87, 0, 0, 26, 0),
-    "dynamic": _stats(1883, 223, 0, 70, 0, 0, 0, 0),
+    "plan": _stats(1746, 223, 70, 70, 0, 0, 0, 0),
+    "forest": _stats(1720, 223, 70, 70, 0, 0, 26, 0),
+    "dynamic": _stats(1746, 223, 0, 70, 0, 0, 0, 0),
 }
-#: Matches per shape (plan, forest, dynamic). The orderings agree except
-#: on TopCollect: its collect's outer variable is never bound, which the
-#: forest's readiness check turns into a stuck conjunction while the
-#: per-idiom executors run a root plan without one.
+#: Matches per shape (plan, forest, dynamic).
 SHAPE_MATCHES = {
     "TopOr": (43, 43, 43),
-    "TopCollect": (17, 0, 17),
     "CollectOuter": (30, 30, 30),
     "OrInside": (3, 3, 3),
     "OrCollect": (13, 13, 13),
@@ -327,8 +327,14 @@ def _shape_totals() -> tuple[dict, dict]:
                 continue
             for name in names:
                 for ordering in SHAPE_TOTALS:
-                    found, stats = compiler.match_with_stats(
-                        function, name, ordering=ordering, limits=limits)
+                    if ordering == "forest":
+                        found, stats = compiler.match_library(
+                            function, [name], limits=limits)
+                        found = found[name]
+                    else:
+                        found, stats = compiler.match_with_stats(
+                            function, name, ordering=ordering,
+                            limits=limits)
                     for key, value in stats.as_dict().items():
                         totals[ordering][key] += value
                     counts = matches.setdefault(name, dict.fromkeys(
@@ -342,3 +348,69 @@ def test_unusual_plan_shapes_search_effort():
     totals, matches = _shape_totals()
     assert totals == SHAPE_TOTALS
     assert matches == SHAPE_MATCHES
+
+
+def test_collect_with_unbound_outer_variable_is_rejected():
+    """A collect whose outer variable nothing binds has no enclosing
+    search to enumerate it for; lowering rejects it by name."""
+    compiler = IdiomCompiler()
+    compiler.load("""
+Constraint TopCollect
+( collect i 6
+  ( {ld[i]} is load instruction and
+    {ld[i]} has data flow to {user} ) )
+End
+""")
+    with pytest.raises(IDLError, match=r"'TopCollect'.*\{user\}"):
+        compiler.compile("TopCollect")
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans and the forest trie
+# ---------------------------------------------------------------------------
+
+#: sha256 of ``repr(plan_signature(...))`` per library root: the lowered
+#: structure, the schedule and the assumed bindings of every plan step.
+PLAN_SIGNATURE_GOLDEN = {
+    "GEMM": "2c6be7fce252eca276676a584a293c6c14f9dabc531db406f8fa353879e54ec6",
+    "SPMV": "d9aead140b23ac55dcceade627135f33f4e792546d098ab82a1a7050b59bd13b",
+    "Stencil3D":
+        "e3c6dd918a6c1217070164bbbf4b2e206f6b10a29a35ed4edd52ece98f336d26",
+    "Stencil2D":
+        "aa3b3855315dfb740cd952c27379c492eac16c592924abd6b87a33e2f1dbcb6e",
+    "Stencil1D":
+        "3c05acce24c7da0874c37605aaceeb4bd325e10b4993ed055072679a347553fb",
+    "Histogram":
+        "393fa8dbf60b726f9d91a2f43e7c7c5b92d767d850c5e0735bd81b88c084a974",
+    "Reduction":
+        "1d28cc053d01228b566e30e0f08ee70f9d00ac2af73849775003677d36c5cc34",
+}
+
+#: sha256 of the forest trie's shape (per node: depth, idioms through
+#: it, idioms ending at it, children) and every feasibility signature.
+FOREST_SHAPE_GOLDEN = \
+    "a3a898ccc1a383f426ad1bc3211b5e085348154f6463deb23c5fd74cfc75b9cf"
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _trie_shape(node) -> tuple:
+    return (node.depth, tuple(node.idioms), tuple(node.sinks),
+            tuple(_trie_shape(child) for child in node.children))
+
+
+def test_library_plans_are_pinned():
+    detector = IdiomDetector()
+    compiler = detector.compiler
+    assert detector.idioms == list(PLAN_SIGNATURE_GOLDEN)
+    assert {name: _sha(plan_signature(compiler.plan_for(name)))
+            for name in detector.idioms} == PLAN_SIGNATURE_GOLDEN
+    forest = compiler.forest_for(tuple(detector.idioms))
+    assert (forest.shared_steps, forest.total_steps) == (11, 181)
+    signatures = tuple((name, tuple(sorted(sig.required_opcodes)),
+                        sig.min_loop_depth)
+                       for name, sig in forest.signatures.items())
+    assert _sha((tuple(_trie_shape(root) for root in forest.roots),
+                 signatures)) == FOREST_SHAPE_GOLDEN

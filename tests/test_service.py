@@ -330,8 +330,7 @@ class TestResidency:
     def test_repeated_detects_reuse_forest_and_store(self, tmp_path):
         module = compiled()
         detector = IdiomDetector(cache=str(tmp_path)).warmup()
-        forest = detector.compiler.forest_for(
-            tuple(detector.idioms), memo=True)
+        forest = detector.compiler.forest_for(tuple(detector.idioms))
         baseline = detector.detect(module)
         fp = report_fingerprint(baseline, by_identity=False)
         for _ in range(3):
@@ -343,15 +342,14 @@ class TestResidency:
             assert report.stats.as_dict() == baseline.stats.as_dict()
         # warmup() + detects never rebuilt the forest.
         assert detector.compiler.forest_for(
-            tuple(detector.idioms), memo=True) is forest
+            tuple(detector.idioms)) is forest
 
     def test_warmup_is_idempotent(self):
         detector = IdiomDetector().warmup()
-        forest = detector.compiler.forest_for(
-            tuple(detector.idioms), memo=True)
+        forest = detector.compiler.forest_for(tuple(detector.idioms))
         detector.warmup()
         assert detector.compiler.forest_for(
-            tuple(detector.idioms), memo=True) is forest
+            tuple(detector.idioms)) is forest
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from repro.errors import IDLError, InjectedFault
+from repro.errors import IDLError, InjectedFault, IRError, ParseError
 from repro.frontend import compile_c
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.passes import optimize
 from repro.reliability import faults
@@ -359,6 +360,19 @@ class TestErrorEnvelope:
     def test_caller_errors_are_bad_request(self):
         assert encode_error(IDLError("nope"))["kind"] == "bad-request"
         assert encode_error(ValueError("nope"))["kind"] == "bad-request"
+
+    def test_hostile_nesting_is_bad_request(self):
+        """Over-deep C expressions and IR types fail with typed errors
+        the caller can fix, not as internal RecursionErrors."""
+        source = "int f(int x) { return " + "(" * 3000 + "x" + \
+            ")" * 3000 + "; }"
+        ir_text = "@g = global " + "[2 x " * 3000 + "i32" + \
+            "]" * 3000 + "\n"
+        for build, error in ((lambda: compile_c(source), ParseError),
+                             (lambda: parse_module(ir_text), IRError)):
+            with pytest.raises(error, match="nested deeper") as info:
+                build()
+            assert encode_error(info.value)["kind"] == "bad-request"
 
     def test_unexpected_errors_are_internal(self):
         assert encode_error(RuntimeError("boom"))["kind"] == "internal"
