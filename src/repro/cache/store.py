@@ -98,7 +98,7 @@ _TMP_COUNTER = itertools.count()
 @dataclass
 class StoreStats:
     """Hit/miss accounting for one store instance (observability and the
-    bench's only-mutated-functions-resolved assertions)."""
+    tests' only-mutated-functions-resolved assertions)."""
 
     hits: int = 0
     misses: int = 0

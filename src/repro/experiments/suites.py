@@ -1,4 +1,5 @@
-"""Workload selection and compilation shared by the ``bench_*`` modules.
+"""Workload selection and compilation shared by the ``bench_*`` modules
+and the gates.
 
 Every benchmark starts the same way — validate the ``--workloads``
 restriction against the registry, then compile and optimise each selected

@@ -1,13 +1,11 @@
 """Shared measurement helpers for the experiment benchmarks.
 
-Every ``bench_*`` module used to carry its own copy of these; they live
-here once so the measurement discipline stays uniform:
+Every ``bench_*`` module and the gates share these, so the measurement
+discipline stays uniform:
 
 * :func:`best_of` — best (minimum) wall clock over N runs, which is
   robust to scheduler noise on shared CI runners; the paired result is
   the *last* run's, so callers can both time and use the output.
-* :func:`timed` — one measured run, for costs that must not be repeated
-  (e.g. a pass that mutates its input).
 * :func:`geomean` — the geometric mean used for suite-level speedups.
 
 Latency percentiles live in :mod:`repro.service.latency`, next to the
@@ -21,13 +19,6 @@ import time
 
 #: Default timing repetitions for :func:`best_of`.
 DEFAULT_REPEATS = 3
-
-
-def timed(fn):
-    """(seconds, result) of one call."""
-    t0 = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - t0, result
 
 
 def best_of(fn, repeats: int = DEFAULT_REPEATS):

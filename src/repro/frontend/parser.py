@@ -55,12 +55,25 @@ _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 #: or in the recursive passes behind it.
 MAX_EXPR_DEPTH = 100
 
+#: Deepest statement nesting the parser accepts. Each block, ``if``
+#: (including an ``else if``), ``for``, ``while`` and ``do`` opens one
+#: level; the function body opens none. Deeper input raises ParseError
+#: instead of exhausting the interpreter stack, which 489 nested blocks
+#: or ``if``s do through ``compile_c`` at the top of a Python stack.
+MAX_STMT_DEPTH = 256
+
+#: The statements that open a nesting level, and their parse methods.
+_NESTING_STATEMENTS = {"{": "parse_compound", "if": "_parse_if",
+                       "for": "_parse_for", "while": "_parse_while",
+                       "do": "_parse_do_while"}
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.stmt_depth = 0
 
     # -- token plumbing ---------------------------------------------------------
     @property
@@ -203,16 +216,15 @@ class Parser:
 
     def parse_statement(self) -> Stmt:
         tok = self.current
-        if tok.text == "{":
-            return self.parse_compound()
-        if tok.text == "if":
-            return self._parse_if()
-        if tok.text == "for":
-            return self._parse_for()
-        if tok.text == "while":
-            return self._parse_while()
-        if tok.text == "do":
-            return self._parse_do_while()
+        parse = _NESTING_STATEMENTS.get(tok.text)
+        if parse is not None:
+            if self.stmt_depth >= MAX_STMT_DEPTH:
+                raise ParseError(f"statements nested deeper than "
+                                 f"{MAX_STMT_DEPTH} levels", tok.location)
+            self.stmt_depth += 1
+            stmt = getattr(self, parse)()
+            self.stmt_depth -= 1
+            return stmt
         if tok.text == "return":
             self.advance()
             value = None if self.current.text == ";" else self.parse_expression()

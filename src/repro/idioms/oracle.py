@@ -1,5 +1,5 @@
 """Per-idiom detection: the engines the plan forest is built from, kept
-as oracles for tests and the solver/detection benchmarks.
+as oracles for tests and the forest-vs-oracle timing gate.
 
 :class:`PerIdiomDetector` solves one idiom at a time through
 :meth:`~repro.idl.compiler.IdiomCompiler.match_with_stats` — each idiom's

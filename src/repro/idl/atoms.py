@@ -253,8 +253,8 @@ class AtomEngine:
 
     ``stats`` (when given) receives a tick per universe element a fallback
     scan filters, so the solver's step counts reflect generation work.
-    ``indexed=False`` restores the seed generators (full-universe scans) for
-    apples-to-apples benchmarking against the plan-driven configuration.
+    ``indexed=False`` restores the seed generators (full-universe scans)
+    that the seed oracle checks the plan-driven configuration against.
     """
 
     def __init__(self, context: SolveContext, stats=None,

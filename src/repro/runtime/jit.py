@@ -878,7 +878,7 @@ class JitVirtualMachine(VirtualMachine):
                 source = _Specializer(function, bc, self,
                                       self.vectorize).generate()
                 code = compile(source, f"<jit:{fp[:12]}>", "exec")
-                self.code_cache.put(fp, source, code)
+                self.code_cache.put(fp, code)
             ns = dict(_STATIC_NS)
             ns["ATYPES"] = [self.atypes_of(bc)[k]
                             for k in range(bc.n_allocas)]

@@ -2,7 +2,7 @@
 
 The JIT tier (:mod:`repro.runtime.jit`) separates *policy* from
 *mechanism*: this module decides **when** a function is worth compiling
-and **whether** a previous session or sibling VM already compiled it;
+and **whether** a sibling VM already compiled it;
 the specializer decides *how*. Two pieces:
 
 * :class:`HotnessTracker` — per-function heat counters against a
@@ -22,10 +22,7 @@ the specializer decides *how*. Two pieces:
   *arm ordering* consults the compiling VM's warm per-block counts when
   available (static loop depth otherwise), so a cache hit may serve a
   sibling VM's ordering — identical results and profiles, possibly a
-  different hottest-first layout. An optional :class:`~repro.cache.store
-  .ArtifactStore` backing persists the generated *source text*, letting
-  warm sessions skip the bytecode walk and codegen and go straight to
-  ``compile()``.
+  different hottest-first layout.
 """
 
 from __future__ import annotations
@@ -35,10 +32,6 @@ import hashlib
 from ..cache.fingerprint import globals_signature
 from ..ir.module import Function
 from ..ir.printer import print_function_canonical
-
-#: Bump whenever the generated-code shape changes (new preamble, changed
-#: guard structure, …); stale persisted sources then simply miss.
-JIT_VERSION = 4
 
 #: Heat at which the jit tier compiles a function. Measured on the
 #: suite-eval benchmark (EXPERIMENTS.md → "Tier-up threshold"): 16 and 64
@@ -62,7 +55,6 @@ def jit_fingerprint(function: Function, profiling: bool,
     module = function.module
     globals_sig = globals_signature(module) if module is not None else ""
     h = hashlib.sha256()
-    h.update(f"repro-jit-v{JIT_VERSION}".encode())
     for part in (print_function_canonical(function), globals_sig,
                  f"profile={int(profiling)}:vectorize={int(vectorize)}"):
         h.update(b"\x00")
@@ -97,17 +89,13 @@ class HotnessTracker:
 class CodeCache:
     """Fingerprint-keyed cache of compiled specializations.
 
-    In-process entries map a fingerprint to a Python *code object* (the
-    expensive artifacts: codegen walk + ``compile()``); callers ``exec``
-    it into a fresh namespace per VM, so no VM-instance state is ever
-    shared through the cache. With a ``store`` attached, source text is
-    additionally persisted under the same key (payload: one ``source``
-    string), so a later process rebuilds the code object from text
-    without re-walking bytecode.
+    Entries map a fingerprint to a Python *code object* (the expensive
+    artifacts: codegen walk + ``compile()``); callers ``exec`` it into a
+    fresh namespace per VM, so no VM-instance state is ever shared
+    through the cache.
     """
 
-    def __init__(self, store=None):
-        self.store = store
+    def __init__(self):
         self._code: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
@@ -118,33 +106,17 @@ class CodeCache:
                 "compiles": self.compiles, "entries": len(self._code)}
 
     def get(self, fingerprint: str):
-        """The cached code object, or None. Consults the persistent
-        backing on an in-process miss."""
+        """The cached code object, or None."""
         code = self._code.get(fingerprint)
         if code is not None:
             self.hits += 1
             return code
-        if self.store is not None:
-            payload = self.store.get(fingerprint)
-            source = payload.get("source") if payload else None
-            if isinstance(source, str):
-                try:
-                    code = compile(source, f"<jit:{fingerprint[:12]}>",
-                                   "exec")
-                except SyntaxError:  # corrupt/stale payload: treat as miss
-                    code = None
-                if code is not None:
-                    self._code[fingerprint] = code
-                    self.hits += 1
-                    return code
         self.misses += 1
         return None
 
-    def put(self, fingerprint: str, source: str, code) -> None:
+    def put(self, fingerprint: str, code) -> None:
         self._code[fingerprint] = code
         self.compiles += 1
-        if self.store is not None:
-            self.store.put(fingerprint, {"source": source})
 
 
 #: Process-wide default cache: VMs over identical module content share

@@ -84,7 +84,7 @@ def compiled(src=SRC, name="m"):
 
 
 def mutate(function, tag=1):
-    """A dead but fingerprint-changing edit (same as bench_cache's)."""
+    """A dead but fingerprint-changing edit."""
     dead = BinaryOperator("add", const_int(0), const_int(tag))
     dead.name = function.unique_name("editbump")
     function.blocks[0].insert(0, dead)
@@ -563,6 +563,49 @@ class TestDetectionCache:
         assert summary == FunctionAnalyses(module.functions["f"]).summary()
 
 
+class TestSuiteColdWarm:
+    """The cold/warm contract over all 21 workloads, not a snippet."""
+
+    #: Workloads whose first function one edit round mutates.
+    EDITED = ("CG", "lbm", "spmv")
+
+    def test_suite_warm_equals_cold_and_edits_resolve_one(self, tmp_path):
+        modules = {w.name: compiled(w.source, w.name)
+                   for w in all_workloads()}
+        assert len(modules) == 21
+        cold = IdiomDetector()
+        det = IdiomDetector(cache=str(tmp_path))
+        for name, module in modules.items():
+            cold_report = cold.detect(module)
+            det.detect(module)  # populate
+            session = DetectionSession(det)
+            warm = session.detect(module)
+            functions = sum(1 for f in module.functions.values()
+                            if not f.is_declaration())
+            assert (session.cache_hits, session.cache_misses) == \
+                (functions, 0), name
+            assert warm_fp(warm) == warm_fp(cold_report), name
+            assert warm.stats.as_dict() == cold_report.stats.as_dict(), \
+                name
+            for detector in (cold, det):
+                threaded = DetectionSession(detector, workers=2) \
+                    .detect(module)
+                assert warm_fp(threaded) == warm_fp(cold_report), name
+
+        for round_no, edited in enumerate(self.EDITED):
+            function = next(f for f in modules[edited].functions.values()
+                            if not f.is_declaration())
+            mutate(function, tag=round_no + 1)
+            for name, module in modules.items():
+                session = DetectionSession(det)
+                warm = session.detect(module)
+                assert session.cache_misses == (name == edited), name
+                if name == edited:
+                    fresh = cold.detect(module)
+                    assert warm_fp(warm) == warm_fp(fresh)
+                    assert warm.stats.as_dict() == fresh.stats.as_dict()
+
+
 class TestRunnerAndBench:
     def test_compile_workload_cache_dir(self, tmp_path):
         from repro.cache.detection import encode_solution
@@ -582,14 +625,3 @@ class TestRunnerAndBench:
                                   cache_dir=str(tmp_path))
         assert wire_fp(first.report) == wire_fp(second.report)
         assert ArtifactStore(str(tmp_path)).entry_count() > 0
-
-    def test_bench_cache_smoke(self, tmp_path):
-        from repro.experiments import bench_cache
-
-        result = bench_cache.run_benchmark(
-            ["histo", "sgemm"], cache_dir=str(tmp_path), rounds=2)
-        assert result["suite"]["match_sets_identical"]
-        assert result["edit_session"]["only_mutated_resolved"]
-        for cell in result["matrix"].values():
-            assert cell["identical"]
-        assert bench_cache.check_regression(result, max_ratio=100.0) == []

@@ -397,29 +397,6 @@ class TestSharedStepCap:
         assert merged.as_dict()["subquery_hits"] == 3
 
 
-class TestBenchDetect:
-    def test_bench_on_subset(self):
-        from repro.experiments.bench_detect import (
-            check_regression,
-            run_benchmark,
-        )
-
-        result = run_benchmark(["spmv", "histo"], full=True)
-        rows = result["workloads"]
-        assert rows["spmv"]["matches"] == 1
-        assert rows["spmv"]["feasibility_skips"] > 0
-        # The independent per-(function, idiom) arm repeats the shared
-        # per-function work per idiom, so it is always the slowest.
-        assert rows["spmv"]["independent_seconds"] > \
-            rows["spmv"]["forest_seconds"]
-        assert result["suite"]["match_sets_identical"]
-        assert result["value_key"]["speedup"] > 0
-        # A forest slower than the plan executor is flagged.
-        bad = {"suite": {"forest_seconds": 2.0, "plan_seconds": 1.0}}
-        assert check_regression(bad, 1.0)
-        assert not check_regression(result, 10.0)
-
-
 class TestValueKeyInterning:
     def test_constants_keyed_structurally(self):
         module = compiled("int f(int a) { return (a + 7) * (a - 7); }")

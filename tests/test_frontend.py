@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LexError, ParseError, SemanticError
 from repro.frontend import compile_c, parse_c, preprocess, tokenize
-from repro.frontend.parser import MAX_EXPR_DEPTH
+from repro.frontend.parser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH
 from repro.idioms import detect_idioms
 from repro.ir import verify_module
 from repro.passes import optimize
@@ -72,6 +72,17 @@ def _nested_sum(depth: int) -> str:
         ")" * depth + "; }"
 
 
+def _nested_blocks(depth: int) -> str:
+    """``{{...{ x++; }...}}`` with ``depth`` nested blocks."""
+    return "int f(int x) { " + "{" * depth + "x++;" + "}" * depth + \
+        " return x; }"
+
+
+def _chained_ifs(depth: int) -> str:
+    """``if (x) if (x) ... x++;`` with ``depth`` nested ``if``s."""
+    return "int f(int x) { " + "if (x) " * depth + "x++; return x; }"
+
+
 class TestNestingLimit:
     """Hostile nesting is a typed, located parse error, never a
     RecursionError from the interpreter stack."""
@@ -94,6 +105,20 @@ class TestNestingLimit:
         assert detect_idioms(module).total() == 0
         with pytest.raises(ParseError):
             compile_c(_nested_sum(MAX_EXPR_DEPTH + 1))
+
+    @pytest.mark.parametrize("nest", [_nested_blocks, _chained_ifs])
+    def test_statement_depth_at_limit_survives_the_pipeline(self, nest):
+        module = compile_c(nest(MAX_STMT_DEPTH))
+        optimize(module)
+        assert detect_idioms(module).total() == 0
+
+    @pytest.mark.parametrize("nest", [_nested_blocks, _chained_ifs])
+    @pytest.mark.parametrize("extra", [1, 1000])
+    def test_statement_depth_over_limit_is_rejected(self, nest, extra):
+        with pytest.raises(ParseError, match="statements nested deeper") \
+                as info:
+            compile_c(nest(MAX_STMT_DEPTH + extra))
+        assert info.value.location is not None
 
 
 class TestCodegenSemantics:

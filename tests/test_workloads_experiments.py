@@ -168,3 +168,53 @@ class TestCBackend:
         text = kernel_to_c(kernel, name="k", n_params=2)
         assert "double k(double in0, double in1)" in text
         assert "(in0 + (in1 * 2.0))" in text
+
+
+class TestGates:
+    def test_identity_checks_pass_on_a_subset(self, monkeypatch):
+        from repro.experiments import gates
+        from repro.experiments.suites import compile_suite
+
+        monkeypatch.setattr(gates, "ROUNDS", 1)
+        modules = compile_suite(["histo", "spmv"])
+        for gate in gates.GATES:
+            # Two tiny workloads time too briefly for the bounds to mean
+            # anything; only the identity and full-hit checks are read.
+            failures = gate(modules)
+            assert not [f for f in failures
+                        if "diverge" in f or "re-solved" in f]
+
+    def test_divergence_fails_the_gate_by_name(self, monkeypatch):
+        from repro.experiments import gates
+        from repro.experiments.suites import compile_suite
+        from repro.idioms import DetectionReport
+        from repro.idioms.oracle import PerIdiomDetector
+
+        monkeypatch.setattr(gates, "ROUNDS", 1)
+        monkeypatch.setattr(PerIdiomDetector, "detect",
+                            lambda self, module: DetectionReport(module.name))
+        failures = gates.detect_gate(compile_suite(["spmv"]))
+        assert "detect: spmv: forest and oracle match sets diverge" in \
+            failures
+
+
+#: Files that tell a reader which experiment modules to run.
+DOCUMENTED_COMMAND_FILES = (".github/workflows/ci.yml", "README.md",
+                            "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+
+class TestDocumentedCommands:
+    def test_every_documented_module_imports(self):
+        import importlib
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        commands = set()
+        for name in DOCUMENTED_COMMAND_FILES:
+            text = (root / name).read_text()
+            commands |= set(re.findall(
+                r"python3? -m (repro\.experiments\.\w+)", text))
+        assert "repro.experiments.gates" in commands
+        for module in sorted(commands):
+            importlib.import_module(module)
