@@ -1,9 +1,6 @@
-"""Workload selection and compilation shared by the ``bench_*`` modules
-and the gates.
-
-Every benchmark starts the same way — validate the ``--workloads``
-restriction against the registry, then compile and optimise each selected
-benchmark — so the prologue lives here once.
+"""Workload selection and compilation shared by the gates and the
+service CLI: validate a restriction to named workloads against the
+registry, then compile and optimise each selected workload.
 """
 
 from __future__ import annotations

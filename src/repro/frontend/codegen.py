@@ -459,16 +459,22 @@ class CodeGen:
         return result
 
     def _rv_BinaryExpr(self, expr: A.BinaryExpr) -> Value:
-        if expr.op == ",":
-            self._rvalue(expr.lhs)
-            return self._rvalue(expr.rhs)
-        if expr.op in ("&&", "||"):
+        if expr.op in _SHORT_CIRCUIT:
             return self._short_circuit(expr)
-        if expr.op in ("==", "!=", "<", "<=", ">", ">="):
-            return self._comparison(expr)
-        lhs = self._rvalue(expr.lhs)
-        rhs = self._rvalue(expr.rhs)
-        return self._arith(expr.op, lhs, rhs)
+        # Walk the left spine iteratively: a left-associative chain
+        # (``x+x+...+x``) is as deep as it is long, and the parser does
+        # not bound its length.
+        spine = _left_spine(expr, _SHORT_CIRCUIT)
+        value = self._rvalue(spine[-1].lhs)
+        for node in reversed(spine):
+            rhs = self._rvalue(node.rhs)
+            if node.op == ",":
+                value = rhs
+            elif node.op in _COMPARISONS:
+                value = self._comparison(node.op, value, rhs)
+            else:
+                value = self._arith(node.op, value, rhs)
+        return value
 
     def _arith(self, op: str, lhs: Value, rhs: Value) -> Value:
         # Pointer arithmetic.
@@ -499,18 +505,16 @@ class CodeGen:
             raise SemanticError(f"operator {op!r} requires integer operands")
         return self.builder.binop(opcode, lhs, rhs)
 
-    def _comparison(self, expr: A.BinaryExpr) -> Value:
-        lhs = self._rvalue(expr.lhs)
-        rhs = self._rvalue(expr.rhs)
+    def _comparison(self, op: str, lhs: Value, rhs: Value) -> Value:
         if isinstance(lhs.type, PointerType) or isinstance(rhs.type, PointerType):
             raise SemanticError("pointer comparison is not supported")
         lhs, rhs = self._usual_conversions(lhs, rhs)
         if lhs.type.is_float():
             pred = {"==": "oeq", "!=": "one", "<": "olt", "<=": "ole",
-                    ">": "ogt", ">=": "oge"}[expr.op]
+                    ">": "ogt", ">=": "oge"}[op]
             return self.builder.fcmp(pred, lhs, rhs)
         pred = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
-                ">": "sgt", ">=": "sge"}[expr.op]
+                ">": "sgt", ">=": "sge"}[op]
         return self.builder.icmp(pred, lhs, rhs)
 
     def _short_circuit(self, expr: A.BinaryExpr) -> Value:
@@ -643,20 +647,52 @@ class CodeGen:
         return self.builder.coerce(value, ty)
 
 
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+_SHORT_CIRCUIT = frozenset(("&&", "||"))
+
+
+def _left_spine(expr: A.BinaryExpr, stop=frozenset()) -> list:
+    """``expr`` and its chain of left operands that are binary
+    expressions (outermost first), ending before any whose operator is
+    in ``stop``."""
+    spine = [expr]
+    while isinstance(spine[-1].lhs, A.BinaryExpr) and \
+            spine[-1].lhs.op not in stop:
+        spine.append(spine[-1].lhs)
+    return spine
+
+
 def _is_pure(expr: A.Expr) -> bool:
     """Side-effect-free expressions may be evaluated eagerly for select."""
-    if isinstance(expr, (A.IntLiteral, A.FloatLiteral, A.NameRef)):
-        return True
-    if isinstance(expr, A.UnaryExpr):
-        return expr.op in ("-", "!", "~", "*") and _is_pure(expr.operand)
-    if isinstance(expr, A.BinaryExpr):
-        return expr.op not in ("&&", "||", ",") and \
-            _is_pure(expr.lhs) and _is_pure(expr.rhs)
-    if isinstance(expr, A.IndexExpr):
-        return _is_pure(expr.base) and _is_pure(expr.index)
-    if isinstance(expr, A.CastExpr):
-        return _is_pure(expr.operand)
-    return False
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (A.IntLiteral, A.FloatLiteral, A.NameRef)):
+            continue
+        if isinstance(node, A.UnaryExpr):
+            if node.op not in ("-", "!", "~", "*"):
+                return False
+            pending.append(node.operand)
+        elif isinstance(node, A.BinaryExpr):
+            if node.op in ("&&", "||", ","):
+                return False
+            pending += (node.lhs, node.rhs)
+        elif isinstance(node, A.IndexExpr):
+            pending += (node.base, node.index)
+        elif isinstance(node, A.CastExpr):
+            pending.append(node.operand)
+        else:
+            return False
+    return True
+
+
+_FOLDS = {
+    "+": lambda lhs, rhs: lhs + rhs,
+    "-": lambda lhs, rhs: lhs - rhs,
+    "*": lambda lhs, rhs: lhs * rhs,
+    "/": lambda lhs, rhs: lhs / rhs if isinstance(lhs, float) or
+    isinstance(rhs, float) else lhs // rhs,
+}
 
 
 def _fold_constant(expr: A.Expr):
@@ -669,17 +705,16 @@ def _fold_constant(expr: A.Expr):
         inner = _fold_constant(expr.operand)
         return -inner if inner is not None else None
     if isinstance(expr, A.BinaryExpr):
-        lhs = _fold_constant(expr.lhs)
-        rhs = _fold_constant(expr.rhs)
-        if lhs is None or rhs is None:
-            return None
-        try:
-            return {
-                "+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
-                "*": lambda: lhs * rhs,
-                "/": lambda: lhs / rhs if isinstance(lhs, float) or
-                isinstance(rhs, float) else lhs // rhs,
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError):
-            return None
+        # Iterative over the left spine, as in ``_rv_BinaryExpr``.
+        spine = _left_spine(expr)
+        value = _fold_constant(spine[-1].lhs)
+        for node in reversed(spine):
+            rhs = _fold_constant(node.rhs)
+            if value is None or rhs is None or node.op not in _FOLDS:
+                return None
+            try:
+                value = _FOLDS[node.op](value, rhs)
+            except ZeroDivisionError:
+                return None
+        return value
     return None

@@ -2,9 +2,11 @@
 
 The static efficiency constants in :mod:`repro.backends.api` were chosen
 to reproduce the paper's Table 3 ordering — they are priors, not
-measurements, and `BENCH_offload.json` showed the planner gaining only
-~3% suite-wide while trusting them. This module derives the cost model's
-parameters from what this machine actually does:
+measurements, and the planner gained only ~3% suite-wide over per-site
+greedy while trusting them (``tests/test_placement.py``
+``TestCalibratedPlacement`` pins the gains it keeps with the checked-in
+profile). This module derives the cost model's parameters from what
+this machine actually does:
 
 1. **Seeded microbench probes** measure host anchors (GEMM flops rate,
    streaming/copy bandwidth, per-call dispatch and kernel-launch

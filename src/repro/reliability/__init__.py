@@ -11,7 +11,7 @@ allowed to take the process down. Three pieces:
   :func:`~repro.reliability.faults.maybe_fire`; an installed plan decides
   per occurrence whether to raise, hang or tear. With no plan
   installed the hook is one global read — injection stays compiled in at
-  negligible cost (gated by ``bench_faults --check``).
+  negligible cost (the ``seams`` gate of :mod:`repro.experiments.gates`).
 * :mod:`.supervisor` — the detection session's execution ladder:
   per-function in-band wall-clock deadlines, bounded retry with backoff
   for transient failures and staged degradation thread → serial, with

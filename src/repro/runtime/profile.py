@@ -120,5 +120,5 @@ class CodeCache:
 
 
 #: Process-wide default cache: VMs over identical module content share
-#: compilations (bench_interp's repeated runs, test fixtures, …).
+#: compilations (the interp gate's repeated runs, test fixtures, …).
 GLOBAL_CODE_CACHE = CodeCache()

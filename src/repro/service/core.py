@@ -62,8 +62,9 @@ assuming an idle machine.
 
 Fault seams (:mod:`repro.reliability.faults`): ``service.admit`` fires
 per submission attempt (key: tenant), ``service.batch`` per formed batch
-(key: batch size) — both drive the ``bench_service_faults`` chaos
-matrix.
+(key: batch size) — both drive the chaos tests in
+``tests/test_service_overload.py``, and the ``seams`` gate of
+:mod:`repro.experiments.gates` bounds their idle cost.
 
 The daemon (:mod:`.daemon`) is a thin socket skin over this class; tests
 and the benchmarks drive it directly with no networking.

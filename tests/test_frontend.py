@@ -83,6 +83,23 @@ def _chained_ifs(depth: int) -> str:
     return "int f(int x) { " + "if (x) " * depth + "x++; return x; }"
 
 
+#: Left-associative chains of 2,000 operands, no parentheses: deeper
+#: than the interpreter stack if walked recursively, and no parser limit
+#: applies. (source, value of ``f(1)``)
+LONG_CHAINS = {
+    "sum": ("int f(int x) { return " + "+".join(["x"] * 2000) + "; }",
+            2000),
+    "comma": ("int f(int x) { return (" + ",".join(["x"] * 2000) + "); }",
+              1),
+    "comparison": ("int f(int x) { return " + "<".join(["x"] * 2000) +
+                   "; }", 0),
+    "conditional-arm": ("int f(int x) { return x ? " +
+                        "+".join(["x"] * 2000) + " : x; }", 2000),
+    "global-initializer": ("int g = " + "+".join(["1"] * 2000) +
+                           "; int f(int x) { return g + x; }", 2001),
+}
+
+
 class TestNestingLimit:
     """Hostile nesting is a typed, located parse error, never a
     RecursionError from the interpreter stack."""
@@ -119,6 +136,14 @@ class TestNestingLimit:
                 as info:
             compile_c(nest(MAX_STMT_DEPTH + extra))
         assert info.value.location is not None
+
+    @pytest.mark.parametrize("shape", sorted(LONG_CHAINS))
+    def test_long_left_associative_chain_survives_the_pipeline(self, shape):
+        source, value = LONG_CHAINS[shape]
+        module = compile_c(source)
+        optimize(module)
+        assert detect_idioms(module).total() == 0
+        assert Interpreter(module).call("f", [1]) == value
 
 
 class TestCodegenSemantics:

@@ -638,6 +638,20 @@ class TestJitReliability:
                          for r in clean_engine.outcome_records()}
         assert clean_records["dot"]["status"] == "specialized"
 
+    def test_compile_faults_on_a_suite_workload_fall_back_to_vm(self):
+        workload = next(w for w in all_workloads() if w.name == "CG")
+        vm_run = run_original(
+            compile_workload(workload.name, workload.source, verify=False),
+            workload.entry, workload.make_inputs(1), engine="vm")
+        plan = faults.install_plan({"specs": [{"site": "jit.compile",
+                                               "kind": "exception",
+                                               "at": [], "rate": 1.0}]})
+        jit_run = run_original(
+            compile_workload(workload.name, workload.source, verify=False),
+            workload.entry, workload.make_inputs(1), engine="jit")
+        assert plan.fired
+        assert outputs_match(vm_run, jit_run)
+
     def test_codegen_defect_replays_surfaced(self):
         engine = JitVirtualMachine(compiled())
         engine.codegen_defect_replays["dot"] = 2
@@ -647,9 +661,72 @@ class TestJitReliability:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: detection under faults stays bit-identical (the
-# bench_faults acceptance property, on one module)
+# End-to-end: detection under faults stays bit-identical
 # ---------------------------------------------------------------------------
+
+#: Each (seam, kind) scenario: its specs, plus whether it runs against an
+#: artifact store (the store seams fire nowhere else), whether the store
+#: is populated first (so read faults hit real entries), and the session's
+#: worker count.
+FAULT_MATRIX = {
+    "store.write/exception": (
+        {"cache": True},
+        [{"site": "store.write", "kind": "exception", "at": [0]}]),
+    "store.write/torn": (
+        {"cache": True},
+        [{"site": "store.write", "kind": "torn", "at": [0]}]),
+    "store.read/exception": (
+        {"cache": True, "warm": True},
+        [{"site": "store.read", "kind": "exception", "at": [0]}]),
+    "worker.solve/exception": (
+        {"workers": 2},
+        [{"site": "worker.solve", "kind": "exception", "at": [0],
+          "epochs": [0]}]),
+    "worker.solve/hang": (
+        {},
+        [{"site": "worker.solve", "kind": "hang", "at": [0],
+          "seconds": 0.05}]),
+}
+
+
+@pytest.fixture(scope="module")
+def suite_fingerprints():
+    """[(name, module)] for all 21 workloads, and their fault-free
+    fingerprints."""
+    faults.install_plan(None)
+    modules = [(w.name, compiled(w.source, w.name))
+               for w in all_workloads()]
+    detector = IdiomDetector()
+    return modules, {name: fingerprint(DetectionSession(detector)
+                                       .detect(module))
+                     for name, module in modules}
+
+
+@pytest.mark.parametrize("scenario", sorted(FAULT_MATRIX))
+def test_fault_matrix_over_the_suite(scenario, suite_fingerprints,
+                                     tmp_path):
+    """The fault fires, every faulted run matches the fault-free
+    fingerprint, and a pass after the fault over the same detector (and
+    store) is identical too: torn entries read back as misses and are
+    re-solved, never served."""
+    modules, baseline = suite_fingerprints
+    options, specs = FAULT_MATRIX[scenario]
+    detector = IdiomDetector(cache=str(tmp_path)) if options.get("cache") \
+        else IdiomDetector()
+    if options.get("warm"):
+        for _, module in modules:
+            DetectionSession(detector).detect(module)
+    plan = faults.install_plan({"specs": specs})
+    for name, module in modules:
+        session = DetectionSession(detector,
+                                   workers=options.get("workers", 1))
+        assert fingerprint(session.detect(module)) == baseline[name], name
+    faults.install_plan(None)
+    assert plan.fired
+    for name, module in modules:
+        assert fingerprint(DetectionSession(detector).detect(module)) == \
+            baseline[name], name
+
 
 def test_store_faults_leave_detection_identical(tmp_path):
     module = compiled()

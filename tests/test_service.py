@@ -590,6 +590,68 @@ class TestDetectionService:
 
 
 # ---------------------------------------------------------------------------
+# Multi-tenant traffic over suite modules
+# ---------------------------------------------------------------------------
+
+class TestSuiteTraffic:
+    """The serving gate's traffic (``python -m repro.experiments.gates``):
+    CG IS MG histo sgemm, 3 tenants, 2 rounds, one private edit per
+    tenant past the first, submitted from one thread per tenant."""
+
+    @pytest.fixture(scope="class")
+    def traffic(self):
+        from repro.experiments import gates
+        from repro.experiments.suites import compile_suite
+
+        requests = gates.service_traffic(
+            compile_suite(list(gates.SERVICE_WORKLOADS)))
+        want = {text: gates.served_key(detect_idioms(parse_module(text)))
+                for text in dict.fromkeys(text for _, text in requests)}
+        return requests, want
+
+    @staticmethod
+    def serve(config, requests, want):
+        """(stats, final store bytes) of one service over the traffic,
+        every report checked against direct detection."""
+        from repro.experiments.gates import serve_traffic, served_key
+
+        with DetectionService(config) as service:
+            results, _ = serve_traffic(service, requests)
+            stats = service.stats()
+            total_bytes = service.store.total_bytes()
+        assert len(results) == len(requests)
+        for text, result in results:
+            assert served_key(result.report) == want[text], result.tenant
+        assert stats["errors"] == 0
+        return stats, total_bytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_identical_and_deduped(self, traffic, workers,
+                                           tmp_path):
+        stats, _ = self.serve(ServiceConfig(
+            workers=workers, cache_dir=str(tmp_path),
+            batch_window_s=0.004), *traffic)
+        assert stats["store_hits"] + stats["batch_dedupe_hits"] + \
+            stats["inflight_hits"] + stats["module_dedupe_hits"] > 0
+
+    def test_restart_solves_nothing(self, traffic, tmp_path):
+        config = ServiceConfig(cache_dir=str(tmp_path),
+                               batch_window_s=0.004)
+        self.serve(config, *traffic)
+        stats, _ = self.serve(config, *traffic)
+        assert stats["solved_functions"] == 0
+        assert stats["store_hits"] > 0
+
+    def test_eviction_stays_within_budget(self, traffic, tmp_path):
+        budget = 8 * 1024
+        stats, total_bytes = self.serve(ServiceConfig(
+            cache_dir=str(tmp_path), budget_bytes=budget,
+            batch_window_s=0.004), *traffic)
+        assert stats["store"]["evictions"] > 0
+        assert total_bytes <= budget
+
+
+# ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------
 

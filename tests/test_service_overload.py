@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import IDLError, InjectedFault, IRError, ParseError
 from repro.frontend import compile_c
+from repro.idioms import detect_idioms
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.passes import optimize
@@ -595,3 +596,66 @@ class TestStatsCoherence:
         assert sum(t["completed"] for t in final["tenants"].values()) == 30
         assert all("p95_latency_s" in t
                    for t in final["tenants"].values())
+
+
+# ---------------------------------------------------------------------------
+# Chaos: overload storm, repeated connection drops
+# ---------------------------------------------------------------------------
+
+class TestChaos:
+    def test_overload_storm_sheds_typed_and_admits_others(self):
+        """40 rapid submits into a tiny admission envelope under hung
+        batches: at least 10 typed sheds, each with a positive
+        ``retry_after_s``; exactly the one injected admit fault; a second
+        tenant still admitted; every admitted request identical."""
+        text = module_text()
+        want = report_wire_fingerprint(detect_idioms(parse_module(text)))
+        faults.install_plan(FaultPlan([
+            {"site": "service.batch", "kind": "hang", "seconds": 0.05,
+             "at": tuple(range(64))},
+            {"site": "service.admit", "kind": "exception", "at": (3,)},
+        ]))
+        config = ServiceConfig(max_pending=8, tenant_quota=4,
+                               batch_window_s=0.02, max_batch=2,
+                               dispatchers=1)
+        sheds, admit_faults, futures = [], 0, []
+        with DetectionService(config) as service:
+            for _ in range(40):
+                try:
+                    futures.append(service.submit(text, tenant="flood"))
+                except ServiceOverloaded as exc:
+                    sheds.append(exc)
+                except InjectedFault:
+                    admit_faults += 1
+            other = service.detect(text, tenant="other", timeout=120.0)
+            results = [future.result(timeout=120.0) for future in futures]
+        assert len(sheds) >= 10
+        assert all(exc.retry_after_s and exc.retry_after_s > 0
+                   for exc in sheds)
+        assert admit_faults == 1
+        for result in [other] + results:
+            assert report_wire_fingerprint(result.report) == want
+
+    def test_repeated_conn_drops_are_healed(self):
+        """Two severed detect connections among 8 requests: exactly the
+        planned drops fire, the client retries through each, and every
+        report is identical."""
+        plan = faults.install_plan(FaultPlan([
+            {"site": "daemon.conn", "kind": "exception", "at": (2, 5),
+             "key": "detect"}]))
+        text = module_text()
+        daemon = DetectionDaemon(port=0, config=daemon_config())
+        daemon.serve_in_thread()
+        host, port = daemon.address
+        try:
+            with ServiceClient(host, port, max_retries=6,
+                               backoff_s=0.02) as client:
+                reports = [client.detect_report(text, tenant="chaos")
+                           for _ in range(8)]
+                retries = client.retries
+        finally:
+            daemon.close()
+        drops = [f for f in plan.fired if f["site"] == "daemon.conn"]
+        assert len(drops) == 2
+        assert retries >= len(drops)
+        assert len({report_wire_fingerprint(r) for r in reports}) == 1

@@ -197,6 +197,15 @@ class TestGates:
         assert "detect: spmv: forest and oracle match sets diverge" in \
             failures
 
+    def test_interp_divergence_fails_the_gate_by_name(self, monkeypatch):
+        from repro.experiments import gates
+        from repro.experiments.suites import compile_suite
+
+        monkeypatch.setattr(gates, "outputs_identical", lambda a, b: False)
+        failures = gates.interp_gate(compile_suite(["histo"]))
+        assert failures == ["interp: histo: tier outputs or dynamic counts "
+                            "diverge"]
+
 
 #: Files that tell a reader which experiment modules to run.
 DOCUMENTED_COMMAND_FILES = (".github/workflows/ci.yml", "README.md",
@@ -218,3 +227,16 @@ class TestDocumentedCommands:
         assert "repro.experiments.gates" in commands
         for module in sorted(commands):
             importlib.import_module(module)
+
+    def test_no_retired_bench_module_is_named(self):
+        """The ``bench_*`` CLIs are gone: no source file or CI step may
+        point a reader at one."""
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        paths = [root / ".github/workflows/ci.yml",
+                 *sorted((root / "src").rglob("*.py"))]
+        named = [f"{path.relative_to(root)}: {name}" for path in paths
+                 for name in re.findall(r"\bbench_\w+", path.read_text())]
+        assert named == []
