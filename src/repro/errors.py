@@ -86,9 +86,9 @@ class InjectedFault(ReproError):
     """A deterministic fault raised by :mod:`repro.reliability.faults`.
 
     Never raised in production: only an installed fault plan produces
-    it. Every layer that supervises a fallible seam treats it exactly
-    like the real failure it stands in for (an I/O error, a backend
-    crash, a failed solve), which is what makes the fault-injection
+    it. Every layer around a fallible seam treats it exactly like the
+    real failure it stands in for (an I/O error, a backend crash, a
+    dropped connection), which is what makes the fault-injection
     matrix a faithful test of the recovery paths."""
 
 

@@ -25,8 +25,7 @@ machine, so each bound holds on any hardware::
   serving sweep must be all store hits.
 * **service** — a resident :class:`~repro.service.DetectionService`
   must serve multi-tenant traffic at least 5x faster than a cold
-  detector per request, serial and with two threads, with every report
-  identical to the cold one.
+  detector per request, with every report identical to the cold one.
 * **fairness** — under a flooding tenant, each well-behaved tenant's p95
   latency must stay within max(3x its solo p95, 50 ms); nobody starves
   and the flooder completes too. Each tenant's line names the bound that
@@ -371,26 +370,21 @@ def service_gate(modules) -> list[str]:
         cold[text] = (time.perf_counter() - t0, served_key(report))
     cold_s = sum(cold[text][0] for _, text in requests)
     failures = []
-    for workers in (1, 2):
-        with tempfile.TemporaryDirectory(prefix="repro-gates-") as root, \
-                DetectionService(ServiceConfig(
-                    workers=workers, cache_dir=root,
-                    batch_window_s=0.004)) as service:
-            results, wall_s = serve_traffic(service, requests)
-        diverged = sum(1 for text, result in results
-                       if served_key(result.report) != cold[text][1])
-        if diverged:
-            failures.append(f"service: {diverged} reports with "
-                            f"{workers} workers diverge from cold "
-                            f"detection")
-        speedup = cold_s / max(wall_s, 1e-12)
-        print(f"service: {workers} workers {len(requests) / wall_s:.1f} "
-              f"req/s = {speedup:.1f}x cold "
-              f"(floor {SERVICE_MIN_SPEEDUP:.1f}x)")
-        if speedup < SERVICE_MIN_SPEEDUP:
-            failures.append(f"service: {workers} workers serve "
-                            f"{speedup:.1f}x cold "
-                            f"(< {SERVICE_MIN_SPEEDUP:.1f}x)")
+    with tempfile.TemporaryDirectory(prefix="repro-gates-") as root, \
+            DetectionService(ServiceConfig(
+                cache_dir=root, batch_window_s=0.004)) as service:
+        results, wall_s = serve_traffic(service, requests)
+    diverged = sum(1 for text, result in results
+                   if served_key(result.report) != cold[text][1])
+    if diverged:
+        failures.append(f"service: {diverged} reports diverge from cold "
+                        f"detection")
+    speedup = cold_s / max(wall_s, 1e-12)
+    print(f"service: {len(requests) / wall_s:.1f} req/s = {speedup:.1f}x "
+          f"cold (floor {SERVICE_MIN_SPEEDUP:.1f}x)")
+    if speedup < SERVICE_MIN_SPEEDUP:
+        failures.append(f"service: serves {speedup:.1f}x cold "
+                        f"(< {SERVICE_MIN_SPEEDUP:.1f}x)")
     return failures
 
 
@@ -460,7 +454,7 @@ def fairness_gate(modules) -> list[str]:
     storm = dict.fromkeys(tenants, float("inf"))
     with tempfile.TemporaryDirectory(prefix="repro-gates-") as root:
         config = ServiceConfig(cache_dir=root, batch_window_s=0.002,
-                               max_batch=8, dispatchers=1,
+                               max_batch=8,
                                max_pending=256, tenant_quota=64)
         # Pre-warm the store so both phases time queueing and replay,
         # not first solves.

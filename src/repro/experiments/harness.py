@@ -97,11 +97,6 @@ class WorkloadEvaluation:
 
 _CACHE: dict[str, WorkloadEvaluation] = {}
 
-#: Detection thread-pool size, settable from the CLI (``--workers``).
-#: The report is identical at any worker count, so cached evaluations stay
-#: valid across settings.
-DETECT_WORKERS = 1
-
 #: Execution defaults, settable from the CLI (``--engine`` / ``--scale``;
 #: the ``REPRO_ENGINE`` environment variable supplies the ``--engine``
 #: default). Engines are output- and profile-identical, so results only
@@ -115,21 +110,6 @@ def default_engine() -> str:
     if env and env in ENGINES:
         return env
     return DEFAULT_ENGINE
-
-
-def default_workers() -> int:
-    """``$REPRO_WORKERS`` if set to a positive integer, else 1 — the
-    ``--workers`` default, mirroring ``$REPRO_ENGINE``/``$REPRO_CACHE_DIR``
-    so CI matrices select a pool size without editing command lines."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            return 1
-        if value >= 1:
-            return value
-    return 1
 
 
 ENGINE = default_engine()
@@ -151,12 +131,9 @@ CACHE_DIR: str | None = None
 #: aggregates across the run instead of resetting per workload.
 CACHE_STORE = None
 
-#: Detection supervision (``--deadline`` / ``--max-retries``): a
-#: per-function solve wall-clock bound — overruns degrade to partial
-#: results flagged in ``report.outcomes`` — and the retry budget for
-#: transient detection failures (see :mod:`repro.reliability.supervisor`).
+#: Per-function detection solve wall-clock bound (``--deadline``):
+#: overruns degrade to partial results flagged in ``report.outcomes``.
 DEADLINE_S: float | None = None
-MAX_RETRIES = 2
 
 #: Active calibration profile (``--profile PATH`` loads one,
 #: ``--calibrate`` measures one on this machine). None keeps every cost
@@ -187,27 +164,21 @@ def load_active_profile(path: str | None = None, calibrate: bool = False,
 
 def evaluate_workload(workload: Workload, scale: int | None = None,
                       execute: bool = True,
-                      workers: int | None = None,
                       engine: str | None = None) -> WorkloadEvaluation:
     """Compile, detect, (optionally) run original + accelerated versions."""
-    effective_workers = DETECT_WORKERS if workers is None else workers
     scale = SCALE if scale is None else scale
     engine = ENGINE if engine is None else engine
-    # The report is worker-count independent, but the recorded detection
-    # wall clock is not — keep the pool config in the cache key.
     backends_key = "*" if BACKENDS is None else ",".join(sorted(BACKENDS))
-    key = f"{workload.name}@{scale}:{execute}:{effective_workers}:" \
+    key = f"{workload.name}@{scale}:{execute}:" \
           f"{engine}:{JIT_THRESHOLD}:" \
-          f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}:{MAX_RETRIES}"
+          f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}"
     if key in _CACHE:
         return _CACHE[key]
     compiled = compile_workload(
         workload.name, workload.source,
-        workers=effective_workers,
         verify=False,
         cache_dir=CACHE_STORE if CACHE_STORE is not None else CACHE_DIR,
-        deadline_s=DEADLINE_S,
-        max_retries=MAX_RETRIES)
+        deadline_s=DEADLINE_S)
     ev = WorkloadEvaluation(workload, compiled,
                             compile_base_s=compiled.compile_seconds,
                             compile_idl_s=compiled.detect_seconds)
@@ -636,9 +607,9 @@ def print_cache_stats() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global DETECT_WORKERS, ENGINE, SCALE, \
+    global ENGINE, SCALE, \
         JIT_THRESHOLD, BACKENDS, PLACEMENT, CACHE_DIR, CACHE_STORE, \
-        DEADLINE_S, MAX_RETRIES, PROFILE, PROFILE_PATH
+        DEADLINE_S, PROFILE, PROFILE_PATH
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -648,10 +619,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="print available workloads, engines, backends "
                              "and placement strategies, then exit")
-    parser.add_argument("--workers", type=int, default=default_workers(),
-                        help="detection thread pool size (default "
-                             f"{default_workers()}, override with "
-                             "$REPRO_WORKERS)")
     parser.add_argument("--engine", choices=sorted(ENGINES),
                         default=default_engine(),
                         help="execution tier (default "
@@ -697,10 +664,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-function detection solve deadline; "
                              "overruns yield partial results flagged in "
                              "the report outcomes (default: none)")
-    parser.add_argument("--max-retries", type=int, default=2, metavar="N",
-                        help="retry budget for transient detection "
-                             "failures before the session degrades to "
-                             "a safer tier (default 2)")
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="load a measured calibration profile (JSON "
                              "written by --calibrate) and cost every "
@@ -728,14 +691,12 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown backends: {', '.join(unknown)} "
                          f"(choose from {', '.join(sorted(known))})")
-    DETECT_WORKERS = args.workers
     ENGINE = args.engine
     SCALE = args.scale
     JIT_THRESHOLD = args.jit_threshold
     BACKENDS = args.backends
     PLACEMENT = args.placement
     DEADLINE_S = args.deadline
-    MAX_RETRIES = args.max_retries
     PROFILE_PATH = args.profile
     PROFILE = load_active_profile(args.profile, calibrate=args.calibrate,
                                   out=args.profile if args.calibrate

@@ -464,7 +464,7 @@ class CodeGen:
         # Walk the left spine iteratively: a left-associative chain
         # (``x+x+...+x``) is as deep as it is long, and the parser does
         # not bound its length.
-        spine = _left_spine(expr, _SHORT_CIRCUIT)
+        spine = _left_spine(expr, lambda op: op not in _SHORT_CIRCUIT)
         value = self._rvalue(spine[-1].lhs)
         for node in reversed(spine):
             rhs = self._rvalue(node.rhs)
@@ -518,25 +518,29 @@ class CodeGen:
         return self.builder.icmp(pred, lhs, rhs)
 
     def _short_circuit(self, expr: A.BinaryExpr) -> Value:
-        lhs_cond = self._condition(expr.lhs)
-        lhs_block = self.builder.block
-        rhs_block = self.function.append_block("sc.rhs")
-        end_block = self.function.append_block("sc.end")
-        if expr.op == "&&":
-            self.builder.cond_br(lhs_cond, rhs_block, end_block)
-        else:
-            self.builder.cond_br(lhs_cond, end_block, rhs_block)
-        self._start_block(rhs_block)
-        rhs_cond = self._condition(expr.rhs)
-        rhs_exit = self.builder.block
-        self.builder.br(end_block)
-        self._start_block(end_block)
-        phi = self.builder.phi(I1, name="sc")
+        # One block pair per operand along the left spine, as in
+        # ``_rv_BinaryExpr``: a long ``&&``/``||`` chain costs no stack.
         from ..ir import const_bool
 
-        phi.add_incoming(const_bool(expr.op == "||"), lhs_block)
-        phi.add_incoming(rhs_cond, rhs_exit)
-        return phi
+        spine = _left_spine(expr, _SHORT_CIRCUIT.__contains__)
+        cond = self._condition(spine[-1].lhs)
+        for node in reversed(spine):
+            lhs_block = self.builder.block
+            rhs_block = self.function.append_block("sc.rhs")
+            end_block = self.function.append_block("sc.end")
+            if node.op == "&&":
+                self.builder.cond_br(cond, rhs_block, end_block)
+            else:
+                self.builder.cond_br(cond, end_block, rhs_block)
+            self._start_block(rhs_block)
+            rhs_cond = self._condition(node.rhs)
+            rhs_exit = self.builder.block
+            self.builder.br(end_block)
+            self._start_block(end_block)
+            cond = self.builder.phi(I1, name="sc")
+            cond.add_incoming(const_bool(node.op == "||"), lhs_block)
+            cond.add_incoming(rhs_cond, rhs_exit)
+        return cond
 
     def _rv_ConditionalExpr(self, expr: A.ConditionalExpr) -> Value:
         if _is_pure(expr.then) and _is_pure(expr.other):
@@ -651,13 +655,13 @@ _COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
 _SHORT_CIRCUIT = frozenset(("&&", "||"))
 
 
-def _left_spine(expr: A.BinaryExpr, stop=frozenset()) -> list:
+def _left_spine(expr: A.BinaryExpr, follow=lambda op: True) -> list:
     """``expr`` and its chain of left operands that are binary
-    expressions (outermost first), ending before any whose operator is
-    in ``stop``."""
+    expressions (outermost first), ending before any whose operator
+    ``follow`` rejects."""
     spine = [expr]
     while isinstance(spine[-1].lhs, A.BinaryExpr) and \
-            spine[-1].lhs.op not in stop:
+            follow(spine[-1].lhs.op):
         spine.append(spine[-1].lhs)
     return spine
 

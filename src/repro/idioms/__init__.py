@@ -19,12 +19,12 @@ from .matches import (
     IdiomMatch,
     report_fingerprint,
 )
-from .scheduler import DetectionSession, InflightLedger
+from .scheduler import DetectionSession
 
 __all__ = [
     "DETECTOR_LIMITS", "IdiomDetector", "detect_idioms", "TOP_LEVEL_IDIOMS",
     "IDIOM_CATEGORIES", "LIBRARY_SOURCES", "SPECIFICITY_ORDER",
     "library_line_count", "load_library",
     "CATEGORY_OF", "DetectionReport", "IdiomMatch", "report_fingerprint",
-    "DetectionSession", "InflightLedger",
+    "DetectionSession",
 ]

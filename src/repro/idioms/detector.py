@@ -122,29 +122,22 @@ class IdiomDetector:
     def warmup(self) -> "IdiomDetector":
         """Eagerly compile every idiom's lowered form and plan and the
         fused plan forest, so the first request pays no compile cost —
-        the resident-daemon startup step, and what a detection session
-        runs before its pool threads start (they must only read the
-        compiler caches). The caches make this idempotent; repeated
+        the resident-daemon startup step. The caches make this idempotent; repeated
         detects through a warmed detector never rebuild the forest.
         Returns self."""
         self.compiler.forest_for(tuple(self.idioms))
         return self
 
     # -- public API ---------------------------------------------------------------
-    def detect(self, module: Module, workers: int = 1,
-               deadline_s: float | None = None,
-               max_retries: int = 2) -> DetectionReport:
-        """Detect across a module; ``workers > 1`` fans functions out over
-        a :class:`~repro.idioms.scheduler.DetectionSession` thread pool
-        (same report, deterministic merge order). ``deadline_s`` bounds
-        each function's solve wall-clock (overruns degrade to partial
-        results); ``max_retries`` bounds the session's retry ladder for
-        transient failures."""
+    def detect(self, module: Module,
+               deadline_s: float | None = None) -> DetectionReport:
+        """Detect across a module through a
+        :class:`~repro.idioms.scheduler.DetectionSession` (deterministic
+        merge order). ``deadline_s`` bounds each function's solve
+        wall-clock (overruns degrade to partial results)."""
         from .scheduler import DetectionSession
 
-        return DetectionSession(self, workers=workers,
-                                deadline_s=deadline_s,
-                                max_retries=max_retries).detect(module)
+        return DetectionSession(self, deadline_s=deadline_s).detect(module)
 
     def detect_function_with_stats(
             self, function: Function,
@@ -281,7 +274,7 @@ def resolve_matches(matches: list[IdiomMatch]) -> list[IdiomMatch]:
     return kept
 
 
-def detect_idioms(module: Module, workers: int = 1,
+def detect_idioms(module: Module,
                   cache_dir: str | None = None) -> DetectionReport:
     """One-shot convenience: build a detector and run it."""
-    return IdiomDetector(cache=cache_dir).detect(module, workers=workers)
+    return IdiomDetector(cache=cache_dir).detect(module)

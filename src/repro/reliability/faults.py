@@ -10,7 +10,6 @@ Seams instrumented across the codebase::
 
     store.read        ArtifactStore.get          (key = artifact key)
     store.write       ArtifactStore.put          (key = artifact key)
-    worker.solve      per-function detection     (key = function name)
     backend.dispatch  ApiRuntime.dispatch        (key = site callee)
     jit.compile       JIT specialization         (key = function name)
     service.admit     DetectionService.submit    (key = tenant)
@@ -21,23 +20,19 @@ Seams instrumented across the codebase::
 
 Fault kinds:
 
-* ``exception`` — raise :class:`~repro.errors.InjectedFault`; the seam's
-  supervisor must treat it like the real failure it stands in for.
+* ``exception`` — raise :class:`~repro.errors.InjectedFault`; the code
+  around the seam must treat it like the real failure it stands in for.
 * ``hang`` — sleep ``seconds``, then continue normally; the result stays
-  correct, only late (detection runs in-process, so nothing interrupts
-  the sleep).
+  correct, only late (nothing interrupts the sleep).
 * ``torn`` — returned to the seam as a directive rather than raised;
   only :meth:`ArtifactStore.put` consumes it, writing a truncated
   payload to the final path (simulating a non-atomic writer dying
   mid-write) which later reads must classify as a corrupt miss.
 
-Determinism: firing depends only on (seed, seam, occurrence index,
-epoch). ``at`` lists explicit occurrence indexes; ``rate`` arms a seeded
-hash over the occurrence counter so large sweeps can scatter faults
-without enumerating them. ``epochs`` scopes a spec to retry attempts —
-the supervisor bumps the epoch on every retry, so a spec active only at
-epoch 0 models a *transient* failure (the retry succeeds) while one
-active at every epoch models a persistent one (the ladder degrades).
+Determinism: firing depends only on (seed, seam, occurrence index).
+``at`` lists explicit occurrence indexes; ``rate`` arms a seeded hash
+over the occurrence counter so large sweeps can scatter faults without
+enumerating them.
 
 Activation: :func:`install_plan` programmatically, or the
 ``REPRO_FAULT_PLAN`` environment variable (inline JSON, or ``@path`` to
@@ -59,8 +54,8 @@ from ..errors import InjectedFault, ReproError
 #: The seams maybe_fire accepts; a typo'd seam name in a plan would
 #: silently never fire, so both ends are validated against this set.
 SEAMS = frozenset({
-    "store.read", "store.write", "worker.solve", "backend.dispatch",
-    "jit.compile", "service.admit", "service.batch", "daemon.conn",
+    "store.read", "store.write", "backend.dispatch", "jit.compile",
+    "service.admit", "service.batch", "daemon.conn",
 })
 
 KINDS = frozenset({"exception", "hang", "torn"})
@@ -75,7 +70,6 @@ class FaultSpec:
     at: tuple = (0,)                # occurrence indexes that fire
     rate: float = 0.0               # seeded per-occurrence probability
     key: str | None = None          # substring filter on the seam key
-    epochs: tuple = (0,)            # retry epochs the spec is active in
     seconds: float = 0.25           # hang duration
 
     def __post_init__(self):
@@ -86,12 +80,8 @@ class FaultSpec:
             raise ReproError(f"unknown fault kind {self.kind!r} "
                              f"(known: {', '.join(sorted(KINDS))})")
         object.__setattr__(self, "at", tuple(self.at))
-        object.__setattr__(self, "epochs", tuple(self.epochs))
 
-    def matches(self, seed: int, occurrence: int, key: str,
-                epoch: int) -> bool:
-        if self.epochs and epoch not in self.epochs:
-            return False
+    def matches(self, seed: int, occurrence: int, key: str) -> bool:
         if self.key is not None and self.key not in key:
             return False
         if occurrence in self.at:
@@ -107,18 +97,20 @@ class FaultPlan:
     """A seeded set of fault specs plus per-seam occurrence counters.
 
     Occurrence counters and the ``fired`` record are guarded by a lock:
-    seams fire from detection worker threads concurrently.
+    the service's seams fire from its connection threads concurrently.
     """
 
-    def __init__(self, specs, seed: int = 0, epoch: int = 0):
+    def __init__(self, specs, seed: int = 0):
         self.specs = [s if isinstance(s, FaultSpec) else FaultSpec(**s)
                       for s in specs]
         self.seed = int(seed)
-        self.epoch = int(epoch)
+        #: Seams some spec names; the rest cannot fire, so they return
+        #: before the lock.
+        self._sites = frozenset(s.site for s in self.specs)
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
         #: Every fault that fired, in firing order:
-        #: dicts of site/kind/occurrence/key/epoch.
+        #: dicts of site/kind/occurrence/key.
         self.fired: list[dict] = []
 
     def as_spec(self) -> dict:
@@ -127,7 +119,7 @@ class FaultPlan:
             "seed": self.seed,
             "specs": [{
                 "site": s.site, "kind": s.kind, "at": list(s.at),
-                "rate": s.rate, "key": s.key, "epochs": list(s.epochs),
+                "rate": s.rate, "key": s.key,
                 "seconds": s.seconds,
             } for s in self.specs],
         }
@@ -137,17 +129,19 @@ class FaultPlan:
 
         Raising kinds raise; ``torn`` directives are returned for the
         seam to implement. Returns None when nothing fires."""
+        if site not in self._sites:
+            return None
         with self._lock:
             occurrence = self._counts.get(site, 0)
             self._counts[site] = occurrence + 1
             spec = next(
                 (s for s in self.specs if s.site == site and
-                 s.matches(self.seed, occurrence, key, self.epoch)), None)
+                 s.matches(self.seed, occurrence, key)), None)
             if spec is None:
                 return None
             self.fired.append({
                 "site": site, "kind": spec.kind, "occurrence": occurrence,
-                "key": key, "epoch": self.epoch,
+                "key": key,
             })
         return _execute(spec, site, key, occurrence)
 
@@ -185,22 +179,18 @@ def plan_from_spec(spec) -> FaultPlan:
         spec = {"specs": spec}
     if not isinstance(spec, dict):
         raise ReproError(f"cannot build a fault plan from {spec!r}")
-    return FaultPlan(spec.get("specs", ()), seed=spec.get("seed", 0),
-                     epoch=spec.get("epoch", 0))
+    return FaultPlan(spec.get("specs", ()), seed=spec.get("seed", 0))
 
 
-def install_plan(plan, epoch: int | None = None) -> FaultPlan | None:
+def install_plan(plan) -> FaultPlan | None:
     """Install (or with None, clear) the process-wide fault plan."""
     global _ACTIVE, _ENV_CHECKED
     _ENV_CHECKED = True
     if plan is None:
         _ACTIVE = None
         return None
-    plan = plan_from_spec(plan)
-    if epoch is not None:
-        plan.epoch = epoch
-    _ACTIVE = plan
-    return plan
+    _ACTIVE = plan_from_spec(plan)
+    return _ACTIVE
 
 
 def active_plan() -> FaultPlan | None:

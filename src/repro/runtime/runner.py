@@ -105,24 +105,20 @@ class ExecutionResult:
         return sequential_time_seconds(self.opcode_counts)
 
 
-def compile_workload(name: str, source: str, workers: int = 1,
+def compile_workload(name: str, source: str,
                      verify: bool = True,
                      cache_dir=None,
-                     deadline_s: float | None = None,
-                     max_retries: int = 2) -> CompiledWorkload:
+                     deadline_s: float | None = None) -> CompiledWorkload:
     """Compile and detect, recording wall-clock for Table 2.
 
-    ``workers`` sizes the detection session's thread pool; the report
-    is identical at any worker count (deterministic merge). ``verify=False``
-    skips post-convergence IR verification — the experiment harness's
-    hot path; tests keep it on. ``cache_dir`` (a directory path, or a shared
-    :class:`~repro.cache.ArtifactStore` for aggregate telemetry) enables
-    the persistent artifact cache (:mod:`repro.cache`): unchanged
-    functions are served from disk with the report still bit-identical to a cold run.
-    ``deadline_s``/``max_retries`` configure detection supervision: a
-    per-function solve wall-clock bound (overruns become partial
-    results, flagged in ``report.outcomes``) and the retry budget for
-    transient failures.
+    ``verify=False`` skips post-convergence IR verification — the
+    experiment harness's hot path; tests keep it on. ``cache_dir`` (a
+    directory path, or a shared :class:`~repro.cache.ArtifactStore` for
+    aggregate telemetry) enables the persistent artifact cache
+    (:mod:`repro.cache`): unchanged functions are served from disk with
+    the report still bit-identical to a cold run. ``deadline_s`` is a
+    per-function solve wall-clock bound (overruns become partial results,
+    flagged in ``report.outcomes``).
     """
     import time
 
@@ -130,9 +126,8 @@ def compile_workload(name: str, source: str, workers: int = 1,
     module = compile_c(source, name)
     optimize(module, verify=verify)
     t1 = time.perf_counter()
-    report = IdiomDetector(cache=cache_dir).detect(
-        module, workers=workers, deadline_s=deadline_s,
-        max_retries=max_retries)
+    report = IdiomDetector(cache=cache_dir).detect(module,
+                                                   deadline_s=deadline_s)
     t2 = time.perf_counter()
     return CompiledWorkload(name, module, report,
                             compile_seconds=t1 - t0,

@@ -1,11 +1,11 @@
 """Detection-as-a-service: a resident multi-tenant detection daemon.
 
 The serving layer above the detection pipeline: a warmed detector,
-LRU-governed artifact store, parse cache and in-flight ledger stay
-resident in one process (:mod:`.core`) while concurrent tenants submit
-modules; requests arriving together are micro-batched into single
-:meth:`~repro.idioms.scheduler.DetectionSession.detect_many` fan-outs
-with cross-tenant dedupe. The service is overload-safe: a bounded
+LRU-governed artifact store and parse cache stay resident in one
+process (:mod:`.core`) while concurrent tenants submit modules;
+requests arriving together are micro-batched into single
+:meth:`~repro.idioms.scheduler.DetectionSession.detect_many` calls with
+cross-tenant dedupe, one batch at a time. The service is overload-safe: a bounded
 pending queue with per-tenant quotas sheds excess load with typed,
 retryable errors; a weighted round-robin batcher keeps one flooding
 tenant from starving the rest; request deadlines propagate from the

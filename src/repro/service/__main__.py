@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run a daemon in the foreground")
     _add_endpoint(serve)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="detection thread pool size per batch")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="keep the artifact store on disk, across "
                             "restarts (default: in memory)")
@@ -50,12 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="micro-batch collection window (default 2ms)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="requests per micro-batch (default 32)")
-    serve.add_argument("--dispatchers", type=int, default=2,
-                       help="concurrent batch executors (default 2)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="per-function solve deadline")
-    serve.add_argument("--max-retries", type=int, default=2)
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="admission-control cap on queued requests "
                             "(default 1024); excess load is shed with a "
@@ -112,14 +107,12 @@ def _serve(args) -> int:
 
         profile = read_profile_json(args.profile, strict=True)
     config = ServiceConfig(
-        workers=args.workers,
         cache_dir=args.cache_dir,
         budget_bytes=None if args.budget_mb is None
         else int(args.budget_mb * 1024 * 1024),
         eviction=args.eviction,
         batch_window_s=args.window_ms / 1e3,
-        max_batch=args.max_batch, dispatchers=args.dispatchers,
-        deadline_s=args.deadline, max_retries=args.max_retries,
+        max_batch=args.max_batch, deadline_s=args.deadline,
         max_pending=args.max_pending, tenant_quota=args.tenant_quota,
         profile=profile)
     daemon = DetectionDaemon(args.host, args.port, config=config)
@@ -137,7 +130,6 @@ def _serve(args) -> int:
     signal.signal(signal.SIGTERM, _graceful)
     print(f"repro detection daemon on {host}:{port} "
           f"(warmup {daemon.service.warmup_s:.2f}s, "
-          f"workers={config.workers}, "
           f"window={config.batch_window_s * 1e3:.1f}ms, "
           f"max_pending={config.max_pending})",
           flush=True)

@@ -5,18 +5,17 @@ requests — the warmed :class:`~repro.idioms.IdiomDetector` (compiled
 idiom forest, lowered plans), a shared :class:`~repro.cache.ArtifactStore`
 under an LRU byte budget (in memory unless ``cache_dir`` puts it on
 disk, so a re-submitted function is always served rather than
-re-solved), a parse cache mapping IR-text digests to shared
-:class:`~repro.ir.module.Module` objects, and an
-:class:`~repro.idioms.InflightLedger` for cross-batch in-flight dedupe —
-then serves concurrent :meth:`submit` calls from many tenants.
+re-solved) and a parse cache mapping IR-text digests to shared
+:class:`~repro.ir.module.Module` objects — then serves concurrent
+:meth:`submit` calls from many tenants.
 
 Requests arriving within ``batch_window_s`` of each other are
-micro-batched: a batcher thread drains the queues into one
-:meth:`~repro.idioms.scheduler.DetectionSession.detect_many` fan-out per
+micro-batched: one batcher thread drains the queues into a batch and
+runs it — one
+:meth:`~repro.idioms.scheduler.DetectionSession.detect_many` call per
 batch, so ten tenants editing the same popular library produce one solve
-plus nine structural replays rather than ten solves. Dispatcher threads
-run batches concurrently, so one slow batch never blocks the window for
-the next.
+plus nine structural replays rather than ten solves. One batch runs at a
+time; requests that arrive meanwhile wait for the next.
 
 The service is built to survive overload and partial failure, not just
 to go fast when healthy:
@@ -25,7 +24,7 @@ to go fast when healthy:
   (``max_pending``) with per-tenant quotas (``tenant_quota``); a full
   queue or an over-quota tenant gets a typed :class:`ServiceOverloaded`
   carrying a ``retry_after_s`` estimate instead of unbounded queueing.
-  The batcher only forms a new batch when a dispatcher slot is free, so
+  The batcher forms a new batch only after the last one finished, so
   backpressure is real: work waits in the quota-governed tenant queues,
   never in a hidden unbounded executor queue.
 * **Per-tenant fairness** — batches are drained by weighted round-robin
@@ -39,11 +38,11 @@ to go fast when healthy:
   (remaining wall-clock budget). Already-expired work is rejected at
   admission with :class:`DeadlineExpired`; work that expires while
   queued fails the same way when its batch starts; the tightest
-  remaining budget in a batch is threaded into the PR-7
+  remaining budget in a batch is threaded into the session's
   :class:`~repro.reliability.supervisor.RetryPolicy` per-function
   deadline (:meth:`~repro.reliability.supervisor.RetryPolicy.tightened`),
   so a slow solve degrades to a ``timed-out-partial`` outcome instead
-  of hanging a handler thread.
+  of outliving its callers.
 * **Lifecycle** — ``starting → ready → draining → stopped``.
   :meth:`drain` stops admission (new submits get a typed
   :class:`ServiceDraining`) while in-flight and queued batches complete;
@@ -76,12 +75,12 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..cache import EVICTION_POLICIES, ArtifactStore
 from ..errors import IDLError
-from ..idioms import IdiomDetector, InflightLedger
+from ..idioms import IdiomDetector
 from ..idioms.matches import DetectionReport
 from ..idioms.scheduler import DetectionSession
 from ..ir.module import Module
@@ -138,19 +137,17 @@ class DeadlineExpired(ServiceError):
 class ServiceConfig:
     """Every knob of a resident detection service, in one place.
 
-    ``workers``/``deadline_s``/``max_retries`` configure each
-    batch's :class:`~repro.idioms.scheduler.DetectionSession`;
+    ``deadline_s`` is each batch's per-function solve deadline;
     ``cache_dir``/``budget_bytes``/
     ``eviction``/``durable`` the shared artifact store (``cache_dir=None``
     keeps it in memory, capped at
     :data:`~repro.cache.store.DEFAULT_MEMORY_BUDGET_BYTES` unless
     ``budget_bytes`` says otherwise);
-    ``batch_window_s``/``max_batch``/``dispatchers`` the micro-batcher;
+    ``batch_window_s``/``max_batch`` the micro-batcher;
     ``max_pending``/``tenant_quota``/``tenant_weights`` admission and
     fairness.
     """
 
-    workers: int = 1
     cache_dir: str | None = None
     budget_bytes: int | None = None
     eviction: str = "lru"
@@ -160,11 +157,7 @@ class ServiceConfig:
     #: capture concurrent tenants without a visible latency tax.
     batch_window_s: float = 0.002
     max_batch: int = 32
-    #: Concurrent batch executors. Two keeps the window responsive while
-    #: a large batch is still solving.
-    dispatchers: int = 2
     deadline_s: float | None = None
-    max_retries: int = 2
     #: Distinct module texts kept parsed in memory (LRU).
     parse_cache_entries: int = 64
     #: Most recent per-request latencies retained for the stats endpoint.
@@ -189,8 +182,6 @@ class ServiceConfig:
             raise IDLError(f"unknown eviction policy {self.eviction!r}")
         if self.max_batch < 1:
             raise IDLError("max_batch must be >= 1")
-        if self.dispatchers < 1:
-            raise IDLError("dispatchers must be >= 1")
         if self.max_pending < 1:
             raise IDLError("max_pending must be >= 1")
         if self.tenant_quota is not None and self.tenant_quota < 1:
@@ -308,7 +299,6 @@ class DetectionService:
                                   eviction=self.config.eviction)
         self.store = store
         self.detector = IdiomDetector(cache=store)
-        self.ledger = InflightLedger()
         self.warmup_s = 0.0
         #: One lock guards every counter, the tenant queues and the parse
         #: cache; the batcher's condition shares it, so a stats snapshot
@@ -319,11 +309,11 @@ class DetectionService:
         self._tenant_order: list[str] = []
         self._rr_next = 0
         self._pending = 0
+        #: 1 while the batcher runs a batch (drain waits on it).
         self._inflight = 0
         self._parse_cache: OrderedDict[str, Module] = OrderedDict()
         self._latencies = deque(maxlen=self.config.latency_window)
         self._batcher: threading.Thread | None = None
-        self._dispatchers: ThreadPoolExecutor | None = None
         self._started = False
         self._draining = False
         self._closed = False
@@ -341,7 +331,6 @@ class DetectionService:
         self._store_hits = 0
         self._solved_functions = 0
         self._batch_dedupe_hits = 0
-        self._inflight_hits = 0
         self._errors = 0
         self._parse_hits = 0
         self._parse_misses = 0
@@ -362,7 +351,7 @@ class DetectionService:
 
     def start(self) -> "DetectionService":
         """Warm the detector (compile the idiom forest) and start the
-        batcher/dispatcher threads. Idempotent; :meth:`submit` calls it
+        batcher thread. Idempotent; :meth:`submit` calls it
         on first use, but a daemon should call it eagerly so the first
         request pays no compile cost."""
         with self._lock:
@@ -374,9 +363,6 @@ class DetectionService:
         t0 = time.perf_counter()
         self.detector.warmup()
         self.warmup_s = time.perf_counter() - t0
-        self._dispatchers = ThreadPoolExecutor(
-            max_workers=self.config.dispatchers,
-            thread_name_prefix="repro-service")
         self._batcher = threading.Thread(target=self._batch_loop,
                                          name="repro-service-batcher",
                                          daemon=True)
@@ -406,7 +392,7 @@ class DetectionService:
             return True
 
     def close(self):
-        """Drain queued requests, stop the threads, release the pools.
+        """Drain queued requests and stop the batcher thread.
         Idempotent. Requests submitted after close are refused."""
         with self._queue_cond:
             if self._closed:
@@ -416,8 +402,6 @@ class DetectionService:
             self._queue_cond.notify_all()
         if self._batcher is not None:
             self._batcher.join(timeout=60.0)
-        if self._dispatchers is not None:
-            self._dispatchers.shutdown(wait=True)
 
     def __enter__(self) -> "DetectionService":
         return self.start()
@@ -529,7 +513,7 @@ class DetectionService:
         even mid-batch."""
         with self._lock:
             served = (self._store_hits + self._batch_dedupe_hits +
-                      self._inflight_hits + self._module_dedupe_hits)
+                      self._module_dedupe_hits)
             total = self._functions_requested
             payload = {
                 "uptime_s": time.monotonic() - self._t_start,
@@ -548,7 +532,6 @@ class DetectionService:
                 "solved_functions": self._solved_functions,
                 "store_hits": self._store_hits,
                 "batch_dedupe_hits": self._batch_dedupe_hits,
-                "inflight_hits": self._inflight_hits,
                 "module_dedupe_hits": self._module_dedupe_hits,
                 "dedupe_ratio": served / total if total else 0.0,
                 "plan_requests": self._plan_requests,
@@ -620,13 +603,12 @@ class DetectionService:
                 retry_after_s=self._retry_after_locked())
 
     def _retry_after_locked(self) -> float:
-        """When to come back: roughly one dispatch wave of the current
-        backlog at the recently observed per-request service rate."""
+        """When to come back: the current backlog, ``max_batch`` requests
+        per batch, at the recently observed per-request service rate."""
         per = self._ewma_request_s
         if per is None:
             per = max(self.config.batch_window_s, 0.002) * 2
-        wave = self.config.max_batch * self.config.dispatchers
-        waves = 1 + self._pending // max(1, wave)
+        waves = 1 + self._pending // self.config.max_batch
         return round(min(5.0, max(0.01, per * waves)), 4)
 
     # -- internals ----------------------------------------------------------------
@@ -689,14 +671,9 @@ class DetectionService:
         config = self.config
         while True:
             with self._queue_cond:
-                while True:
-                    if not self._pending and self._closed:
+                while not self._pending:
+                    if self._closed:
                         return
-                    # Backpressure: only form a batch when a dispatcher
-                    # can take it, so excess load waits in the bounded
-                    # tenant queues where admission control sees it.
-                    if self._pending and self._inflight < config.dispatchers:
-                        break
                     self._queue_cond.wait()
                 # Micro-batch window: the first request opens it; wait
                 # for co-travellers until it lapses or the batch fills.
@@ -708,8 +685,11 @@ class DetectionService:
                     self._queue_cond.wait(timeout=remaining)
                 batch = self._next_batch_locked(config.max_batch)
                 self._batches += 1
-                self._inflight += 1
-            self._dispatchers.submit(self._run_batch, batch)
+                self._inflight = 1
+            # Backpressure: the next batch forms only after this one, so
+            # excess load waits in the bounded tenant queues where
+            # admission control sees it.
+            self._run_batch(batch)
 
     def _expire_locked(self, expired: list[_Request]) -> None:
         self._expired += len(expired)
@@ -788,7 +768,7 @@ class DetectionService:
             if not batch:
                 return
             # Step 2: the tightest surviving budget bounds the solve via
-            # the supervisor's per-function deadline.
+            # the session's per-function deadline.
             budget = None
             for request in batch:
                 if request.deadline_at is not None:
@@ -801,13 +781,11 @@ class DetectionService:
                 if id(request.module) not in index_of:
                     index_of[id(request.module)] = len(unique)
                     unique.append(request.module)
-            session = DetectionSession(
-                self.detector, workers=self.config.workers,
-                deadline_s=self.config.deadline_s,
-                max_retries=self.config.max_retries)
+            session = DetectionSession(self.detector,
+                                       deadline_s=self.config.deadline_s)
             if budget is not None:
                 session.policy = session.policy.tightened(budget)
-            reports = session.detect_many(unique, inflight=self.ledger)
+            reports = session.detect_many(unique)
             now = time.perf_counter()
             per_module_functions = [
                 sum(1 for f in module.functions.values()
@@ -817,7 +795,6 @@ class DetectionService:
                 self._store_hits += session.cache_hits
                 self._solved_functions += session.solved_functions
                 self._batch_dedupe_hits += session.dedupe_hits
-                self._inflight_hits += session.inflight_hits
                 for request in batch:
                     fcount = per_module_functions[
                         index_of[id(request.module)]]
@@ -845,7 +822,7 @@ class DetectionService:
                     request.future.set_exception(exc)
         finally:
             with self._queue_cond:
-                self._inflight -= 1
+                self._inflight = 0
                 per = (time.perf_counter() - t_batch) / max(1, size)
                 self._ewma_request_s = (
                     per if self._ewma_request_s is None

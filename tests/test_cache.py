@@ -356,17 +356,6 @@ class TestDetectionCache:
         assert all(m.function is module.functions[m.function.name]
                    for m in warm.matches)
 
-    @pytest.mark.parametrize("workers", [2], ids=["2-thread"])
-    def test_warm_through_worker_pools(self, tmp_path, workers):
-        module = compiled()
-        cold = IdiomDetector().detect(module)
-        det = IdiomDetector(cache=str(tmp_path))
-        DetectionSession(det, workers=workers).detect(module)
-        session = DetectionSession(det, workers=workers)
-        warm = session.detect(module)
-        assert session.cache_misses == 0
-        assert warm_fp(warm) == warm_fp(cold)
-
     def test_editing_one_function_resolves_only_it(self, tmp_path):
         module = compiled()
         det = IdiomDetector(cache=str(tmp_path))
@@ -587,10 +576,6 @@ class TestSuiteColdWarm:
             assert warm_fp(warm) == warm_fp(cold_report), name
             assert warm.stats.as_dict() == cold_report.stats.as_dict(), \
                 name
-            for detector in (cold, det):
-                threaded = DetectionSession(detector, workers=2) \
-                    .detect(module)
-                assert warm_fp(threaded) == warm_fp(cold_report), name
 
         for round_no, edited in enumerate(self.EDITED):
             function = next(f for f in modules[edited].functions.values()

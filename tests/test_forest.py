@@ -70,19 +70,6 @@ class TestForestEquivalence:
         assert report_fingerprint(forest_report) == \
             report_fingerprint(dynamic_report)
 
-    @pytest.mark.parametrize("name", ["CG", "MG", "lbm"])
-    def test_forest_worker_counts_identical(self, name, suite_modules,
-                                            detectors):
-        """Thread pools change neither matches nor the pass-level stats
-        (deterministic merge in module order)."""
-        forest, _ = detectors
-        module = suite_modules[name]
-        reports = [DetectionSession(forest, workers=n).detect(module)
-                   for n in (1, 3)]
-        assert report_fingerprint(reports[0]) == report_fingerprint(
-            reports[1])
-        assert reports[0].stats == reports[1].stats
-
     def test_forest_respects_max_solutions_like_plan(self):
         """The per-idiom solution cap truncates the same enumeration in
         both executors."""
@@ -424,6 +411,9 @@ class TestValueKeyInterning:
 
 class TestKnobCensus:
     KNOBS = {"ordering", "memo", "indexed"}
+    #: Detection runs on one thread with no retry ladder.
+    CONCURRENCY_KNOBS = {"workers", "dispatchers", "max_retries",
+                         "backoff_s"}
 
     def test_no_solve_knobs_on_user_paths(self):
         """Detection always solves with the forest: no user-facing entry
@@ -459,3 +449,39 @@ class TestKnobCensus:
         with pytest.raises(SystemExit):
             harness.main(["table1", "--ordering", "plan"])
         assert "--ordering" in capsys.readouterr().err
+
+    def test_no_concurrency_knobs_on_user_paths(self):
+        """No detection entry point takes a thread-pool size, a
+        dispatcher count or a retry budget."""
+        from dataclasses import fields
+        from inspect import signature
+
+        from repro.idioms import detect_idioms
+        from repro.runtime.runner import compile_workload
+        from repro.service import ServiceConfig
+
+        surfaces = {
+            "DetectionSession.__init__":
+                signature(DetectionSession).parameters,
+            "DetectionSession instance": vars(DetectionSession()),
+            "IdiomDetector.detect":
+                signature(IdiomDetector.detect).parameters,
+            "detect_idioms": signature(detect_idioms).parameters,
+            "compile_workload": signature(compile_workload).parameters,
+            "ServiceConfig": {f.name for f in fields(ServiceConfig)},
+        }
+        for name, params in surfaces.items():
+            assert self.CONCURRENCY_KNOBS.isdisjoint(params), name
+
+    @pytest.mark.parametrize("flag", ["--workers", "--dispatchers",
+                                      "--max-retries"])
+    def test_concurrency_flags_rejected_by_the_clis(self, flag, capsys):
+        from repro.experiments import harness
+        from repro.service.__main__ import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", flag, "2"])
+        assert flag in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            harness.main(["table1", flag, "2"])
+        assert flag in capsys.readouterr().err

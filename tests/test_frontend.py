@@ -87,6 +87,8 @@ def _chained_ifs(depth: int) -> str:
 #: than the interpreter stack if walked recursively, and no parser limit
 #: applies. (source, value of ``f(1)``)
 LONG_CHAINS = {
+    "and": ("int f(int x) { return " + "&&".join(["x"] * 2000) + "; }", 1),
+    "or": ("int f(int x) { return " + "||".join(["x"] * 2000) + "; }", 1),
     "sum": ("int f(int x) { return " + "+".join(["x"] * 2000) + "; }",
             2000),
     "comma": ("int f(int x) { return (" + ",".join(["x"] * 2000) + "); }",

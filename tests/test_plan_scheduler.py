@@ -242,28 +242,21 @@ class TestDetectionSession:
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()])
     def test_parallel_equals_sequential(self, name, suite_modules):
-        """A thread-pool session yields the identical DetectionReport
-        (same matches, same deterministic merge order) on every NAS +
-        Parboil workload."""
+        """Two tenants submitting the same module in parallel share one
+        batch (``detect_many``: each function solved once, then replayed
+        for the second copy), and each gets the DetectionReport a
+        sequential ``detect`` gives (same matches, same merge order,
+        same stats) on every NAS + Parboil workload."""
         module = suite_modules[name]
         detector = IdiomDetector()
         sequential = DetectionSession(detector).detect(module)
-        parallel = DetectionSession(detector, workers=4).detect(module)
-        assert report_fingerprint(parallel) == \
-            report_fingerprint(sequential)
-        assert parallel.stats == sequential.stats
-
-    def test_worker_counts_do_not_change_order(self, suite_modules):
-        module = suite_modules["CG"]
-        detector = IdiomDetector()
-        reports = [DetectionSession(detector, workers=n).detect(module)
-                   for n in (1, 2, 5)]
-        fingerprints = [report_fingerprint(r) for r in reports]
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-    def test_detect_idioms_worker_passthrough(self):
-        from repro.idioms import detect_idioms
-
-        module = compiled(SNIPPETS["reduction"])
-        assert detect_idioms(module, workers=2).by_idiom() == \
-            detect_idioms(module).by_idiom()
+        session = DetectionSession(detector)
+        parallel = session.detect_many([module, module])
+        for report in parallel:
+            assert report_fingerprint(report, by_identity=False) == \
+                report_fingerprint(sequential, by_identity=False)
+            assert report.stats == sequential.stats
+        functions = sum(1 for f in module.functions.values()
+                        if not f.is_declaration())
+        assert (session.solved_functions, session.dedupe_hits) == \
+            (functions, functions)

@@ -1,5 +1,5 @@
 """Tests for the reliability layer: deterministic fault injection,
-supervised detection sessions (retry, degradation, deadlines),
+detection-session outcomes and deadlines,
 crash-safe concurrent cache writes, backend quarantine with
 guaranteed fallback, and the JIT tier's fault containment."""
 
@@ -23,12 +23,6 @@ from repro.passes import optimize
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, FaultSpec, plan_from_spec
 from repro.reliability.quarantine import Quarantine
-from repro.reliability.supervisor import (
-    FunctionOutcome,
-    RetryPolicy,
-    SessionOutcomes,
-    Supervisor,
-)
 from repro.runtime.jit import JitVirtualMachine
 from repro.runtime.runner import (
     _bind_arguments,
@@ -92,12 +86,12 @@ class TestFaultPlan:
             FaultSpec(site="store.read", kind="explode")
 
     def test_occurrence_addressing(self):
-        plan = FaultPlan([{"site": "worker.solve", "kind": "exception",
+        plan = FaultPlan([{"site": "jit.compile", "kind": "exception",
                            "at": [1]}])
-        assert plan.fire("worker.solve", "f") is None
+        assert plan.fire("jit.compile", "f") is None
         with pytest.raises(InjectedFault):
-            plan.fire("worker.solve", "g")
-        assert plan.fire("worker.solve", "h") is None
+            plan.fire("jit.compile", "g")
+        assert plan.fire("jit.compile", "h") is None
         assert [e["occurrence"] for e in plan.fired] == [1]
         assert plan.fired[0]["key"] == "g"
 
@@ -109,26 +103,11 @@ class TestFaultPlan:
             plan.fire("store.read")
 
     def test_key_filter(self):
-        plan = FaultPlan([{"site": "worker.solve", "kind": "exception",
+        plan = FaultPlan([{"site": "jit.compile", "kind": "exception",
                            "at": [0, 1], "key": "target"}])
-        assert plan.fire("worker.solve", "other") is None
+        assert plan.fire("jit.compile", "other") is None
         with pytest.raises(InjectedFault):
-            plan.fire("worker.solve", "the_target_fn")
-
-    def test_epoch_scoping(self):
-        plan = FaultPlan([{"site": "worker.solve", "kind": "exception",
-                           "at": [0, 1, 2], "epochs": [0]}])
-        with pytest.raises(InjectedFault):
-            plan.fire("worker.solve")
-        plan.epoch = 1  # the supervisor bumps after a retry
-        assert plan.fire("worker.solve") is None
-
-    def test_empty_epochs_means_every_epoch(self):
-        plan = FaultPlan([{"site": "worker.solve", "kind": "exception",
-                           "at": [0, 1], "epochs": []}])
-        plan.epoch = 7
-        with pytest.raises(InjectedFault):
-            plan.fire("worker.solve")
+            plan.fire("jit.compile", "the_target_fn")
 
     def test_rate_is_seed_deterministic(self):
         def fired_pattern(seed):
@@ -155,19 +134,20 @@ class TestFaultPlan:
         assert isinstance(directive, FaultSpec) and directive.kind == "torn"
 
     def test_hang_returns_after_sleeping(self):
-        plan = FaultPlan([{"site": "worker.solve", "kind": "hang",
+        plan = FaultPlan([{"site": "jit.compile", "kind": "hang",
                            "at": [0], "seconds": 0.01}])
-        assert plan.fire("worker.solve") is None
+        assert plan.fire("jit.compile") is None
         assert plan.fired[0]["kind"] == "hang"
 
     def test_process_pool_seam_and_kind_rejected(self):
-        """Detection runs in-process only: a plan naming the old
-        pool-worker seam or the worker-crash kind is a typed error, not
-        a plan that silently never fires."""
-        with pytest.raises(ReproError, match="unknown fault seam"):
-            plan_from_spec([{"site": "worker.spawn", "kind": "exception"}])
+        """Detection runs in-process on one thread: a plan naming the
+        old pool-worker seams or the worker-crash kind is a typed error,
+        not a plan that silently never fires."""
+        for seam in ("worker.spawn", "worker.solve"):
+            with pytest.raises(ReproError, match="unknown fault seam"):
+                plan_from_spec([{"site": seam, "kind": "exception"}])
         with pytest.raises(ReproError, match="unknown fault kind"):
-            plan_from_spec([{"site": "worker.solve", "kind": "crash"}])
+            plan_from_spec([{"site": "jit.compile", "kind": "crash"}])
 
     def test_seam_census_matches_call_sites(self):
         """Every seam in SEAMS has a literal ``maybe_fire("<seam>"`` call
@@ -190,7 +170,7 @@ class TestFaultPlan:
 
     def test_spec_roundtrip(self, tmp_path):
         plan = FaultPlan([FaultSpec("store.read", "exception", at=(2,),
-                                    key="ab", epochs=(0, 1))], seed=9)
+                                    key="ab")], seed=9)
         rebuilt = plan_from_spec(plan.as_spec())
         assert rebuilt.seed == 9
         assert rebuilt.specs[0] == plan.specs[0]
@@ -215,124 +195,10 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Supervisor ladder
-# ---------------------------------------------------------------------------
-
-class Fn:
-    def __init__(self, name):
-        self.name = name
-
-
-def batch_all(functions):
-    return [list(functions)]
-
-
-class TestSupervisor:
-    def test_serial_retries_transient(self):
-        calls = {"n": 0}
-
-        def solve_one(function, epoch=0):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise InjectedFault("flaky")
-            return (function.name, "row")
-
-        outcomes = SessionOutcomes()
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), outcomes)
-        rows = sup.run([Fn("f")], solve_one, batch_all)
-        assert rows["f"] == ("f", "row")
-        assert calls["n"] == 2
-        assert sup.meta["f"]["faults"] == ["flaky"]
-        assert outcomes.session_faults == ["flaky"]
-
-    def test_serial_exhaustion_reraises(self):
-        def solve_one(function, epoch=0):
-            raise InjectedFault("always")
-
-        sup = Supervisor(RetryPolicy(max_retries=1, backoff_s=0.0),
-                         SessionOutcomes())
-        with pytest.raises(InjectedFault):
-            sup.run([Fn("f")], solve_one, batch_all)
-
-    def test_deterministic_error_propagates_unretried(self):
-        calls = {"n": 0}
-
-        def solve_one(function, epoch=0):
-            calls["n"] += 1
-            raise ValueError("workload bug")
-
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes())
-        with pytest.raises(ValueError):
-            sup.run([Fn("f")], solve_one, batch_all)
-        assert calls["n"] == 1
-
-    def test_thread_tier_degrades_to_serial(self):
-        def solve_one(function, epoch=0):
-            # Fails through every thread-tier attempt (epochs 0..2 with
-            # max_retries=2); the serial tier's epoch-3 call succeeds.
-            if epoch < 3:
-                raise InjectedFault(f"epoch {epoch}")
-            return (function.name, "row")
-
-        outcomes = SessionOutcomes()
-        sup = Supervisor(RetryPolicy(max_retries=2, backoff_s=0.0),
-                         outcomes, workers=2)
-        rows = sup.run([Fn("f"), Fn("g")], solve_one, batch_all)
-        assert set(rows) == {"f", "g"}
-        assert sup.meta["f"]["tier"] == "serial"
-        assert sup.meta["f"]["degraded"] is True
-        assert len(outcomes.session_faults) >= 3
-
-    def test_interrupt_propagates(self):
-        def solve_one(function, epoch=0):
-            raise KeyboardInterrupt()
-
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes(),
-                         workers=2)
-        with pytest.raises(KeyboardInterrupt):
-            sup.run([Fn("f")], solve_one, batch_all)
-
-    def test_outcome_bookkeeping(self):
-        outcomes = SessionOutcomes()
-        outcomes.record(FunctionOutcome("f", "ok", "thread"))
-        outcomes.record(FunctionOutcome("g", "retried", "thread",
-                                        attempts=2, faults=("boom",)))
-        assert outcomes.counts() == {"ok": 1, "retried": 1}
-        assert [o.function for o in outcomes.ordered(["g", "f"])] == \
-            ["g", "f"]
-        d = outcomes.as_dict()
-        assert d["counts"]["retried"] == 1
-        assert d["functions"][1]["faults"] == ["boom"]
-
-
-# ---------------------------------------------------------------------------
-# Supervised detection sessions
+# Detection sessions: outcomes and deadlines
 # ---------------------------------------------------------------------------
 
 class TestSessionReliability:
-    def test_thread_fault_retried_report_identical(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.solve",
-                                        "kind": "exception", "at": [0],
-                                        "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2)
-        report = session.detect(module)
-        assert fingerprint(report) == baseline
-        assert report.outcomes is session.outcomes
-        counts = session.outcomes.counts()
-        assert counts.get("retried", 0) >= 1
-        assert session.outcomes.session_faults  # the handled injection
-
-    def test_serial_fault_retried_report_identical(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.solve",
-                                        "kind": "exception", "at": [0],
-                                        "epochs": [0]}]})
-        report = DetectionSession(IdiomDetector()).detect(module)
-        assert fingerprint(report) == baseline
-
     def test_all_ok_outcomes_on_clean_run(self):
         module = compiled()
         session = DetectionSession(IdiomDetector())
@@ -665,9 +531,8 @@ class TestJitReliability:
 # ---------------------------------------------------------------------------
 
 #: Each (seam, kind) scenario: its specs, plus whether it runs against an
-#: artifact store (the store seams fire nowhere else), whether the store
-#: is populated first (so read faults hit real entries), and the session's
-#: worker count.
+#: artifact store (the store seams fire nowhere else) and whether the
+#: store is populated first (so read faults hit real entries).
 FAULT_MATRIX = {
     "store.write/exception": (
         {"cache": True},
@@ -678,14 +543,6 @@ FAULT_MATRIX = {
     "store.read/exception": (
         {"cache": True, "warm": True},
         [{"site": "store.read", "kind": "exception", "at": [0]}]),
-    "worker.solve/exception": (
-        {"workers": 2},
-        [{"site": "worker.solve", "kind": "exception", "at": [0],
-          "epochs": [0]}]),
-    "worker.solve/hang": (
-        {},
-        [{"site": "worker.solve", "kind": "hang", "at": [0],
-          "seconds": 0.05}]),
 }
 
 
@@ -718,8 +575,7 @@ def test_fault_matrix_over_the_suite(scenario, suite_fingerprints,
             DetectionSession(detector).detect(module)
     plan = faults.install_plan({"specs": specs})
     for name, module in modules:
-        session = DetectionSession(detector,
-                                   workers=options.get("workers", 1))
+        session = DetectionSession(detector)
         assert fingerprint(session.detect(module)) == baseline[name], name
     faults.install_plan(None)
     assert plan.fired

@@ -1,14 +1,13 @@
 """Tests for the serving layer: the LRU/generational byte-budgeted
 store, the latency helpers, warm-detector residency, cross-module
-``detect_many`` with in-flight dedupe, the in-process
-:class:`DetectionService` (micro-batching, concurrent tenants), the TCP
-daemon and its wire format, and the ``$REPRO_WORKERS`` harness default."""
+``detect_many`` with in-batch dedupe, the in-process
+:class:`DetectionService` (micro-batching, concurrent tenants) and the
+TCP daemon and its wire format."""
 
 import json
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from repro.frontend import compile_c
 from repro.idioms import (
     DetectionSession,
     IdiomDetector,
-    InflightLedger,
     detect_idioms,
     report_fingerprint,
 )
@@ -353,24 +351,25 @@ class TestResidency:
 
 
 # ---------------------------------------------------------------------------
-# detect_many: cross-module fan-out with dedupe
+# detect_many: cross-module batches with dedupe
 # ---------------------------------------------------------------------------
 
 class TestDetectMany:
-    @pytest.mark.parametrize("workers", [1, 2], ids=["1-thread", "2-thread"])
-    def test_identical_to_per_module_detect(self, workers):
+    def test_identical_to_per_module_detect(self):
         modules = [compiled(name="a"), compiled(name="b"),
                    compiled(SRC_EDITED, name="c")]
         direct = [detect_idioms(compiled(src, name))
                   for src, name in ((SRC, "a"), (SRC, "b"),
                                     (SRC_EDITED, "c"))]
-        session = DetectionSession(IdiomDetector(), workers=workers)
+        session = DetectionSession(IdiomDetector())
         reports = session.detect_many(modules)
         assert len(reports) == 3
         for got, want in zip(reports, direct):
             assert report_wire_fingerprint(got) == \
                 report_wire_fingerprint(want)
             assert got.stats.as_dict() == want.stats.as_dict()
+            # Each report records its own module's functions, by name.
+            assert sorted(got.outcomes.records) == ["dot", "hist"]
         # 6 functions requested; identical pairs solved once: dot+hist
         # solved for module a, replayed for b; c's edited dot solved,
         # its unchanged hist replayed.
@@ -396,65 +395,6 @@ class TestDetectMany:
         assert second.solved_functions == 0
         assert second.cache_hits == 4
         assert all(r.total() > 0 for r in reports)
-
-    def test_concurrent_sessions_share_inflight(self):
-        ledger = InflightLedger()
-        detector = IdiomDetector().warmup()
-        modules = [compiled(name="a"), compiled(name="b")]
-        results: dict = {}
-
-        def run(tag, module):
-            session = DetectionSession(detector)
-            results[tag] = (session,
-                            session.detect_many([module],
-                                                inflight=ledger))
-
-        threads = [threading.Thread(target=run, args=(tag, module))
-                   for tag, module in zip("ab", modules)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        (sa, ra), (sb, rb) = results["a"], results["b"]
-        assert report_wire_fingerprint(ra[0]) == \
-            report_wire_fingerprint(rb[0])
-        # Every function was either solved once or replayed from the
-        # other session's in-flight future — never solved twice AND
-        # replayed (the accounting is exhaustive either way).
-        solved = sa.solved_functions + sb.solved_functions
-        replayed = sa.inflight_hits + sb.inflight_hits
-        assert solved + replayed == 4
-        assert solved >= 2
-        # The ledger drains once fan-outs complete: publish pops.
-        assert ledger.pending() == 0
-
-
-class TestInflightLedger:
-    def test_claim_publish_protocol(self):
-        ledger = InflightLedger()
-        owner, future = ledger.claim("k")
-        assert owner
-        again, same = ledger.claim("k")
-        assert not again and same is future
-        ledger.publish("k", {"x": 1})
-        assert future.result(timeout=1) == {"x": 1}
-        assert ledger.pending() == 0
-        # Idempotent: the finally-backstop publish after the real one.
-        ledger.publish("k", None)
-
-    def test_waiter_blocks_until_publish(self):
-        ledger = InflightLedger()
-        _, future = ledger.claim("k")
-        seen = []
-
-        def wait():
-            seen.append(future.result(timeout=5))
-
-        thread = threading.Thread(target=wait)
-        thread.start()
-        ledger.publish("k", {"ok": True})
-        thread.join(timeout=5)
-        assert seen == [{"ok": True}]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +431,29 @@ class TestDetectionService:
         assert stats["dedupe_ratio"] > 0.5
         assert stats["errors"] == 0
         assert stats["latency"]["count"] == 5
+
+    def test_cobatched_tenants_see_only_their_own_outcomes(self):
+        """Two tenants' modules in one batch: each encoded report's
+        outcome records name exactly its own module's defined
+        functions, never the other tenant's."""
+        from repro.experiments.suites import compile_suite
+
+        modules = {w.name: m for w, m in compile_suite(["CG", "histo"])}
+        texts = {"alice": print_module(modules["CG"]),
+                 "bob": print_module(modules["histo"])}
+        config = ServiceConfig(batch_window_s=0.25)
+        with DetectionService(config) as service:
+            futures = {tenant: service.submit(text, tenant=tenant)
+                       for tenant, text in texts.items()}
+            results = {tenant: future.result(timeout=120)
+                       for tenant, future in futures.items()}
+            assert service.stats()["batches"] == 1
+        for tenant, result in results.items():
+            defined = {f.name for f in result.module.functions.values()
+                       if not f.is_declaration()}
+            outcomes = encode_report(result.report)["outcomes"]
+            names = [o["function"] for o in outcomes["functions"]]
+            assert sorted(names) == sorted(defined), tenant
 
     def test_sequential_requests_separate_batches(self):
         text = module_text()
@@ -625,14 +588,11 @@ class TestSuiteTraffic:
         assert stats["errors"] == 0
         return stats, total_bytes
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reports_identical_and_deduped(self, traffic, workers,
-                                           tmp_path):
+    def test_reports_identical_and_deduped(self, traffic, tmp_path):
         stats, _ = self.serve(ServiceConfig(
-            workers=workers, cache_dir=str(tmp_path),
-            batch_window_s=0.004), *traffic)
+            cache_dir=str(tmp_path), batch_window_s=0.004), *traffic)
         assert stats["store_hits"] + stats["batch_dedupe_hits"] + \
-            stats["inflight_hits"] + stats["module_dedupe_hits"] > 0
+            stats["module_dedupe_hits"] > 0
 
     def test_restart_solves_nothing(self, traffic, tmp_path):
         config = ServiceConfig(cache_dir=str(tmp_path),
@@ -815,21 +775,3 @@ def test_daemon_import_does_not_load_the_benchmark_package():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-# ---------------------------------------------------------------------------
-# Harness env defaults
-# ---------------------------------------------------------------------------
-
-class TestWorkersDefault:
-    def test_repro_workers_env(self, monkeypatch):
-        from repro.experiments.harness import default_workers
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "zebra")
-        assert default_workers() == 1

@@ -85,12 +85,6 @@ class TestTightened:
         tightened = RetryPolicy().tightened(-3.0)
         assert 0 < tightened.deadline_s <= 1e-6
 
-    def test_other_knobs_survive(self):
-        policy = RetryPolicy(max_retries=7, backoff_s=0.9)
-        tightened = policy.tightened(1.0)
-        assert tightened.max_retries == 7
-        assert tightened.backoff_s == 0.9
-
 
 # ---------------------------------------------------------------------------
 # Admission control: bounded queue, quotas, typed sheds
@@ -101,8 +95,7 @@ class TestAdmission:
         text = module_text()
         faults.install_plan(slow_batches())
         config = ServiceConfig(max_pending=2, tenant_quota=2,
-                               batch_window_s=0.02, max_batch=1,
-                               dispatchers=1)
+                               batch_window_s=0.02, max_batch=1)
         sheds = []
         futures = []
         with DetectionService(config) as service:
@@ -124,8 +117,7 @@ class TestAdmission:
         text = module_text()
         faults.install_plan(slow_batches())
         config = ServiceConfig(max_pending=16, tenant_quota=2,
-                               batch_window_s=0.02, max_batch=1,
-                               dispatchers=1)
+                               batch_window_s=0.02, max_batch=1)
         with DetectionService(config) as service:
             futures, shed = [], None
             for _ in range(6):
@@ -261,7 +253,7 @@ class TestDeadlines:
         faults.install_plan(FaultPlan([
             {"site": "service.batch", "kind": "hang", "seconds": 0.12,
              "at": (0,)}]))
-        config = ServiceConfig(batch_window_s=0.005, dispatchers=1)
+        config = ServiceConfig(batch_window_s=0.005)
         with DetectionService(config) as service:
             doomed = service.submit(text, tenant="late", deadline_s=0.05)
             control = service.submit(text, tenant="ok")
@@ -275,7 +267,7 @@ class TestDeadlines:
 
     def test_config_deadline_degrades_to_partial_not_hang(self):
         # An already-expired per-function solve deadline must produce a
-        # timed-out-partial outcome through the supervisor, never an
+        # timed-out-partial outcome through the session, never an
         # exception or a stuck future. CG's driver loop solves for
         # >4096 ticks, enough for the sampled wall clock to notice
         # (same workload the reliability suite uses).
@@ -323,8 +315,7 @@ class TestLifecycle:
     def test_drain_waits_for_queued_work(self):
         text = module_text()
         faults.install_plan(slow_batches(seconds=0.1, count=4))
-        config = ServiceConfig(batch_window_s=0.02, max_batch=1,
-                               dispatchers=1)
+        config = ServiceConfig(batch_window_s=0.02, max_batch=1)
         with DetectionService(config) as service:
             futures = [service.submit(text) for _ in range(3)]
             assert service.drain(timeout=0.01) is False  # backlog remains
@@ -616,8 +607,7 @@ class TestChaos:
             {"site": "service.admit", "kind": "exception", "at": (3,)},
         ]))
         config = ServiceConfig(max_pending=8, tenant_quota=4,
-                               batch_window_s=0.02, max_batch=2,
-                               dispatchers=1)
+                               batch_window_s=0.02, max_batch=2)
         sheds, admit_faults, futures = [], 0, []
         with DetectionService(config) as service:
             for _ in range(40):
