@@ -23,6 +23,7 @@ from .fingerprint import (
     detection_config_signature,
     function_fingerprint,
     globals_signature,
+    module_fingerprints,
     summary_fingerprint,
 )
 from .store import (
@@ -40,4 +41,5 @@ __all__ = [
     "decode_detection", "encode_detection",
     "FINGERPRINT_VERSION", "detection_config_signature",
     "function_fingerprint", "globals_signature", "summary_fingerprint",
+    "module_fingerprints",
 ]

@@ -174,14 +174,17 @@ class DetectionCache:
     # -- detection entries -----------------------------------------------------
     def load(self, function: Function, module: Module,
              globals_sig: str | None = None,
-             text: str | None = None) -> CachedDetection | None:
+             text: str | None = None,
+             key: str | None = None) -> CachedDetection | None:
         """The cached detection result for ``function``, or None.
 
         ``text`` is the precomputed canonical form (optional, avoids a
-        re-print — the dominant warm-path cost)."""
-        if globals_sig is None:
-            globals_sig = globals_signature(module)
-        key = self.function_key(function, globals_sig, text)
+        re-print — the dominant warm-path cost) and ``key`` the
+        precomputed :meth:`function_key` (avoids the re-hash)."""
+        if key is None:
+            if globals_sig is None:
+                globals_sig = globals_signature(module)
+            key = self.function_key(function, globals_sig, text)
         payload = self.store.get(key)
         if payload is None or payload.get("kind") != "detection":
             return None
@@ -197,10 +200,11 @@ class DetectionCache:
     def save(self, function: Function, matches: list, stats: SolverStats,
              summary: AnalysisSummary | dict | None = None,
              globals_sig: str | None = None,
-             text: str | None = None) -> bool:
+             text: str | None = None, key: str | None = None) -> bool:
         """Persist one function's detection result (and, when given, its
         summary — pass None when the summary was itself adopted from the
-        store, so it is not rewritten).
+        store, so it is not rewritten). ``text`` and ``key`` are as in
+        :meth:`load`.
 
         Matches that cannot be expressed in the wire format make the
         whole function uncacheable (it will simply re-solve next time);
@@ -213,8 +217,9 @@ class DetectionCache:
                 summary = summary.as_dict()
             self.store.put(summary_fingerprint(function, text),
                            {"kind": "summary", "summary": summary})
-        return self.store.put(
-            self.function_key(function, globals_sig, text), payload)
+        if key is None:
+            key = self.function_key(function, globals_sig, text)
+        return self.store.put(key, payload)
 
     # -- analysis summaries ----------------------------------------------------
     def load_summary(self, function: Function,

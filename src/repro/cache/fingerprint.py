@@ -30,6 +30,7 @@ requirement).
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 from ..ir.module import Function, Module
 from ..ir.printer import print_function_canonical
@@ -78,6 +79,36 @@ def function_fingerprint(function: Function, config_signature: str,
     if text is None:
         text = print_function_canonical(function)
     return _digest("detection", config_signature, globals_sig, text)
+
+
+@dataclass(frozen=True)
+class ModuleFingerprints:
+    """One module's detection addresses under one configuration: its
+    globals signature and, per defined function in module order, the
+    ``(canonical text, detection key)`` pair.
+
+    The detection service memoises this on its parse cache, so a
+    re-submitted text costs neither a re-print nor a re-hash;
+    :meth:`~repro.idioms.scheduler.DetectionSession.detect_many` takes
+    it instead of fingerprinting the module itself."""
+
+    config_signature: str
+    globals_sig: str
+    functions: tuple[tuple[str, str], ...]
+
+
+def module_fingerprints(module: Module,
+                        config_signature: str) -> ModuleFingerprints:
+    """Print and fingerprint every defined function of ``module`` once."""
+    globals_sig = globals_signature(module)
+    pairs = []
+    for function in module.functions.values():
+        if function.is_declaration():
+            continue
+        text = print_function_canonical(function)
+        pairs.append((text, function_fingerprint(
+            function, config_signature, globals_sig, text)))
+    return ModuleFingerprints(config_signature, globals_sig, tuple(pairs))
 
 
 def summary_fingerprint(function: Function,

@@ -156,8 +156,8 @@ class DetectionSession:
             report.stats.merge(stats)
         return report
 
-    def detect_many(self, modules, dedupe: bool = True
-                    ) -> list[DetectionReport]:
+    def detect_many(self, modules, dedupe: bool = True,
+                    fingerprints=None) -> list[DetectionReport]:
         """Detect across several modules in one batch — the serving
         layer's micro-batch unit.
 
@@ -177,42 +177,49 @@ class DetectionSession:
         never change a report. Per-module reports are merged in module
         order and are bit-identical to per-module :meth:`detect` calls;
         each carries only its own module's outcome records.
+
+        ``fingerprints``, when given, runs parallel to ``modules``: each
+        item is a :class:`~repro.cache.fingerprint.ModuleFingerprints`
+        memo of that module (or None), used instead of re-printing and
+        re-hashing its functions. A memo made under another
+        configuration, or with another number of functions, is
+        recomputed.
         """
         from ..cache.detection import encode_detection
-        from ..cache.fingerprint import (
-            function_fingerprint,
-            globals_signature,
-        )
-        from ..ir.printer import print_function_canonical
+        from ..cache.fingerprint import module_fingerprints
 
         modules = list(modules)
+        if fingerprints is None:
+            fingerprints = [None] * len(modules)
         self.analyses = {}
         self.cache_hits = self.cache_misses = 0
         self.dedupe_hits = self.solved_functions = 0
         self.outcomes = SessionOutcomes()
         cache = self.detector.cache
-        config_sig = self.detector.config_signature()
+        config_sig = (self.detector.config_signature() if cache is None
+                      else cache.config_signature)
 
         results: dict[str, tuple] = {}  # uid -> (matches, stats)
         reports: list[DetectionReport] = []
         jobs_by_module: list[list[_Job]] = []
         cold: list[_Job] = []
-        for index, module in enumerate(modules):
+        for index, (module, prints) in enumerate(zip(modules,
+                                                     fingerprints)):
             report = DetectionReport(module.name)
             report.outcomes = SessionOutcomes()
             reports.append(report)
-            globals_sig = globals_signature(module)
+            defined = [f for f in module.functions.values()
+                       if not f.is_declaration()]
+            if prints is None or prints.config_signature != config_sig \
+                    or len(prints.functions) != len(defined):
+                prints = module_fingerprints(module, config_sig)
+            globals_sig = prints.globals_sig
             module_jobs: list[_Job] = []
-            for function in module.functions.values():
-                if function.is_declaration():
-                    continue
-                text = print_function_canonical(function)
-                key = function_fingerprint(function, config_sig,
-                                           globals_sig, text)
+            for function, (text, key) in zip(defined, prints.functions):
                 job = _Job(f"m{index}:{function.name}", function, module,
                            report.outcomes, text, globals_sig, key)
                 module_jobs.append(job)
-                entry = cache.load(function, module, globals_sig, text) \
+                entry = cache.load(function, module, key=key) \
                     if cache is not None else None
                 if entry is not None:
                     results[job.uid] = (entry.matches, entry.stats)
@@ -312,4 +319,4 @@ class DetectionSession:
         results are never stored."""
         if cache is not None and not stats.timed_out:
             cache.save(job.function, matches, stats, summary,
-                       job.globals_sig, text=job.text)
+                       job.globals_sig, text=job.text, key=job.key)

@@ -47,7 +47,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import InjectedFault, ReproError
 
@@ -93,6 +93,26 @@ class FaultSpec:
         return False
 
 
+def _spec_from(spec) -> FaultSpec:
+    """A :class:`FaultSpec` from its JSON form; an unknown or missing
+    field is a typed error naming it, as an unknown seam or kind is."""
+    if isinstance(spec, FaultSpec):
+        return spec
+    if not isinstance(spec, dict):
+        raise ReproError(f"a fault spec must be an object, got {spec!r}")
+    known = [f.name for f in fields(FaultSpec)]
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ReproError(f"unknown fault spec field "
+                         f"{', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
+    missing = [name for name in ("site", "kind") if name not in spec]
+    if missing:
+        raise ReproError(f"fault spec {spec!r} lacks "
+                         f"{', '.join(map(repr, missing))}")
+    return FaultSpec(**spec)
+
+
 class FaultPlan:
     """A seeded set of fault specs plus per-seam occurrence counters.
 
@@ -101,8 +121,7 @@ class FaultPlan:
     """
 
     def __init__(self, specs, seed: int = 0):
-        self.specs = [s if isinstance(s, FaultSpec) else FaultSpec(**s)
-                      for s in specs]
+        self.specs = [_spec_from(s) for s in specs]
         self.seed = int(seed)
         #: Seams some spec names; the rest cannot fire, so they return
         #: before the lock.

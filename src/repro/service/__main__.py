@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--eviction", choices=["lru", "generational"],
                        default="lru", help="store eviction policy")
     serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batch collection window (default 2ms)")
+                       help="micro-batch collection window, opened only "
+                            "for batches holding a plan or a cold "
+                            "function; store hits never wait "
+                            "(default 2ms)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="requests per micro-batch (default 32)")
     serve.add_argument("--deadline", type=float, default=None,

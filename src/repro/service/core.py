@@ -9,13 +9,20 @@ re-solved) and a parse cache mapping IR-text digests to shared
 :class:`~repro.ir.module.Module` objects — then serves concurrent
 :meth:`submit` calls from many tenants.
 
-Requests arriving within ``batch_window_s`` of each other are
-micro-batched: one batcher thread drains the queues into a batch and
-runs it — one
+Requests are micro-batched: one batcher thread drains the queues into a
+batch and runs it — one
 :meth:`~repro.idioms.scheduler.DetectionSession.detect_many` call per
 batch, so ten tenants editing the same popular library produce one solve
 plus nine structural replays rather than ten solves. One batch runs at a
-time; requests that arrive meanwhile wait for the next.
+time; requests that arrive meanwhile wait for the next. The batcher
+waits ``batch_window_s`` for co-travellers only when the pending work
+holds a ``plan`` request (placed jointly with its batch) or a detect
+with a cold function (deduped across its batch). A detect whose every
+function the store already holds is *warm*: its text's parse-cache
+entry memoises each function's canonical text and store key
+(:class:`~repro.cache.fingerprint.ModuleFingerprints`), so submit checks
+the store index without re-printing anything, and a batch of warm
+detects drains at once.
 
 The service is built to survive overload and partial failure, not just
 to go fast when healthy:
@@ -78,7 +85,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from ..cache import EVICTION_POLICIES, ArtifactStore
+from ..cache import EVICTION_POLICIES, ArtifactStore, module_fingerprints
 from ..errors import IDLError
 from ..idioms import IdiomDetector
 from ..idioms.matches import DetectionReport
@@ -152,13 +159,15 @@ class ServiceConfig:
     budget_bytes: int | None = None
     eviction: str = "lru"
     durable: bool = False
-    #: How long the batcher waits for co-travellers after the first
-    #: request of a batch arrives. A couple of milliseconds is enough to
+    #: How long the batcher waits for co-travellers once a batch holds a
+    #: plan or a cold detect; a batch of warm detects (store hits)
+    #: drains without waiting. A couple of milliseconds is enough to
     #: capture concurrent tenants without a visible latency tax.
     batch_window_s: float = 0.002
     max_batch: int = 32
     deadline_s: float | None = None
-    #: Distinct module texts kept parsed in memory (LRU).
+    #: Distinct module texts kept parsed in memory (LRU), each with its
+    #: fingerprint memo.
     parse_cache_entries: int = 64
     #: Most recent per-request latencies retained for the stats endpoint.
     latency_window: int = 2048
@@ -235,13 +244,41 @@ class PlanResult:
         return self.plan.locations(self.index)
 
 
+class _Parsed:
+    """One parse-cache entry: the module parsed from one text and, once
+    that module has been detected, its fingerprint memo
+    (:class:`~repro.cache.fingerprint.ModuleFingerprints`). The memo
+    lives and is evicted with its entry."""
+
+    __slots__ = ("module", "fingerprints")
+
+    def __init__(self, module: Module):
+        self.module = module
+        self.fingerprints = None
+
+    def fingerprints_for(self, config_sig: str):
+        """The memo under ``config_sig``, computed on the module's first
+        detection (and again if the configuration changed)."""
+        if self.fingerprints is None or \
+                self.fingerprints.config_signature != config_sig:
+            self.fingerprints = module_fingerprints(self.module, config_sig)
+        return self.fingerprints
+
+
 class _Request:
-    __slots__ = ("module", "tenant", "future", "t_submit", "deadline_at",
-                 "kind", "payload")
+    __slots__ = ("module", "parsed", "warm", "tenant", "future",
+                 "t_submit", "deadline_at", "kind", "payload")
 
     def __init__(self, module, tenant, deadline_s=None, kind="detect",
-                 payload=None):
+                 payload=None, parsed=None, warm=False):
         self.module = module
+        #: The parse-cache entry ``module`` came from (None for a
+        #: submitted Module object, which is never memoised).
+        self.parsed = parsed
+        #: True when, at submit, the store held every defined function's
+        #: key: the request can only be a store hit, so it opens no
+        #: batch window.
+        self.warm = warm
         self.tenant = tenant
         self.future: Future = Future()
         self.t_submit = time.perf_counter()
@@ -309,9 +346,13 @@ class DetectionService:
         self._tenant_order: list[str] = []
         self._rr_next = 0
         self._pending = 0
+        #: Pending requests that are not warm detects (plans and
+        #: detects with a cold function): while any is queued, the
+        #: batch window opens.
+        self._pending_cold = 0
         #: 1 while the batcher runs a batch (drain waits on it).
         self._inflight = 0
-        self._parse_cache: OrderedDict[str, Module] = OrderedDict()
+        self._parse_cache: OrderedDict[str, _Parsed] = OrderedDict()
         self._latencies = deque(maxlen=self.config.latency_window)
         self._batcher: threading.Thread | None = None
         self._started = False
@@ -431,18 +472,14 @@ class DetectionService:
         # without paying parse cost for it.
         with self._lock:
             self._check_admission_locked(tenant)
-        module = self._resolve_module(source)
+        module, parsed = self._resolve_module(source)
         faults.maybe_fire("service.admit", tenant)
-        request = _Request(module, tenant, deadline_s)
+        request = _Request(module, tenant, deadline_s, parsed=parsed,
+                           warm=self._is_warm(parsed))
         with self._queue_cond:
             # Re-check: capacity may have filled while we parsed.
             self._check_admission_locked(tenant)
-            state = self._tenant_locked(tenant)
-            self._requests += 1
-            state.admits += 1
-            state.queue.append(request)
-            self._pending += 1
-            self._queue_cond.notify_all()
+            self._enqueue_locked(request)
         return request.future
 
     def detect(self, source, tenant: str = "default",
@@ -476,12 +513,7 @@ class DetectionService:
                            payload=request)
         with self._queue_cond:
             self._check_admission_locked(tenant)
-            state = self._tenant_locked(tenant)
-            self._requests += 1
-            state.admits += 1
-            state.queue.append(pending)
-            self._pending += 1
-            self._queue_cond.notify_all()
+            self._enqueue_locked(pending)
         return pending.future
 
     def plan(self, request, tenant: str = "default",
@@ -611,32 +643,58 @@ class DetectionService:
         waves = 1 + self._pending // self.config.max_batch
         return round(min(5.0, max(0.01, per * waves)), 4)
 
+    def _enqueue_locked(self, request: _Request) -> None:
+        """Queue an admitted request and wake the batcher."""
+        state = self._tenant_locked(request.tenant)
+        self._requests += 1
+        state.admits += 1
+        state.queue.append(request)
+        self._pending += 1
+        if not request.warm:
+            self._pending_cold += 1
+        self._queue_cond.notify_all()
+
     # -- internals ----------------------------------------------------------------
-    def _resolve_module(self, source) -> Module:
+    def _resolve_module(self, source) -> tuple[Module, _Parsed | None]:
+        """The module to detect and the parse-cache entry it came from
+        (None for a Module object, which is used as given)."""
         if isinstance(source, Module):
-            return source
+            return source, None
         if not isinstance(source, str):
             raise IDLError(
                 f"submit() takes IR text or a Module, "
                 f"got {type(source).__name__}")
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         with self._lock:
-            module = self._parse_cache.get(digest)
-            if module is not None:
+            parsed = self._parse_cache.get(digest)
+            if parsed is not None:
                 self._parse_cache.move_to_end(digest)
                 self._parse_hits += 1
-                return module
+                return parsed.module, parsed
             self._parse_misses += 1
         # Parse outside the lock (two threads may race to parse the same
         # new text; the loser's parse is discarded — harmless, and it
         # keeps parse time off the submit critical section).
-        module = parse_module(source, name=f"m-{digest[:12]}")
+        parsed = _Parsed(parse_module(source, name=f"m-{digest[:12]}"))
         with self._lock:
-            module = self._parse_cache.setdefault(digest, module)
+            parsed = self._parse_cache.setdefault(digest, parsed)
             self._parse_cache.move_to_end(digest)
             while len(self._parse_cache) > self.config.parse_cache_entries:
                 self._parse_cache.popitem(last=False)
-        return module
+        return parsed.module, parsed
+
+    def _is_warm(self, parsed: _Parsed | None) -> bool:
+        """Whether the store holds every defined function of a memoised
+        module under the detector's current configuration — an index
+        lookup per function, no read. A request judged warm whose entry
+        is evicted before its batch runs only loses the window: the
+        session solves the function as usual."""
+        prints = None if parsed is None else parsed.fingerprints
+        if prints is None or \
+                prints.config_signature != self.detector.config_signature():
+            return False
+        return all(self.store.entry_info(key) is not None
+                   for _, key in prints.functions)
 
     def _next_batch_locked(self, limit: int) -> list[_Request]:
         """Weighted round-robin drain across the tenant queues.
@@ -657,8 +715,11 @@ class DetectionService:
                 state = self._tenants[order[(start + k) % len(order)]]
                 quantum = state.weight
                 while quantum and state.queue and len(batch) < limit:
-                    batch.append(state.queue.popleft())
+                    request = state.queue.popleft()
+                    batch.append(request)
                     self._pending -= 1
+                    if not request.warm:
+                        self._pending_cold -= 1
                     quantum -= 1
                     progressed = True
             if not progressed:
@@ -675,14 +736,19 @@ class DetectionService:
                     if self._closed:
                         return
                     self._queue_cond.wait()
-                # Micro-batch window: the first request opens it; wait
-                # for co-travellers until it lapses or the batch fills.
-                deadline = time.monotonic() + config.batch_window_s
-                while self._pending < config.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._queue_cond.wait(timeout=remaining)
+                # Micro-batch window: it opens only while a plan or a
+                # cold detect is pending, and waits for co-travellers
+                # until it lapses or the batch fills. Plans are placed
+                # jointly with theirs and cold functions deduped across
+                # theirs; warm detects are store hits that gain nothing
+                # by waiting, so a batch of them drains at once.
+                if self._pending_cold:
+                    deadline = time.monotonic() + config.batch_window_s
+                    while self._pending < config.max_batch:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0 or self._closed:
+                            break
+                        self._queue_cond.wait(timeout=remaining)
                 batch = self._next_batch_locked(config.max_batch)
                 self._batches += 1
                 self._inflight = 1
@@ -775,17 +841,24 @@ class DetectionService:
                     remaining = request.deadline_at - now_mono
                     budget = (remaining if budget is None
                               else min(budget, remaining))
+            config_sig = self.detector.config_signature()
             unique: list[Module] = []
+            prints: list = []
             index_of: dict[int, int] = {}
             for request in batch:
                 if id(request.module) not in index_of:
                     index_of[id(request.module)] = len(unique)
                     unique.append(request.module)
+                    # A Module object has no memo: the session
+                    # fingerprints it afresh.
+                    prints.append(
+                        None if request.parsed is None
+                        else request.parsed.fingerprints_for(config_sig))
             session = DetectionSession(self.detector,
                                        deadline_s=self.config.deadline_s)
             if budget is not None:
                 session.policy = session.policy.tightened(budget)
-            reports = session.detect_many(unique)
+            reports = session.detect_many(unique, fingerprints=prints)
             now = time.perf_counter()
             per_module_functions = [
                 sum(1 for f in module.functions.values()

@@ -149,6 +149,19 @@ class TestFaultPlan:
         with pytest.raises(ReproError, match="unknown fault kind"):
             plan_from_spec([{"site": "jit.compile", "kind": "crash"}])
 
+    def test_unknown_or_missing_spec_field_rejected(self):
+        """A spec field FaultSpec does not have (an ``epochs`` list from
+        an older plan, or a typo) is a typed error naming the field, as
+        is a missing site or kind — never a bare TypeError."""
+        with pytest.raises(ReproError, match="unknown fault spec field "
+                                             "'epochs'"):
+            plan_from_spec([{"site": "store.read", "kind": "exception",
+                             "epochs": [0]}])
+        with pytest.raises(ReproError, match="lacks 'kind'"):
+            plan_from_spec([{"site": "store.read"}])
+        with pytest.raises(ReproError, match="must be an object"):
+            plan_from_spec(["store.read"])
+
     def test_seam_census_matches_call_sites(self):
         """Every seam in SEAMS has a literal ``maybe_fire("<seam>"`` call
         in the package, and every call names a seam in SEAMS with a

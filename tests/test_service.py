@@ -396,6 +396,27 @@ class TestDetectMany:
         assert second.cache_hits == 4
         assert all(r.total() > 0 for r in reports)
 
+    def test_precomputed_fingerprints_serve_only_their_configuration(self):
+        """A memo made under this detector's configuration serves the
+        store; one made under any other is recomputed, never used."""
+        from repro.cache import module_fingerprints
+
+        detector = IdiomDetector(cache=ArtifactStore())
+        module = compiled()
+        want = DetectionSession(detector).detect_many([module])[0]
+        for config_sig in (detector.config_signature(),
+                           "another-configuration"):
+            session = DetectionSession(detector)
+            got = session.detect_many(
+                [module],
+                fingerprints=[module_fingerprints(module, config_sig)])[0]
+            # A foreign memo's keys would all miss the store.
+            assert session.solved_functions == 0
+            assert session.cache_hits == 2
+            assert report_wire_fingerprint(got) == \
+                report_wire_fingerprint(want)
+            assert got.stats.as_dict() == want.stats.as_dict()
+
 
 # ---------------------------------------------------------------------------
 # DetectionService: micro-batching, tenants, parse cache
@@ -550,6 +571,156 @@ class TestDetectionService:
         assert stats["errors"] == 0
         assert stats["store"]["backend"] == "memory"
         assert stats["store"]["evictions"] > 0
+
+
+class TestStoreHitPath:
+    """A re-submitted text costs a lookup: its parse-cache entry memoises
+    every function's canonical text and store key, and a detect whose
+    every function the store holds drains without the batch window."""
+
+    @staticmethod
+    def count_prints(monkeypatch) -> list:
+        """Names of the functions printed canonically from now on."""
+        import repro.cache.fingerprint as fingerprint
+        import repro.ir.printer as printer
+
+        calls = []
+        real = printer.print_function_canonical
+
+        def counted(function):
+            calls.append(function.name)
+            return real(function)
+
+        monkeypatch.setattr(printer, "print_function_canonical", counted)
+        monkeypatch.setattr(fingerprint, "print_function_canonical",
+                            counted)
+        return calls
+
+    def test_resubmit_prints_nothing(self, monkeypatch):
+        text = module_text()
+        want = report_wire_fingerprint(detect_idioms(parse_module(text)))
+        calls = self.count_prints(monkeypatch)
+        with DetectionService(ServiceConfig()) as service:
+            first = service.detect(text)
+            assert sorted(calls) == ["dot", "hist"]
+            del calls[:]
+            second = service.detect(text)
+            assert calls == []
+            stats = service.stats()
+        assert report_wire_fingerprint(first.report) == \
+            report_wire_fingerprint(second.report) == want
+        assert second.report.stats.as_dict() == \
+            first.report.stats.as_dict()
+        assert stats["solved_functions"] == 2 and stats["store_hits"] == 2
+
+    def test_warm_resubmit_skips_the_window(self):
+        text = module_text()
+        with DetectionService(ServiceConfig(batch_window_s=0.25)) as service:
+            t0 = time.perf_counter()
+            service.detect(text)
+            cold_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            warm = service.detect(text)
+            warm_s = time.perf_counter() - t0
+            stats = service.stats()
+        assert cold_s >= 0.25  # a cold detect still opens the window
+        assert warm_s < 0.1 and warm.latency_s < 0.1
+        assert stats["batches"] == 2 and stats["store_hits"] == 2
+
+    def test_warm_detect_rides_a_pending_cold_window(self):
+        """A warm detect queued behind a cold one joins its batch: the
+        window stays open for the cold co-traveller."""
+        text = module_text()
+        edited = module_text(SRC_EDITED, "t")
+        want = report_wire_fingerprint(detect_idioms(parse_module(text)))
+        with DetectionService(ServiceConfig(batch_window_s=0.25)) as service:
+            service.detect(text)
+            cold = service.submit(edited, tenant="editor")
+            time.sleep(0.05)  # well inside the cold request's window
+            warm = service.submit(text, tenant="reader")
+            assert report_wire_fingerprint(
+                warm.result(timeout=120).report) == want
+            cold.result(timeout=120)
+            stats = service.stats()
+        assert stats["batches"] == 2
+        assert stats["batch_dedupe_hits"] == 0
+        assert stats["store_hits"] == 2 + 1  # reader's two, editor's hist
+
+    def test_pending_plan_keeps_the_window_open(self):
+        """Plans are placed jointly with their co-travellers, so a
+        pending plan holds the window open for a later plan and a warm
+        detect alike."""
+        from repro.backends.api import ApiRuntime
+        from repro.platform.placement import PlacementRequest
+
+        def placement(label):
+            runtime = ApiRuntime()
+            site = runtime.new_site("Stencil1D", "stencil",
+                                    lambda args, engine: None)
+            site.stats = {"calls": 8, "elements": 4e6,
+                          "flops_per_element": 40, "bytes": 32e6}
+            return PlacementRequest([site], host_seconds=0.001,
+                                    label=label)
+
+        text = module_text()
+        with DetectionService(ServiceConfig(batch_window_s=0.25)) as service:
+            service.detect(text)
+            first = service.submit_plan(placement("a"), tenant="a")
+            time.sleep(0.05)
+            warm = service.submit(text, tenant="reader")
+            time.sleep(0.05)
+            second = service.submit_plan(placement("b"), tenant="b")
+            plans = [first.result(timeout=120), second.result(timeout=120)]
+            warm.result(timeout=120)
+            stats = service.stats()
+        assert stats["batches"] == 2 and stats["plan_batches"] == 1
+        assert plans[0].plan is plans[1].plan
+
+    def test_module_object_submit_is_never_memoised(self, monkeypatch):
+        """A caller may mutate a Module it submitted, so Module submits
+        are fingerprinted afresh each time and always open the window."""
+        module = compiled()
+        calls = self.count_prints(monkeypatch)
+        with DetectionService(ServiceConfig(batch_window_s=0.25)) as service:
+            service.detect(module)
+            del calls[:]
+            t0 = time.perf_counter()
+            result = service.detect(module)
+            assert time.perf_counter() - t0 >= 0.25
+            assert sorted(calls) == ["dot", "hist"]
+            assert not service._parse_cache
+            stats = service.stats()
+        assert result.module is module
+        assert stats["solved_functions"] == 2 and stats["store_hits"] == 2
+
+    def test_memo_is_evicted_with_its_parse_entry(self, monkeypatch):
+        import gc
+        import weakref
+
+        texts = [module_text(SRC.replace("0.0", f"{i}.5"), "t")
+                 for i in range(4)]
+        calls = self.count_prints(monkeypatch)
+        config = ServiceConfig(parse_cache_entries=2)
+        with DetectionService(config) as service:
+            service.detect(texts[0])
+            first_memo = weakref.ref(
+                next(iter(service._parse_cache.values())).fingerprints)
+            for text in texts[1:]:
+                service.detect(text)
+            entries = list(service._parse_cache.values())
+            assert len(entries) == config.parse_cache_entries
+            assert all(e.fingerprints is not None for e in entries)
+            gc.collect()
+            assert first_memo() is None
+            # The evicted text is parsed and printed afresh, then
+            # memoised again.
+            del calls[:]
+            service.detect(texts[0])
+            assert sorted(calls) == ["dot", "hist"]
+            del calls[:]
+            service.detect(texts[0])
+            assert calls == []
+            assert len(service._parse_cache) == config.parse_cache_entries
 
 
 # ---------------------------------------------------------------------------
