@@ -486,6 +486,12 @@ def fairness_gate(modules) -> list[str]:
         # round.
         for _ in range(FAIR_STORMS):
             with DetectionService(config) as service:
+                # Untimed: a fresh service's parse cache holds no
+                # fingerprint memo, so each text's first submit is cold
+                # and waits the batch window. Without this, tenant-0
+                # alone would time those submits.
+                for text in texts:
+                    service.detect(text, tenant="prewarm")
                 for tenant in tenants:
                     p95, _ = _p95_per_tenant(service, texts, reference,
                                              tenant, failures)

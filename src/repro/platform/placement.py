@@ -40,6 +40,18 @@ and their links serialise — and :func:`plan_concurrent` assigns all
 requests' sites **jointly**, starting from the per-request independent
 optima and descending on the sum of completion times, so joint placement
 is never worse than independent-per-request placement by construction.
+
+One planner call does each piece of assignment-independent work once.
+It prices every (site, candidate) pair once and prepares each event log
+once (each buffer's scale factor, each access's extrapolated bytes):
+one replay object for the full log, and one per beam step for the
+capped ranking prefix. Searches handle assignments as tuples of
+candidate indices. A replay is memoised by where each site runs, so
+each distinct assignment of sites to memories is replayed once.
+:func:`plan_concurrent` also caches each request's schedule by that
+request's assignment, so a descent trial re-schedules only the request
+it changed. Every number is the one a fresh one-shot evaluation gives,
+summed in the same order.
 """
 
 from __future__ import annotations
@@ -58,10 +70,22 @@ HOST = "host"
 STRATEGIES = ("greedy", "beam", "exhaustive")
 
 #: Event-log prefix used to *rank* partial assignments during beam
-#: search. Final candidates (and coordinate descent) are always costed
-#: over the full log, so this only bounds search effort on huge logs —
-#: never the reported numbers.
+#: search. Each beam step prepares this prefix once, over the sites it
+#: has assigned, and ranks all its partials with that one replay object.
+#: Final candidates (and coordinate descent) are always costed over the
+#: full log, so this only bounds search effort on huge logs — never the
+#: reported numbers.
 BEAM_RANK_EVENT_CAP = 5_000
+
+
+def _serial_sum(values) -> float:
+    """Left-to-right float sum. From Python 3.12 on, ``sum()``
+    compensates rounding, so its last bit would depend on the
+    interpreter; a plan's totals must not."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def location_of(machine: Machine) -> str:
@@ -88,31 +112,32 @@ class ResidencyState:
         """Record one access; return the link transfers it forces as
         ``(device_location, bytes)`` pairs (each pair crosses that
         device's host link once)."""
-        moves: list[tuple[str, float]] = []
         valid = self.valid.get(key)
         if valid is None:
-            valid = {HOST}
-            self.valid[key] = valid
-        if location not in valid:
-            if location == HOST:
-                # Copy back from whichever device holds the only copy.
-                moves.append((sorted(valid)[0], nbytes))
-            else:
-                if HOST not in valid:
-                    # Device-to-device moves stage through host memory.
-                    moves.append((sorted(valid)[0], nbytes))
-                    valid.add(HOST)
-                moves.append((location, nbytes))
-            valid.add(location)
+            valid = self.valid[key] = {HOST}
+        if location in valid:
+            if "w" in mode and len(valid) > 1:
+                valid.clear()
+                valid.add(location)
+            return []
+        if location == HOST:
+            # Copy back from whichever device holds the only copy.
+            moves = [(min(valid), nbytes)]
+        elif HOST in valid:
+            moves = [(location, nbytes)]
+        else:
+            # Device-to-device moves stage through host memory.
+            moves = [(min(valid), nbytes), (location, nbytes)]
+            valid.add(HOST)
         if "w" in mode:
             valid.clear()
-            valid.add(location)
+        valid.add(location)
         return moves
 
     def device_only(self) -> dict:
         """buffer key -> device location, for buffers the host copy of
         which is stale (epilogue copy-back set)."""
-        return {key: sorted(valid)[0] for key, valid in self.valid.items()
+        return {key: min(valid) for key, valid in self.valid.items()
                 if HOST not in valid}
 
 
@@ -165,7 +190,7 @@ class PlacementPlan:
 
     @property
     def offload_s(self) -> float:
-        return sum(p.total_s for p in self.placed) + self.epilogue_s
+        return _serial_sum(p.total_s for p in self.placed) + self.epilogue_s
 
     @property
     def total_s(self) -> float:
@@ -236,10 +261,182 @@ def site_at_scale(site: ApiCallSite, scale: float) -> ApiCallSite:
 # Exact evaluation of one assignment
 # ---------------------------------------------------------------------------
 
-def _link_seconds(machines: dict, location: str, nbytes: float,
-                  profile=None) -> float:
-    gbs, latency_us = transfer_link(machines[location], profile)
-    return nbytes / (gbs * 1e9) + latency_us * 1e-6
+class _Pricing:
+    """Every assignment-independent cost of one planner call, priced once.
+
+    ``options[s]`` lists the placements known for site ``s`` (its
+    candidates, plus any other placement an assignment names); an
+    assignment is a *choice*, a tuple of indices into those lists. Each
+    site is scaled once, and each (site, option) pair is priced once:
+    ``(compute_s, launch_s, transfer_s)``, where ``transfer_s`` is the
+    legacy per-site formula of :func:`repro.platform.cost.site_cost`
+    under the ``lazy`` policy when the event log is unusable (``exact``
+    false), and 0.0 otherwise (the replay charges transfers).
+    """
+
+    def __init__(self, sites: list, *, scale: float, exact: bool,
+                 lazy: bool, machines: dict, profile=None,
+                 candidates: list | None = None) -> None:
+        self.sites = sites
+        self.scaled = [site_at_scale(site, scale) for site in sites]
+        self.factors = [byte_scale_of(site, scale) for site in sites]
+        self.exact = exact
+        self.lazy = lazy
+        self.machines = machines
+        self.profile = profile
+        self.options: list = [[] for _ in sites]
+        self.locations: list = [[] for _ in sites]
+        self.costs: list = [[] for _ in sites]
+        self._links: dict = {}
+        for s, placements in enumerate(candidates or ()):
+            for placement in placements:
+                self._add(s, placement)
+
+    def _add(self, s: int, placement: SitePlacement) -> int:
+        scaled = self.scaled[s]
+        if self.exact:
+            compute, launch = compute_launch_cost(
+                scaled, placement.api, placement.machine, self.profile)
+            cost = (compute, launch, 0.0)
+        else:
+            legacy = site_cost(scaled, placement.api, placement.machine,
+                               lazy_transfers=self.lazy,
+                               profile=self.profile)
+            cost = (legacy.compute_s, legacy.launch_s, legacy.transfer_s)
+        self.options[s].append(placement)
+        self.locations[s].append(placement.location)
+        self.costs[s].append(cost)
+        return len(self.options[s]) - 1
+
+    def choice(self, assignment: dict) -> tuple:
+        """``assignment`` (call_id -> placement) as a choice tuple."""
+        out = []
+        for s, site in enumerate(self.sites):
+            placement = assignment[site.call_id]
+            options = self.options[s]
+            for index, known in enumerate(options):
+                if known is placement or known == placement:
+                    break
+            else:
+                index = self._add(s, placement)
+            out.append(index)
+        return tuple(out)
+
+    def link_seconds(self, location: str, nbytes: float) -> float:
+        """Seconds to move ``nbytes`` over a device's host link; each
+        link's constants are looked up once per call."""
+        link = self._links.get(location)
+        if link is None:
+            gbs, latency_us = transfer_link(self.machines[location],
+                                            self.profile)
+            link = self._links[location] = (gbs * 1e9, latency_us * 1e-6)
+        return nbytes / link[0] + link[1]
+
+
+class _Replay:
+    """One event log prepared for replay over the first ``n`` sites of a
+    :class:`_Pricing`: events of other sites are dropped, and each
+    access carries its extrapolated bytes. A buffer's extrapolated size
+    must be consistent across every site that touches it — the scale
+    factor is a property of the buffer, not of the accessing site's
+    category — so each buffer takes the largest factor among its
+    accessors in this log. An unusable log (``exact`` false) keeps no
+    events: transfers come from the legacy per-site formula."""
+
+    def __init__(self, pricing: _Pricing, n: int, events: list) -> None:
+        self.pricing = pricing
+        #: (site index, ((key, extrapolated bytes, mode), ...)) per event.
+        self.events: list = []
+        #: buffer key -> extrapolated bytes of its last access (the
+        #: epilogue's copy-back size).
+        self.key_bytes: dict = {}
+        #: site locations -> replayed transfers (see :meth:`_transfers`).
+        self._moved: dict = {}
+        if not pricing.exact:
+            return
+        index = {pricing.sites[s].call_id: s for s in range(n)}
+        key_factor: dict = {}
+        for call_id, accesses in events:
+            s = index.get(call_id)
+            if s is None:
+                continue
+            factor = pricing.factors[s]
+            for key, _, _ in accesses:
+                key_factor[key] = max(key_factor.get(key, factor), factor)
+        key_bytes = self.key_bytes
+        for call_id, accesses in events:
+            s = index.get(call_id)
+            if s is None:
+                continue
+            scaled = []
+            for key, nbytes, mode in accesses:
+                scaled_bytes = key_bytes[key] = nbytes * key_factor[key]
+                scaled.append((key, scaled_bytes, mode))
+            self.events.append((s, tuple(scaled)))
+
+    def offload_s(self, choice: tuple) -> float:
+        """:attr:`PlacementPlan.offload_s` of ``choice``, summed in the
+        plan's order so the float is the plan's own."""
+        transfers, (epilogue_s, _) = self._transfers(choice)
+        costs = self.pricing.costs
+        return _serial_sum(costs[s][c][0] + costs[s][c][1] + transfers[s][0]
+                           for s, c in enumerate(choice)) + epilogue_s
+
+    def plan(self, choice: tuple, strategy: str,
+             host_seconds: float) -> PlacementPlan:
+        """The :class:`PlacementPlan` of ``choice``."""
+        pricing = self.pricing
+        transfers, (epilogue_s, epilogue_bytes) = self._transfers(choice)
+        placed = []
+        for s, c in enumerate(choice):
+            compute, launch, _ = pricing.costs[s][c]
+            seconds, nbytes, count = transfers[s]
+            placed.append(PlacedSite(pricing.sites[s],
+                                     pricing.options[s][c], compute, launch,
+                                     seconds, nbytes, count))
+        return PlacementPlan(strategy, placed, host_seconds=host_seconds,
+                             epilogue_s=epilogue_s,
+                             epilogue_bytes=epilogue_bytes,
+                             exact=pricing.exact)
+
+    def _transfers(self, choice: tuple) -> tuple:
+        """``choice``'s link transfers: ``[seconds, bytes, events]`` per
+        site and the epilogue's ``(seconds, bytes)``. Transfers depend
+        only on where each site runs, so choices that put every site in
+        the same memory share one replay."""
+        pricing = self.pricing
+        if not pricing.exact:
+            return ([(pricing.costs[s][c][2], 0.0, 0)
+                     for s, c in enumerate(choice)], (0.0, 0.0))
+        locations = tuple(pricing.locations[s][c]
+                          for s, c in enumerate(choice))
+        moved = self._moved.get(locations)
+        if moved is None:
+            moved = self._moved[locations] = self._move(locations)
+        return moved
+
+    def _move(self, locations: tuple) -> tuple:
+        """Replay the residency state machine with site ``s`` in memory
+        ``locations[s]``."""
+        transfers = [[0.0, 0.0, 0] for _ in locations]
+        state = ResidencyState()
+        access, link_seconds = state.access, self.pricing.link_seconds
+        for s, accesses in self.events:
+            location = locations[s]
+            for key, nbytes, mode in accesses:
+                moves = access(location, key, nbytes, mode)
+                if moves:
+                    entry = transfers[s]
+                    for link, moved in moves:
+                        entry[1] += moved
+                        entry[2] += 1
+                        entry[0] += link_seconds(link, moved)
+        epilogue_s = epilogue_bytes = 0.0
+        for key, device in state.device_only().items():
+            nbytes = self.key_bytes.get(key, 0.0)
+            epilogue_bytes += nbytes
+            epilogue_s += link_seconds(device, nbytes)
+        return transfers, (epilogue_s, epilogue_bytes)
 
 
 def evaluate_assignment(sites: list[ApiCallSite], events: list,
@@ -256,62 +453,14 @@ def evaluate_assignment(sites: list[ApiCallSite], events: list,
     per-site formula of :func:`repro.platform.cost.site_cost` under the
     ``fallback_lazy`` policy (matching the seed's lazy applicability).
     ``profile`` substitutes measured calibration parameters everywhere
-    the replay charges costs.
+    the replay charges costs. A one-shot :class:`_Replay`; the planner
+    keeps one per call and replays many assignments over it.
     """
-    machines = machines or MACHINES
-    plan = PlacementPlan(strategy, host_seconds=host_seconds, exact=exact)
-    placed: dict[int, PlacedSite] = {}
-    for site in sites:
-        placement = assignment[site.call_id]
-        scaled = site_at_scale(site, scale)
-        if exact:
-            compute, launch = compute_launch_cost(scaled, placement.api,
-                                                  placement.machine,
-                                                  profile)
-            placed[site.call_id] = PlacedSite(site, placement, compute,
-                                              launch)
-        else:
-            cost = site_cost(scaled, placement.api, placement.machine,
-                             lazy_transfers=fallback_lazy, profile=profile)
-            placed[site.call_id] = PlacedSite(site, placement,
-                                              cost.compute_s, cost.launch_s,
-                                              cost.transfer_s)
-    if exact:
-        state = ResidencyState()
-        # A buffer's extrapolated size must be consistent across every
-        # site that touches it — the scale factor is a property of the
-        # buffer, not of the accessing site's category. Use the largest
-        # factor among its accessors.
-        key_factor: dict = {}
-        for call_id, accesses in events:
-            entry = placed.get(call_id)
-            if entry is None:
-                continue
-            factor = byte_scale_of(entry.site, scale)
-            for key, _, _ in accesses:
-                key_factor[key] = max(key_factor.get(key, factor), factor)
-        key_bytes: dict = {}
-        for call_id, accesses in events:
-            entry = placed.get(call_id)
-            if entry is None:
-                continue
-            location = entry.placement.location
-            for key, nbytes, mode in accesses:
-                scaled_bytes = nbytes * key_factor[key]
-                key_bytes[key] = scaled_bytes
-                for link, moved in state.access(location, key, scaled_bytes,
-                                                mode):
-                    entry.transfer_bytes += moved
-                    entry.transfer_events += 1
-                    entry.transfer_s += _link_seconds(machines, link, moved,
-                                                      profile)
-        for key, device in state.device_only().items():
-            nbytes = key_bytes.get(key, 0.0)
-            plan.epilogue_bytes += nbytes
-            plan.epilogue_s += _link_seconds(machines, device, nbytes,
-                                             profile)
-    plan.placed = [placed[s.call_id] for s in sites]
-    return plan
+    pricing = _Pricing(sites, scale=scale, exact=exact, lazy=fallback_lazy,
+                       machines=machines or MACHINES, profile=profile)
+    choice = pricing.choice(assignment)
+    return _Replay(pricing, len(sites), events).plan(choice, strategy,
+                                                      host_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +505,27 @@ def greedy_assignment(sites: list[ApiCallSite],
     return assignment
 
 
-def _refine(sites, assignment, candidates, evaluate, max_passes=4):
-    """Coordinate descent: re-place one site at a time until fixpoint."""
-    best_plan = evaluate(assignment)
+def _refine(choice: tuple, widths: list, cost, max_passes=4) -> tuple:
+    """Coordinate descent: re-place one site at a time until fixpoint.
+    ``widths[s]`` is site ``s``'s candidate count; ``cost(choice)`` the
+    objective. Returns the best choice found."""
+    best = cost(choice)
     for _ in range(max_passes):
         improved = False
-        for site in sites:
-            current = assignment[site.call_id]
-            for placement in candidates[site.call_id]:
-                if placement == current:
+        for s, width in enumerate(widths):
+            current = choice[s]
+            for c in range(width):
+                if c == current:
                     continue
-                trial = dict(assignment)
-                trial[site.call_id] = placement
-                plan = evaluate(trial)
-                if plan.total_s < best_plan.total_s:
-                    best_plan, assignment = plan, trial
-                    current = placement
+                trial = choice[:s] + (c,) + choice[s + 1:]
+                total = cost(trial)
+                if total < best:
+                    best, choice = total, trial
+                    current = c
                     improved = True
         if not improved:
             break
-    return best_plan, assignment
+    return choice
 
 
 def plan_module(sites: list[ApiCallSite], events: list, *,
@@ -405,6 +555,11 @@ def plan_module(sites: list[ApiCallSite], events: list, *,
     their chosen :class:`SitePlacement`. ``exhaustive`` falls back to the
     beam strategy when the search space exceeds ``exhaustive_limit``;
     the returned plan's ``strategy`` field reports what actually ran.
+
+    One call prices every (site, candidate) pair once and replays the
+    event log once per distinct assignment of sites to memories:
+    searches compare totals, and only the winner becomes a
+    :class:`PlacementPlan`.
     """
     if strategy not in STRATEGIES:
         raise PlacementError(
@@ -422,27 +577,29 @@ def plan_module(sites: list[ApiCallSite], events: list, *,
                                            machines=machines)
         for site in sites
     }
+    pricing = _Pricing(sites, scale=scale, exact=exact, lazy=greedy_lazy,
+                       machines=machines, profile=profile,
+                       candidates=[candidates[s.call_id] for s in sites])
+    widths = [len(options) for options in pricing.options]
+    full = _Replay(pricing, len(sites), events)
 
-    def evaluate(assignment, label=strategy):
-        return evaluate_assignment(sites, events, assignment,
-                                   machines=machines, strategy=label,
-                                   host_seconds=host_seconds, scale=scale,
-                                   exact=exact, fallback_lazy=greedy_lazy,
-                                   profile=profile)
+    def cost(choice: tuple) -> float:
+        return host_seconds + full.offload_s(choice)
 
-    def annotated(plan: PlacementPlan) -> PlacementPlan:
+    def finish(choice: tuple, label: str) -> PlacementPlan:
+        plan = full.plan(choice, label, host_seconds)
         for placed in plan.placed:
             placed.site.placement = placed.placement
         return plan
 
-    greedy = greedy_assignment(sites, candidates, scale=scale,
-                               lazy=greedy_lazy)
+    greedy = pricing.choice(greedy_assignment(sites, candidates, scale=scale,
+                                              lazy=greedy_lazy))
     if strategy == "greedy":
-        return annotated(evaluate(greedy, "greedy"))
+        return finish(greedy, "greedy")
 
     space = 1
-    for site in sites:
-        space *= len(candidates[site.call_id])
+    for width in widths:
+        space *= width
         if space > exhaustive_limit:
             break
     if strategy == "exhaustive":
@@ -451,48 +608,30 @@ def plan_module(sites: list[ApiCallSite], events: list, *,
             # returned plan's strategy label.
             strategy = "beam"
         else:
-            best = evaluate(greedy)
-            for combo in itertools.product(
-                    *(candidates[s.call_id] for s in sites)):
-                assignment = {s.call_id: p for s, p in zip(sites, combo)}
-                plan = evaluate(assignment)
-                if plan.total_s < best.total_s:
-                    best = plan
-            return annotated(best)
+            best, best_s = greedy, cost(greedy)
+            for combo in itertools.product(*(range(w) for w in widths)):
+                total = cost(combo)
+                if total < best_s:
+                    best, best_s = combo, total
+            return finish(best, strategy)
 
     # Beam search over sites in execution order. Partial assignments are
-    # ranked by exact simulation restricted to already-assigned sites; the
-    # surviving beam plus the greedy seed are fully evaluated, and the
-    # winner is polished by coordinate descent — which can only improve,
-    # so the result is never worse than per-site greedy.
+    # ranked by exact simulation restricted to already-assigned sites,
+    # over one replay of the capped log per step (every partial in a step
+    # assigns the same sites); the surviving beam plus the greedy seed
+    # are fully evaluated, and the winner is polished by coordinate
+    # descent — which can only improve, so the result is never worse
+    # than per-site greedy.
     rank_events = events[:BEAM_RANK_EVENT_CAP]
-    beam: list[dict] = [{}]
-    for site in sites:
-        extended = []
-        for partial in beam:
-            for placement in candidates[site.call_id]:
-                trial = dict(partial)
-                trial[site.call_id] = placement
-                extended.append(trial)
-        assigned = [s for s in sites if s.call_id in extended[0]]
-
-        def partial_cost(partial):
-            part_events = [e for e in rank_events if e[0] in partial]
-            plan = evaluate_assignment(assigned, part_events, partial,
-                                       machines=machines,
-                                       host_seconds=0.0, scale=scale,
-                                       exact=exact,
-                                       fallback_lazy=greedy_lazy,
-                                       profile=profile)
-            return plan.total_s
-        extended.sort(key=partial_cost)
+    beam: list[tuple] = [()]
+    for s, width in enumerate(widths):
+        extended = [partial + (c,) for partial in beam for c in range(width)]
+        step = _Replay(pricing, s + 1, rank_events)
+        extended.sort(key=step.offload_s)
         beam = extended[:beam_width]
 
-    finals = [evaluate(b) for b in beam] + [evaluate(greedy)]
-    best = min(finals, key=lambda p: p.total_s)
-    best, _ = _refine(sites, best.assignment(), candidates, evaluate)
-    best.strategy = strategy
-    return annotated(best)
+    best = min(beam + [greedy], key=cost)
+    return finish(_refine(best, widths, cost), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +659,45 @@ class PlacementRequest:
         return sorted((s for s in self.sites if s.kind == "call"),
                       key=lambda s: s.call_id)
 
+    def check(self, *, registry: BackendRegistry | None = None,
+              backends: list[str] | None = None,
+              machines: dict | None = None) -> None:
+        """Raise :class:`~repro.errors.PlacementError` unless
+        :func:`plan_concurrent` can place this request: call ids are
+        unique, every category has an (API, device), statistics are
+        numbers, buffer keys are strings or integers, and ``scale``,
+        ``host_seconds``, statistics and byte counts are finite and
+        non-negative. A service checks each request on its own before
+        planning it jointly, so one tenant's malformed request cannot
+        fail the requests batched with it."""
+        def amount(value, what: str) -> None:
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float)) or \
+                    not 0.0 <= value < float("inf"):
+                raise PlacementError(
+                    f"{what} must be a finite non-negative number, "
+                    f"got {value!r}")
+
+        amount(self.scale, "scale")
+        amount(self.host_seconds, "host_seconds")
+        by_id: dict = {}
+        for site in self.call_sites():
+            if by_id.setdefault(site.call_id, site) is not site:
+                raise PlacementError(f"duplicate call_id {site.call_id}")
+            for name, value in site.stats.items():
+                amount(value, f"site {site.call_id} stat {name!r}")
+        # One site per category is enough to ask the registry.
+        for site in {s.category: s for s in by_id.values()}.values():
+            candidate_placements(site, registry=registry, backends=backends,
+                                 machines=machines)
+        for call_id, accesses in self.events:
+            for key, nbytes, _ in accesses:
+                if isinstance(key, bool) or not isinstance(key, (int, str)):
+                    raise PlacementError(
+                        f"event of call {call_id}: buffer key must be a "
+                        f"string or an integer, got {key!r}")
+                amount(nbytes, f"event of call {call_id}: byte count")
+
 
 @dataclass
 class _Step:
@@ -546,7 +724,7 @@ class ConcurrentPlan:
 
     @property
     def sum_completion_s(self) -> float:
-        return sum(self.completions)
+        return _serial_sum(self.completions)
 
     @property
     def makespan_s(self) -> float:
@@ -578,9 +756,10 @@ class ConcurrentPlan:
         }
 
 
-def _request_schedule(request: PlacementRequest, assignment: dict,
-                      machines: dict, profile=None) -> list:
-    """Compile one request into an ordered list of :class:`_Step`.
+class _RequestModel:
+    """One request's assignment-independent schedule inputs, built once
+    per :func:`plan_concurrent` call, with its step lists cached by
+    choice for the call's duration.
 
     Exact mode replays the residency event log: each dynamic API call
     becomes one step carrying its share of the site's compute+launch and
@@ -589,95 +768,89 @@ def _request_schedule(request: PlacementRequest, assignment: dict,
     occupies its device link. An epilogue step copies device-only
     buffers back through their links.
     """
-    sites = request.call_sites()
-    if not sites:
-        return []
-    exact = bool(request.events)
-    service: dict = {}
-    legacy_transfer: dict = {}
-    for site in sites:
-        placement = assignment[site.call_id]
-        scaled = site_at_scale(site, request.scale)
-        compute, launch = compute_launch_cost(scaled, placement.api,
-                                              placement.machine, profile)
-        service[site.call_id] = compute + launch
-        if not exact and placement.location != HOST:
-            legacy_transfer[site.call_id] = site_cost(
-                scaled, placement.api, placement.machine,
-                lazy_transfers=request.greedy_lazy,
-                profile=profile).transfer_s
 
-    events = list(request.events)
-    seen = {call_id for call_id, _ in events}
-    # Sites absent from the log still execute in the model (their compute
-    # comes from accumulated stats); give each a synthetic event so the
-    # schedule charges them.
-    events.extend((s.call_id, []) for s in sites if s.call_id not in seen)
+    def __init__(self, request: PlacementRequest, machines: dict,
+                 profile=None, candidates: list | None = None) -> None:
+        sites = request.call_sites()
+        self.pricing = _Pricing(sites, scale=request.scale,
+                                exact=bool(request.events),
+                                lazy=request.greedy_lazy, machines=machines,
+                                profile=profile, candidates=candidates)
+        events = list(request.events)
+        seen = {call_id for call_id, _ in events}
+        # Sites absent from the log still execute in the model (their
+        # compute comes from accumulated stats); give each a synthetic
+        # event so the schedule charges them.
+        events.extend((s.call_id, []) for s in sites if s.call_id not in seen)
+        n_ev: dict = {}
+        for call_id, _ in events:
+            n_ev[call_id] = n_ev.get(call_id, 0) + 1
+        self.n_ev = [n_ev.get(site.call_id, 0) for site in sites]
+        replay = _Replay(self.pricing, len(sites), events)
+        self.key_bytes = replay.key_bytes
+        #: (site index, first event of its site?, scaled accesses) per
+        #: step; without a log, one access-free step per site.
+        self.events: list = []
+        first: set = set()
+        for s, accesses in (replay.events if self.pricing.exact
+                            else [(s, ()) for s in range(len(sites))]):
+            self.events.append((s, s not in first, accesses))
+            first.add(s)
+        self._moved: dict = {}
+        self._steps: dict = {}
 
-    n_ev: dict = {}
-    for call_id, _ in events:
-        n_ev[call_id] = n_ev.get(call_id, 0) + 1
+    def steps(self, choice: tuple) -> list:
+        """The request's ordered :class:`_Step` list under ``choice``."""
+        steps = self._steps.get(choice)
+        if steps is None:
+            steps = self._steps[choice] = self._build(choice)
+        return steps
 
-    by_id = {s.call_id: s for s in sites}
-    key_factor: dict = {}
-    for call_id, accesses in events:
-        site = by_id.get(call_id)
-        if site is None:
-            continue
-        factor = byte_scale_of(site, request.scale)
-        for key, _, _ in accesses:
-            key_factor[key] = max(key_factor.get(key, factor), factor)
+    def _build(self, choice: tuple) -> list:
+        pricing = self.pricing
+        if not pricing.sites:
+            return []
+        locations = tuple(pricing.locations[s][c]
+                          for s, c in enumerate(choice))
+        moved = self._moved.get(locations)
+        if moved is None:
+            moved = self._moved[locations] = self._move(locations)
+        transfers, epilogue = moved
+        steps: list = []
+        for (s, first, _), step_transfers in zip(self.events, transfers):
+            location = locations[s]
+            compute, launch, legacy = pricing.costs[s][choice[s]]
+            if first and not pricing.exact and location != HOST:
+                step_transfers = step_transfers + [(location, legacy)]
+            steps.append(_Step(step_transfers, location,
+                               (compute + launch) / self.n_ev[s]))
+        if epilogue:
+            steps.append(_Step(epilogue, None, 0.0))
+        return steps
 
-    steps: list = []
-    state = ResidencyState()
-    key_bytes: dict = {}
-    for call_id, accesses in events:
-        site = by_id.get(call_id)
-        if site is None:
-            continue
-        placement = assignment[call_id]
-        location = placement.location
+    def _move(self, locations: tuple) -> tuple:
+        """Per-step ``(link, seconds)`` transfer lists and the epilogue's,
+        with site ``s`` in memory ``locations[s]``."""
+        link_seconds = self.pricing.link_seconds
+        state = ResidencyState()
         transfers = []
-        for key, nbytes, mode in accesses:
-            scaled_bytes = nbytes * key_factor[key]
-            key_bytes[key] = scaled_bytes
-            for link, moved in state.access(location, key, scaled_bytes,
-                                            mode):
-                transfers.append(
-                    (link, _link_seconds(machines, link, moved, profile)))
-        if call_id in legacy_transfer:
-            transfers.append((location, legacy_transfer.pop(call_id)))
-        steps.append(_Step(transfers, location,
-                           service[call_id] / n_ev[call_id]))
-    epilogue = [(device, _link_seconds(machines, device,
-                                       key_bytes.get(key, 0.0), profile))
-                for key, device in state.device_only().items()]
-    if epilogue:
-        steps.append(_Step(epilogue, None, 0.0))
-    return steps
+        for s, _, accesses in self.events:
+            location = locations[s]
+            step = []
+            for key, nbytes, mode in accesses:
+                for link, moved in state.access(location, key, nbytes,
+                                                mode):
+                    step.append((link, link_seconds(link, moved)))
+            transfers.append(step)
+        epilogue = [(device, link_seconds(device,
+                                          self.key_bytes.get(key, 0.0)))
+                    for key, device in state.device_only().items()]
+        return transfers, epilogue
 
 
-def evaluate_concurrent(requests: list, assignments: list, *,
-                        machines: dict | None = None,
-                        profile=None,
-                        strategy: str = "custom") -> ConcurrentPlan:
-    """Deterministic list-scheduler replay of concurrent requests.
-
-    Host compute is per-tenant (each request models its own client
-    machine), while accelerator devices and their host links are shared:
-    a step needing a busy device or link waits for it. Events are
-    dispatched in global time order — always the request with the
-    smallest local clock, ties broken by request index — so the schedule
-    is a pure function of its inputs. Completion of a request is its
-    last offload event plus its uncovered ``host_seconds``; the plan
-    reports per-request completions, the sum (the objective
-    :func:`plan_concurrent` descends on) and the makespan.
-    """
-    if len(requests) != len(assignments):
-        raise PlacementError("one assignment per request required")
-    machines = machines or MACHINES
-    schedules = [_request_schedule(req, asg, machines, profile)
-                 for req, asg in zip(requests, assignments)]
+def _schedule(requests: list, schedules: list) -> tuple[list, list]:
+    """Per-request ``(completions, waits)`` of the list-scheduler replay
+    described in :func:`evaluate_concurrent`."""
     clocks = [0.0] * len(requests)
     waits = [0.0] * len(requests)
     index = [0] * len(requests)
@@ -708,6 +881,33 @@ def evaluate_concurrent(requests: list, assignments: list, *,
         clocks[r] = t
     completions = [clocks[r] + requests[r].host_seconds
                    for r in range(len(requests))]
+    return completions, waits
+
+
+def evaluate_concurrent(requests: list, assignments: list, *,
+                        machines: dict | None = None,
+                        profile=None,
+                        strategy: str = "custom") -> ConcurrentPlan:
+    """Deterministic list-scheduler replay of concurrent requests.
+
+    Host compute is per-tenant (each request models its own client
+    machine), while accelerator devices and their host links are shared:
+    a step needing a busy device or link waits for it. Events are
+    dispatched in global time order — always the request with the
+    smallest local clock, ties broken by request index — so the schedule
+    is a pure function of its inputs. Completion of a request is its
+    last offload event plus its uncovered ``host_seconds``; the plan
+    reports per-request completions, the sum (the objective
+    :func:`plan_concurrent` descends on) and the makespan.
+    """
+    if len(requests) != len(assignments):
+        raise PlacementError("one assignment per request required")
+    machines = machines or MACHINES
+    schedules = []
+    for request, assignment in zip(requests, assignments):
+        model = _RequestModel(request, machines, profile)
+        schedules.append(model.steps(model.pricing.choice(assignment)))
+    completions, waits = _schedule(requests, schedules)
     return ConcurrentPlan(strategy, list(requests),
                           [dict(a) for a in assignments],
                           completions, waits)
@@ -729,7 +929,9 @@ def plan_concurrent(requests: list, *,
     re-placing one (request, site) at a time against the full joint
     objective (sum of completion times). Descent only ever accepts
     strict improvements, so the result is **never worse than independent
-    per-request placement** by construction.
+    per-request placement** by construction. Each request's schedule is
+    built once per distinct assignment of that request, so a trial
+    re-schedules only the request it changed.
     """
     machines = machines or MACHINES
     registry = registry or default_registry()
@@ -749,38 +951,56 @@ def plan_concurrent(requests: list, *,
          for site in req.call_sites()}
         for req in requests
     ]
+    models = [
+        _RequestModel(req, machines, profile,
+                      [candidates[i][s.call_id] for s in req.call_sites()])
+        for i, req in enumerate(requests)
+    ]
+    widths = [[len(options) for options in model.pricing.options]
+              for model in models]
     greedy = [
         greedy_assignment(req.call_sites(), candidates[i],
                           scale=req.scale, lazy=req.greedy_lazy)
         for i, req in enumerate(requests)
     ]
 
-    def joint(assignments, label="joint"):
-        return evaluate_concurrent(requests, assignments,
-                                   machines=machines, profile=profile,
-                                   strategy=label)
+    def joint(choices: list) -> tuple[list, list]:
+        return _schedule(requests, [model.steps(choice) for model, choice
+                                    in zip(models, choices)])
 
-    best = joint([dict(a) for a in independent])
-    greedy_plan = joint([dict(a) for a in greedy])
-    if greedy_plan.sum_completion_s < best.sum_completion_s:
-        best = greedy_plan
-    assignments = [dict(a) for a in best.assignments]
+    start = independent
+    choices = [m.pricing.choice(a) for m, a in zip(models, independent)]
+    completions, waits = joint(choices)
+    greedy_choices = [m.pricing.choice(a) for m, a in zip(models, greedy)]
+    greedy_result = joint(greedy_choices)
+    if _serial_sum(greedy_result[0]) < _serial_sum(completions):
+        start, choices = greedy, greedy_choices
+        completions, waits = greedy_result
+    best = _serial_sum(completions)
     for _ in range(max_passes):
         improved = False
-        for r, req in enumerate(requests):
-            for site in req.call_sites():
-                current = assignments[r][site.call_id]
-                for placement in candidates[r][site.call_id]:
-                    if placement == current:
+        for r, row in enumerate(widths):
+            for s, width in enumerate(row):
+                current = choices[r][s]
+                for c in range(width):
+                    if c == current:
                         continue
-                    trial = [dict(a) for a in assignments]
-                    trial[r][site.call_id] = placement
-                    plan = joint(trial)
-                    if plan.sum_completion_s < best.sum_completion_s:
-                        best, assignments = plan, trial
-                        current = placement
+                    trial = list(choices)
+                    trial[r] = choices[r][:s] + (c,) + choices[r][s + 1:]
+                    result = joint(trial)
+                    total = _serial_sum(result[0])
+                    if total < best:
+                        best, choices = total, trial
+                        completions, waits = result
+                        current = c
                         improved = True
         if not improved:
             break
-    best.strategy = "joint"
-    return best
+    assignments = []
+    for model, final, origin in zip(models, choices, start):
+        assignment = dict(origin)   # keeps the start's key order
+        for s, site in enumerate(model.pricing.sites):
+            assignment[site.call_id] = model.pricing.options[s][final[s]]
+        assignments.append(assignment)
+    return ConcurrentPlan("joint", list(requests), assignments,
+                          completions, waits)

@@ -500,7 +500,9 @@ class DetectionService:
         request drained into one micro-batch is placed **jointly** —
         the batch window is the contention domain — so concurrent
         tenants are costed against shared accelerators and links rather
-        than each assuming the machine to itself."""
+        than each assuming the machine to itself. A malformed request
+        raises :class:`~repro.errors.PlacementError` here, to its own
+        submitter, and never joins a batch."""
         if not self._started:
             self.start()
         tenant = str(tenant)
@@ -508,6 +510,7 @@ class DetectionService:
             raise DeadlineExpired(
                 f"placement request from tenant {tenant!r} arrived with "
                 f"an already-expired deadline ({deadline_s:.4g}s)")
+        request.check()
         faults.maybe_fire("service.admit", tenant)
         pending = _Request(None, tenant, deadline_s, kind="plan",
                            payload=request)
@@ -770,8 +773,10 @@ class DetectionService:
         The whole subset is one :func:`plan_concurrent` call — tenants
         that arrived within the batch window contend for the simulated
         accelerators, so each tenant's answer already accounts for its
-        co-travellers. Failures resolve each future with the typed
-        exception; detection requests in the same batch are unaffected.
+        co-travellers. Each request was checked on its own at submit, so
+        a malformed one never reaches this call. Failures resolve each
+        future with the typed exception; detection requests in the same
+        batch are unaffected.
         """
         try:
             plan = plan_concurrent([r.payload for r in batch],

@@ -6,7 +6,7 @@ placed against shared device and link queues."""
 import pytest
 
 from repro.backends.api import ApiCallSite, ApiRuntime
-from repro.errors import IDLError
+from repro.errors import IDLError, PlacementError
 from repro.frontend import compile_c
 from repro.ir.printer import print_module
 from repro.passes import optimize
@@ -83,6 +83,60 @@ class TestServicePlanPath:
         assert isinstance(result, PlanResult)
         assert result.index == 0
         assert len(result.plan.requests) == 1
+
+
+def _payload(**changes) -> dict:
+    """A well-formed encoded request with one site and one event, with
+    ``changes`` applied to its site, its access or its top level."""
+    runtime = ApiRuntime()
+    site = runtime.new_site("Reduction", "scalar_reduction",
+                            lambda args, engine: None, reads=(0,))
+    site.stats = {"calls": 3, "elements": 3e6, "flops_per_element": 2,
+                  "bytes": 24e6}
+    payload = encode_plan_request(PlacementRequest(
+        [site], [(site.call_id, ((1001, 8e6, "r"),))], host_seconds=0.01))
+    for name, value in changes.items():
+        if name in ("category", "stats"):
+            payload["sites"][0][name] = value
+        elif name in ("key", "nbytes"):
+            access = payload["events"][0][1][0]
+            access[("key", "nbytes").index(name)] = value
+        elif name == "duplicate":
+            payload["sites"].append(dict(payload["sites"][0]))
+        else:
+            payload[name] = value
+    return payload
+
+
+#: Payloads that decode but cannot be planned, and what is wrong.
+BAD_PAYLOADS = {
+    "no API serves the category": dict(category="nonsense"),
+    "buffer key is a list": dict(key=[1, 2]),
+    "stat is not a number": dict(stats={"calls": "many"}),
+    "negative scale": dict(scale=-2.0),
+    "infinite host seconds": dict(host_seconds=float("inf")),
+    "NaN byte count": dict(nbytes=float("nan")),
+    "duplicate call ids": dict(duplicate=True),
+}
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("bad", sorted(BAD_PAYLOADS))
+    def test_bad_request_fails_only_its_submitter(self, bad):
+        """A malformed request co-submitted with a good one inside one
+        batch window fails alone; the good one gets its plan."""
+        request = decode_plan_request(_payload(**BAD_PAYLOADS[bad]))
+        with DetectionService(ServiceConfig(batch_window_s=0.25)) \
+                as service:
+            good = service.submit_plan(_request("good"), tenant="good")
+            with pytest.raises(PlacementError):
+                service.submit_plan(request, tenant="bad")
+            result = good.result(timeout=120)
+        assert len(result.plan.requests) == 1
+        assert set(result.locations()) == {0}
+
+    def test_well_formed_payload_passes(self):
+        decode_plan_request(_payload()).check()
 
 
 class TestPlanWire:
