@@ -8,7 +8,7 @@ follow branch targets between blocks.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from ..ir.instructions import BranchInst, Instruction
 from ..ir.module import BasicBlock, Function

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..ir.instructions import Instruction, LoadInst, PhiInst, StoreInst
 from ..ir.module import Function
-from ..ir.values import GlobalVariable, Value
+from ..ir.values import Value
 from .cfg import InstructionCFG
 from .dominators import (DominatorTree, InstructionDominance,
                          InstructionPositions)

@@ -187,14 +187,6 @@ class LoopInfo:
                     best = loop
         return best
 
-    def loop_of(self, inst: Instruction) -> Loop | None:
-        if inst.parent is None:
-            return None
-        return self.loop_of_block(inst.parent)
-
-    def top_level(self) -> list[Loop]:
-        return [l for l in self.loops if l.parent is None]
-
     def __repr__(self) -> str:
         return f"<LoopInfo {self.function.name}: {len(self.loops)} loops>"
 

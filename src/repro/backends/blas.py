@@ -1,54 +1,14 @@
-"""Dense linear algebra kernels backing the simulated BLAS libraries.
+"""Dense linear algebra kernel backing the simulated BLAS libraries.
 
-These are the shared *functional* implementations behind MKL / cuBLAS /
-clBLAS / CLBlast in this reproduction: numerically exact (numpy einsum),
-with the per-API performance distinctions living in the cost model.
-
-Layout conventions follow the GEMM idiom's binding (paper Figure 10):
-``col`` iterates the output's first index dimension, ``row`` the
-contraction dimension for the inputs.
+:func:`matmul_tt` is the shared *functional* implementation behind MKL /
+cuBLAS / clBLAS / CLBlast in this reproduction: numerically exact (numpy
+einsum), with the per-API performance distinctions living in the cost
+model.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def gemm_flat(a: np.ndarray, lda: int, b: np.ndarray, ldb: int,
-              c: np.ndarray, ldc: int, m: int, n: int, k: int,
-              alpha: float = 1.0, beta: float = 0.0) -> np.ndarray:
-    """C[i + j*ldc] = beta*C + alpha * Σ_k A[i + k*lda] · B[j + k*ldb].
-
-    All arrays are flat 1-D buffers (the Parboil sgemm layout: column
-    slices of stride ld).
-    """
-    a_eff = np.reshape(a[:lda * k], (k, lda))[:, :m]     # a_eff[k, i]
-    b_eff = np.reshape(b[:ldb * k], (k, ldb))[:, :n]     # b_eff[k, j]
-    c_eff = np.reshape(c[:ldc * n], (n, ldc))[:, :m]     # c_eff[j, i]
-    prod = np.einsum("ki,kj->ji", a_eff, b_eff)
-    result = beta * c_eff + alpha * prod
-    c_view = np.reshape(c[:ldc * n], (n, ldc))
-    c_view[:, :m] = result
-    return result
-
-
-def gemm_2d(a: np.ndarray, a_colmajor: bool, b: np.ndarray, b_colmajor: bool,
-            c: np.ndarray, c_colmajor: bool, m: int, n: int, k: int,
-            alpha: float = 1.0, beta: float = 0.0) -> np.ndarray:
-    """GEMM over nested-array operands.
-
-    Each operand is a 2-D numpy view; ``*_colmajor`` says whether its
-    first index is the ``col`` binding of the idiom (output index) or the
-    ``row`` (contraction) binding.
-    """
-    a_eff = a[:m, :k] if a_colmajor else a[:k, :m].T     # a_eff[i, k]
-    b_eff = b[:n, :k] if b_colmajor else b[:k, :n].T     # b_eff[j, k]
-    prod = np.einsum("ik,jk->ij", a_eff, b_eff)          # prod[i, j]
-    if c_colmajor:
-        c[:m, :n] = beta * c[:m, :n] + alpha * prod
-        return c[:m, :n]
-    c[:n, :m] = beta * c[:n, :m] + alpha * prod.T
-    return c[:n, :m]
 
 
 def matmul_tt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,15 +19,6 @@ def matmul_tt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the multiply.
     """
     return np.einsum("ik,jk->ij", a, b)
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x, y))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y += alpha * x
-    return y
 
 
 def register_backend(registry) -> None:

@@ -4,28 +4,10 @@ No idiom in the IDL library lowers to a spectral API yet (FT's Fourier
 kernels are below the matcher's reach), so this backend registers
 *descriptors only*: it participates in registry discovery, ``--backends``
 filtering, and planner capability queries under the ``spectral_op``
-category, and supplies numerically exact transform kernels for when a
-spectral idiom lands.
+category.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def fft(x: np.ndarray) -> np.ndarray:
-    """Forward complex DFT (numpy-exact, like every backend here)."""
-    return np.fft.fft(x)
-
-
-def ifft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x)
-
-
-def rfft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Circular convolution via the frequency domain."""
-    n = max(a.shape[-1], b.shape[-1])
-    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)
 
 
 def register_backend(registry) -> None:

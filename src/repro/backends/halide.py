@@ -92,14 +92,6 @@ class Schedule:
     vectorize: tuple[str, int] | None = None
     tile: tuple | None = None
 
-    def speedup_factor(self, cores: int) -> float:
-        factor = 1.0
-        if self.parallel:
-            factor *= cores
-        if self.vectorize is not None:
-            factor *= min(4.0, self.vectorize[1] / 2)
-        return factor
-
 
 class Func:
     """A Halide stage: ``f[x, y] = expr``."""

@@ -1,17 +1,16 @@
-"""A miniature Lift: functional data-parallel patterns with rewrite rules.
+"""A miniature Lift: functional data-parallel patterns.
 
 Models the Lift pipeline the paper uses (§5.2, Figure 15): programs are
-compositions of ``map``, ``reduce``, ``zip``, ``split``, ``join`` and
-``transpose`` over arrays, with user functions supplied as sequential C
-kernels (here: extracted kernel expressions). A small rewrite system
-mirrors Lift's exploration — e.g. map-fusion and map→mapGlobal device
-mapping — and ``compile`` lowers a pattern tree to a numpy-executable
-callable.
+compositions of ``map``, ``reduce`` and ``zip`` over arrays, with user
+functions supplied as sequential C kernels (here: extracted kernel
+expressions). One rewrite rule mirrors Lift's device mapping
+(map→mapGlobal), and :func:`compile_pattern` lowers a pattern tree to a
+numpy-executable callable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -63,22 +62,6 @@ class Zip(Pattern):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Split(Pattern):
-    width: int
-    arg: Pattern
-
-
-@dataclass(frozen=True)
-class Join(Pattern):
-    arg: Pattern
-
-
-@dataclass(frozen=True)
-class Transpose(Pattern):
-    arg: Pattern
-
-
 # ---------------------------------------------------------------------------
 # Rewrite rules (Lift's exploration, abridged)
 # ---------------------------------------------------------------------------
@@ -87,27 +70,6 @@ def rewrite_map_to_global(pattern: Pattern) -> Pattern:
     """Outermost maps become device-parallel (mapGlobal)."""
     if isinstance(pattern, Map) and pattern.device == "seq":
         return Map(pattern.fn, pattern.arg, device="global")
-    return pattern
-
-
-def rewrite_split_join(pattern: Pattern, width: int) -> Pattern:
-    """map(f) → join ∘ map(map(f)) ∘ split — Lift's tiling rule."""
-    if isinstance(pattern, Map):
-        inner = Map(pattern.fn, Input("__chunk"), device="seq")
-        return Join(Map(_Chunked(inner), Split(width, pattern.arg),
-                        device=pattern.device))
-    return pattern
-
-
-@dataclass(frozen=True)
-class _Chunked(Pattern):
-    body: Pattern
-
-
-def apply_rewrites(pattern: Pattern,
-                   rules: list[Callable[[Pattern], Pattern]]) -> Pattern:
-    for rule in rules:
-        pattern = rule(pattern)
     return pattern
 
 
@@ -153,16 +115,6 @@ def compile_pattern(pattern: Pattern) -> Callable[[dict], np.ndarray]:
             for value in np.asarray(arg).reshape(-1):
                 acc = fn.fn(acc, value)
             return acc
-        if isinstance(node, Split):
-            arr = np.asarray(run(node.arg, env))
-            n = arr.shape[0] // node.width
-            return arr[:n * node.width].reshape(n, node.width,
-                                                *arr.shape[1:])
-        if isinstance(node, Join):
-            arr = np.asarray(run(node.arg, env))
-            return arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
-        if isinstance(node, Transpose):
-            return np.asarray(run(node.arg, env)).T
         raise BackendError(f"cannot compile Lift node {node!r}")
 
     return lambda inputs: run(pattern, inputs)
@@ -188,20 +140,6 @@ def reduction_to_lift(delta_fn: Callable, kind: str, init: float,
     mapped = Map(UserFun("delta", n_inputs, delta_fn, kernel_source), inputs)
     mapped = rewrite_map_to_global(mapped)
     return Reduce(op, init, mapped)
-
-
-def gemm_in_lift(alpha: float = 1.0, beta: float = 0.0) -> Pattern:
-    """The paper's Figure 15 GEMM skeleton (inputs: A, Bt, C)."""
-    def row_dot(a_row, b_col):
-        return np.sum(a_row * b_col)
-
-    def full(a, bt, c):
-        prod = a @ bt.T
-        return alpha * prod + beta * c
-
-    return Map(UserFun("gemm_row", 3, full), Zip((Input("A"), Input("Bt"),
-                                                  Input("C"))),
-               device="global")
 
 
 def register_backend(registry) -> None:

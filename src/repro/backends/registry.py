@@ -138,13 +138,6 @@ class BackendRegistry:
                 out.append(contract)
         return out
 
-    def categories(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for entry in self._entries.values():
-            for category in entry.contracts:
-                seen.setdefault(category, None)
-        return list(seen)
-
 
 _DEFAULT: BackendRegistry | None = None
 

@@ -24,23 +24,6 @@ def csr_spmv(row_ptr: np.ndarray, col_idx: np.ndarray, values: np.ndarray,
     return result
 
 
-def csr_from_dense(dense: np.ndarray):
-    """(row_ptr, col_idx, values) of a dense matrix (test helper)."""
-    rows, cols = dense.shape
-    row_ptr = [0]
-    col_idx: list[int] = []
-    values: list[float] = []
-    for i in range(rows):
-        for j in range(cols):
-            if dense[i, j] != 0.0:
-                col_idx.append(j)
-                values.append(float(dense[i, j]))
-        row_ptr.append(len(values))
-    return (np.asarray(row_ptr, dtype=np.int32),
-            np.asarray(col_idx, dtype=np.int32),
-            np.asarray(values, dtype=np.float64))
-
-
 def register_backend(registry) -> None:
     """Register the sparse backend: three SPMV library descriptors behind
     one CSR lowering contract."""

@@ -28,7 +28,6 @@ from .fingerprint import (
 )
 from .store import (
     DEFAULT_MEMORY_BUDGET_BYTES,
-    EVICTION_POLICIES,
     STORE_VERSION,
     ArtifactStore,
     StoreStats,
@@ -36,7 +35,7 @@ from .store import (
 
 __all__ = [
     "ArtifactStore", "StoreStats",
-    "STORE_VERSION", "EVICTION_POLICIES", "DEFAULT_MEMORY_BUDGET_BYTES",
+    "STORE_VERSION", "DEFAULT_MEMORY_BUDGET_BYTES",
     "CachedDetection", "DetectionCache",
     "decode_detection", "encode_detection",
     "FINGERPRINT_VERSION", "detection_config_signature",

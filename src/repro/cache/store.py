@@ -37,10 +37,8 @@ The store is deliberately boring and failure-proof:
   memory store given no budget is capped at
   :data:`DEFAULT_MEMORY_BUDGET_BYTES`, so a resident process stays
   bounded however many edits it sees. Every :meth:`put` enforces the cap
-  before returning by evicting entries (``eviction="lru"``:
-  least-recently-accessed first; ``"generational"``: entries never read
-  since they were written go first, then LRU among the survivors — the
-  nursery/tenured split that fits one-shot traffic). An evicted entry is
+  before returning by evicting the least-recently-accessed entries
+  first; a negative budget is a ``ValueError``. An evicted entry is
   indistinguishable from one that was never written: the next
   :meth:`get` is a clean miss and the producer simply re-solves. The
   index keeps entries in access order; on disk it is seeded from file
@@ -78,9 +76,6 @@ from ..reliability import faults
 
 #: Bump on any payload schema change; old entries become misses.
 STORE_VERSION = 2
-
-#: Eviction policies ``ArtifactStore(eviction=...)`` understands.
-EVICTION_POLICIES = ("lru", "generational")
 
 #: Byte budget of a memory store built without one (serialized payload
 #: bytes): a resident process must stay bounded.
@@ -122,24 +117,15 @@ class StoreStats:
             "evictions": self.evictions,
         }
 
-    def reset(self) -> None:
-        self.hits = self.misses = self.writes = 0
-        self.corrupt = self.write_errors = self.evictions = 0
-        self.bytes_stored = 0
-
 
 class _Entry:
     """Index record for one entry."""
 
-    __slots__ = ("size", "atime", "touched", "data")
+    __slots__ = ("size", "atime", "data")
 
     def __init__(self, size: int, atime: float, data: str | None = None):
         self.size = size
         self.atime = atime
-        #: True once the entry has been read after its write (the
-        #: generational policy's tenure bit; per-process — a rescan
-        #: starts everything back in the nursery).
-        self.touched = False
         #: The serialized payload (memory backend only).
         self.data = data
 
@@ -151,11 +137,9 @@ class ArtifactStore:
     Thread-safe: lookups run from detection worker threads."""
 
     def __init__(self, root: str | None = None, durable: bool = False,
-                 budget_bytes: int | None = None, eviction: str = "lru"):
-        if eviction not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {eviction!r} "
-                f"(choose from {', '.join(EVICTION_POLICIES)})")
+                 budget_bytes: int | None = None):
+        if budget_bytes is not None and budget_bytes < 0:
+            raise ValueError(f"negative store budget {budget_bytes!r}")
         #: The objects directory's parent; None keeps entries in memory.
         self.root = root
         self.stats = StoreStats()
@@ -167,9 +151,6 @@ class ArtifactStore:
         self.budget_bytes = (DEFAULT_MEMORY_BUDGET_BYTES
                              if root is None and budget_bytes is None
                              else budget_bytes)
-        #: "lru" (least-recently-accessed first) or "generational"
-        #: (never-read entries first, then LRU among read ones).
-        self.eviction = eviction
         #: Serializes stats and index updates — lookups run from
         #: DetectionSession worker threads, and unsynchronized ``+=``
         #: would lose counts.
@@ -181,8 +162,7 @@ class ArtifactStore:
 
     def __repr__(self) -> str:
         return (f"ArtifactStore(root={self.root!r}, "
-                f"budget_bytes={self.budget_bytes!r}, "
-                f"eviction={self.eviction!r})")
+                f"budget_bytes={self.budget_bytes!r})")
 
     @staticmethod
     def _check_key(key: str) -> None:
@@ -238,7 +218,6 @@ class ArtifactStore:
         else:
             index.move_to_end(key)
         entry.atime = time.time()
-        entry.touched = True
 
     def _forget(self, key: str) -> None:
         if self._index is None:
@@ -249,20 +228,14 @@ class ArtifactStore:
 
     def _enforce_budget(self) -> None:
         """Evict (call under ``_lock``) until the footprint fits the
-        budget. The index is in access order, so LRU walks it from the
-        front; generational walks the never-read entries (the nursery)
-        first, then the rest."""
+        budget. The index is in access order, so the least recently
+        accessed entries go first."""
         if self.budget_bytes is None:
             return
         index = self._ensure_index()
         if self.stats.bytes_stored <= self.budget_bytes:
             return
-        if self.eviction == "generational":
-            victims = [k for k, e in index.items() if not e.touched] + \
-                      [k for k, e in index.items() if e.touched]
-        else:
-            victims = list(index)
-        for key in victims:
+        for key in list(index):
             if self.stats.bytes_stored <= self.budget_bytes:
                 break
             if self.root is not None:
@@ -283,12 +256,12 @@ class ArtifactStore:
             return None if entry is None else (entry.size, entry.atime)
 
     def describe(self) -> dict:
-        """Stats plus backend, footprint, budget and policy — the
-        ``store`` section of the detection service's stats payload."""
+        """Stats plus backend, footprint and budget — the ``store``
+        section of the detection service's stats payload."""
         return dict(self.stats.as_dict(),
                     backend="memory" if self.root is None else "disk",
                     total_bytes=self.total_bytes(),
-                    budget_bytes=self.budget_bytes, eviction=self.eviction)
+                    budget_bytes=self.budget_bytes)
 
     # -- reads ----------------------------------------------------------------
     def get(self, key: str) -> dict | None:

@@ -598,12 +598,8 @@ def print_cache_stats() -> None:
     print(f"\nArtifact store ({CACHE_STORE.root}):")
     print(f"  hits={stats['hits']} misses={stats['misses']} "
           f"writes={stats['writes']} evictions={stats['evictions']}")
-    print(f"  bytes={CACHE_STORE.total_bytes()}"
-          + (f" budget={CACHE_STORE.budget_bytes}"
-             f" policy={CACHE_STORE.eviction}"
-             if CACHE_STORE.budget_bytes is not None else "")
-          + f" corrupt={stats['corrupt']} "
-            f"write_errors={stats['write_errors']}")
+    print(f"  bytes={CACHE_STORE.total_bytes()} corrupt={stats['corrupt']} "
+          f"write_errors={stats['write_errors']}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,7 +8,6 @@ Figure 4 shows (and that the IDL idioms match).
 
 from __future__ import annotations
 
-import math
 
 from ..errors import SemanticError
 from ..ir import (

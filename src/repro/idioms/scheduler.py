@@ -33,11 +33,7 @@ from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError
 from ..ir.module import Module
 from ..reliability import faults
-from ..reliability.supervisor import (
-    FunctionOutcome,
-    RetryPolicy,
-    SessionOutcomes,
-)
+from ..reliability.supervisor import FunctionOutcome, SessionOutcomes
 from .matches import DetectionReport
 
 
@@ -78,7 +74,8 @@ class DetectionSession:
 
             detector = IdiomDetector()
         self.detector = detector
-        self.policy = RetryPolicy(deadline_s=deadline_s)
+        #: Per-function in-band solve deadline (seconds, None = none).
+        self.deadline_s = deadline_s
         #: Per-function records for the most recent detect() call (also
         #: attached to the report as ``report.outcomes``); detect_many()
         #: attaches one record set per module to that module's report.
@@ -307,7 +304,7 @@ class DetectionSession:
                 adopted = True
         self.analyses[job.uid] = analyses
         matches, stats = self.detector.detect_function_with_stats(
-            function, analyses, deadline_s=self.policy.deadline_s)
+            function, analyses, deadline_s=self.deadline_s)
         # An adopted summary is already in the store — returning None
         # keeps save() from recomputing (loop info) and rewriting it.
         return (matches, stats,

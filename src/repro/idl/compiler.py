@@ -79,9 +79,6 @@ class IdiomCompiler:
         self._lowerer = Lowerer(self.registry, self.memo_specs)
         return [spec.name for spec in specs]
 
-    def names(self) -> list[str]:
-        return self.registry.names()
-
     def library_signature(self) -> str:
         """Digest of everything this compiler contributes to match sets:
         every loaded IDL source (in load order), the registered

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from ..errors import IDLError
 from .ast import (
     Atom,
-    Calculation,
     Collect,
     Conjunction,
     Disjunction,
@@ -31,7 +30,6 @@ from .ast import (
     Inheritance,
     Rename,
     Specification,
-    Sym,
     VarRef,
     evaluate_calc,
 )
@@ -253,9 +251,6 @@ class Registry:
 
     def native(self, name: str) -> NativeConstraint | None:
         return self._natives.get(name)
-
-    def has(self, name: str) -> bool:
-        return name in self._specs or name in self._natives
 
     def names(self) -> list[str]:
         return sorted(list(self._specs) + list(self._natives))

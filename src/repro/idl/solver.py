@@ -193,14 +193,6 @@ class Solver:
         self.engine = AtomEngine(self.context, stats=self.stats,
                                  indexed=indexed)
 
-    @property
-    def max_solutions(self) -> int:
-        return self.limits.max_solutions
-
-    @property
-    def stuck_branches(self) -> int:
-        return self.stats.stuck_branches
-
     # -- public API ---------------------------------------------------------------
     def solutions(self, lowered, plan: Plan | None = None) -> list[dict]:
         """All distinct solutions, as dicts of variable name → IR value."""
@@ -219,17 +211,6 @@ class Solver:
 
         self._search(lowered, plan, take)
         return results
-
-    def first(self, lowered, plan: Plan | None = None) -> dict | None:
-        found: list[dict] = []
-
-        def take(env: dict) -> bool:
-            found.append({k: v for k, v in env.items()
-                          if not k.startswith("#")})
-            return True
-
-        self._search(lowered, plan, take)
-        return found[0] if found else None
 
     def _search(self, lowered, plan: Plan | None, sink,
                 env: dict | None = None) -> None:

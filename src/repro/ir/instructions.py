@@ -13,11 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..errors import IRError, SourceLocation
 from .types import (
     I1,
-    I64,
     VOID,
     ArrayType,
-    FloatType,
-    IntType,
     IRType,
     PointerType,
 )
@@ -72,13 +69,6 @@ class Instruction(User):
     def has_side_effects(self) -> bool:
         """Conservatively, may this instruction write memory / do IO?"""
         if isinstance(self, (StoreInst, RetInst)):
-            return True
-        if isinstance(self, CallInst):
-            return not self.is_pure()
-        return False
-
-    def may_read_memory(self) -> bool:
-        if isinstance(self, LoadInst):
             return True
         if isinstance(self, CallInst):
             return not self.is_pure()

@@ -67,12 +67,6 @@ class BasicBlock(Value):
                 break
         return result
 
-    def first_non_phi(self) -> Instruction | None:
-        for inst in self.instructions:
-            if not isinstance(inst, PhiInst):
-                return inst
-        return None
-
     # -- CFG edges ---------------------------------------------------------------
     def successors(self) -> list["BasicBlock"]:
         term = self.terminator

@@ -29,13 +29,6 @@ class IRType:
     def is_array(self) -> bool:
         return isinstance(self, ArrayType)
 
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    def is_first_class(self) -> bool:
-        """True for types a register value may have."""
-        return not (self.is_void() or self.is_function())
-
     def __repr__(self) -> str:
         return f"<IRType {self}>"
 
@@ -165,13 +158,6 @@ class ArrayType(IRType):
     @property
     def element(self) -> IRType:
         return self._element
-
-    def base_element(self) -> IRType:
-        """The scalar element type after peeling all array dimensions."""
-        ty: IRType = self
-        while isinstance(ty, ArrayType):
-            ty = ty.element
-        return ty
 
     def __str__(self) -> str:
         return f"[{self._count} x {self._element}]"

@@ -13,10 +13,9 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import IRError
-from .types import F32, F64, I1, ArrayType, FloatType, IntType, IRType, PointerType
+from .types import F64, I1, FloatType, IntType, IRType, PointerType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .instructions import Instruction
     from .module import Function
 
 
@@ -59,9 +58,6 @@ class Value:
             if id(use.user) not in seen:
                 seen.add(id(use.user))
                 yield use.user
-
-    def is_used(self) -> bool:
-        return bool(self.uses)
 
     def replace_all_uses_with(self, new: "Value") -> None:
         """Rewrite every operand slot referring to ``self`` to ``new``."""
@@ -253,16 +249,3 @@ def const_bool(value: bool) -> ConstantInt:
 def is_constant_zero(value: Value) -> bool:
     """True if ``value`` is a constant equal to zero (int, float or null)."""
     return isinstance(value, Constant) and value.is_zero()
-
-
-def default_initializer(ty: IRType):
-    """The zero value the interpreter uses for uninitialised memory."""
-    if isinstance(ty, IntType):
-        return 0
-    if isinstance(ty, FloatType):
-        return 0.0
-    if isinstance(ty, PointerType):
-        return None
-    if isinstance(ty, ArrayType):
-        return [default_initializer(ty.element) for _ in range(ty.count)]
-    raise IRError(f"no default initializer for type {ty}")

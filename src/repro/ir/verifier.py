@@ -14,7 +14,6 @@ from __future__ import annotations
 from ..errors import VerificationError
 from .instructions import Instruction, PhiInst, BranchInst
 from .module import BasicBlock, Function, Module
-from .values import Argument, Constant, Value
 
 
 def verify_module(module: Module) -> None:

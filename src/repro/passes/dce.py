@@ -9,7 +9,7 @@ a naive use-count DCE can never remove.
 
 from __future__ import annotations
 
-from ..ir.instructions import Instruction, PhiInst
+from ..ir.instructions import Instruction
 from ..ir.module import Function
 from ..ir.values import UndefValue
 

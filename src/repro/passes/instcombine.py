@@ -8,15 +8,8 @@ paper's IDL programs make about ``-O2`` IR.
 
 from __future__ import annotations
 
-from ..ir.instructions import (
-    BinaryOperator,
-    CastInst,
-    GEPInst,
-    ICmpInst,
-    Instruction,
-)
+from ..ir.instructions import BinaryOperator, CastInst, ICmpInst
 from ..ir.module import Function
-from ..ir.types import IntType
 from ..ir.values import Constant, ConstantInt, Value
 
 _ICMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sle": "sge",

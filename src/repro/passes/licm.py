@@ -26,7 +26,7 @@ from ..ir.instructions import (
 )
 from ..ir.module import Function
 from ..ir.types import PointerType
-from ..ir.values import Constant, Value
+from ..ir.values import Value
 
 
 def _types_may_alias(a: Value, b: Value) -> bool:

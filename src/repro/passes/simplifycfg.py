@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..analysis.cfg import reachable_blocks
 from ..ir.instructions import BranchInst, PhiInst
-from ..ir.module import BasicBlock, Function
+from ..ir.module import Function
 from .mem2reg import remove_trivial_phis
 
 

@@ -14,7 +14,7 @@ to take the process down. Three pieces:
   negligible cost (the ``seams`` gate of :mod:`repro.experiments.gates`).
 * :mod:`.supervisor` — what a detection session records: the
   per-function in-band wall-clock deadline
-  (:class:`~repro.reliability.supervisor.RetryPolicy`) and one
+  (:func:`~repro.reliability.supervisor.tightened_deadline`) and one
   :class:`~repro.reliability.supervisor.FunctionOutcome` per function,
   merged into a deterministic report.
 * :mod:`.quarantine` — (backend, category) pairs that failed at dispatch
@@ -34,8 +34,8 @@ from .faults import (
 from .quarantine import Quarantine
 from .supervisor import (
     FunctionOutcome,
-    RetryPolicy,
     SessionOutcomes,
+    tightened_deadline,
 )
 
 __all__ = [
@@ -43,10 +43,10 @@ __all__ = [
     "FaultSpec",
     "FunctionOutcome",
     "Quarantine",
-    "RetryPolicy",
     "SessionOutcomes",
     "active_plan",
     "install_plan",
     "maybe_fire",
     "plan_from_spec",
+    "tightened_deadline",
 ]

@@ -1,44 +1,38 @@
 """What a detection session records about each function, and its deadline.
 
 A :class:`~repro.idioms.scheduler.DetectionSession` solves its cold
-functions one after another, in-process. A per-function deadline is
-enforced only in-band, by the solver's sampled wall clock
-(:class:`~repro.errors.SolveTimeout`); a solve that hangs outside the
-solver is not interrupted, and any error other than the deadline
-propagates. :class:`RetryPolicy` carries that deadline and tightens it
-to a caller's remaining budget; :class:`SessionOutcomes` collects one
-:class:`FunctionOutcome` per function plus the faults the injector fired
-during the session, which a report carries.
+functions one after another, in-process. A per-function deadline
+(``DetectionSession.deadline_s``) is enforced only in-band, by the
+solver's sampled wall clock (:class:`~repro.errors.SolveTimeout`); a
+solve that hangs outside the solver is not interrupted, and any error
+other than the deadline propagates. :func:`tightened_deadline` clamps
+that deadline to a caller's remaining budget; :class:`SessionOutcomes`
+collects one :class:`FunctionOutcome` per function plus the faults the
+injector fired during the session, which a report carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """The session's per-function solve deadline."""
+def tightened_deadline(deadline_s: float | None,
+                       budget_s: float | None) -> float | None:
+    """A per-function deadline clamped to a caller's remaining
+    wall-clock budget.
 
-    deadline_s: float | None = None  # per-function wall-clock allowance
-
-    def tightened(self, budget_s: float | None) -> "RetryPolicy":
-        """This policy with its per-function deadline clamped to a
-        caller's remaining wall-clock budget.
-
-        End-to-end deadline propagation: the service threads each
-        batch's tightest surviving request deadline through here, so a
-        slow solve runs out of in-band solver ticks
-        (:class:`~repro.errors.SolveTimeout`, degraded to a
-        ``timed-out-partial`` outcome) instead of outliving the caller.
-        A non-positive budget is clamped to a near-zero deadline: the
-        solve fails fast rather than being granted infinity."""
-        if budget_s is None:
-            return self
-        budget_s = max(float(budget_s), 1e-6)
-        if self.deadline_s is not None and self.deadline_s <= budget_s:
-            return self
-        return replace(self, deadline_s=budget_s)
+    End-to-end deadline propagation: the service threads each batch's
+    tightest surviving request deadline through here, so a slow solve
+    runs out of in-band solver ticks (:class:`~repro.errors.SolveTimeout`,
+    degraded to a ``timed-out-partial`` outcome) instead of outliving
+    the caller. A non-positive budget is clamped to a near-zero
+    deadline: the solve fails fast rather than being granted infinity."""
+    if budget_s is None:
+        return deadline_s
+    budget_s = max(float(budget_s), 1e-6)
+    if deadline_s is not None and deadline_s <= budget_s:
+        return deadline_s
+    return budget_s
 
 
 @dataclass

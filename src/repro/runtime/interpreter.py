@@ -25,16 +25,14 @@ from ..ir.instructions import (
     GEPInst,
     ICmpInst,
     LoadInst,
-    PhiInst,
     RetInst,
     SelectInst,
     StoreInst,
     UnreachableInst,
 )
 from ..ir.module import Function, Module
-from ..ir.types import ArrayType, FloatType, IntType, PointerType
+from ..ir.types import ArrayType, PointerType
 from ..ir.values import (
-    Argument,
     ConstantFloat,
     ConstantInt,
     ConstantPointerNull,

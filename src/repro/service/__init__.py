@@ -7,7 +7,7 @@ requests arriving together are micro-batched into single
 :meth:`~repro.idioms.scheduler.DetectionSession.detect_many` calls with
 cross-tenant dedupe, one batch at a time. The service is overload-safe: a bounded
 pending queue with per-tenant quotas sheds excess load with typed,
-retryable errors; a weighted round-robin batcher keeps one flooding
+retryable errors; a round-robin batcher keeps one flooding
 tenant from starving the rest; request deadlines propagate from the
 wire into the solver; and a ``starting → ready → draining → stopped``
 lifecycle supports graceful drain. :mod:`.daemon` exposes the service

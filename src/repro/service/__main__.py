@@ -40,17 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--budget-mb", type=float, default=None,
                        metavar="MB",
                        help="artifact store byte budget, in memory or on "
-                            "disk; entries are evicted past it (default: "
-                            "64 MB in memory, no cap on disk)")
-    serve.add_argument("--eviction", choices=["lru", "generational"],
-                       default="lru", help="store eviction policy")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batch collection window, opened only "
-                            "for batches holding a plan or a cold "
-                            "function; store hits never wait "
-                            "(default 2ms)")
-    serve.add_argument("--max-batch", type=int, default=32,
-                       help="requests per micro-batch (default 32)")
+                            "disk; least recently used entries are "
+                            "evicted past it (default: 64 MB in memory, "
+                            "no cap on disk)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="per-function solve deadline")
@@ -113,9 +105,7 @@ def _serve(args) -> int:
         cache_dir=args.cache_dir,
         budget_bytes=None if args.budget_mb is None
         else int(args.budget_mb * 1024 * 1024),
-        eviction=args.eviction,
-        batch_window_s=args.window_ms / 1e3,
-        max_batch=args.max_batch, deadline_s=args.deadline,
+        deadline_s=args.deadline,
         max_pending=args.max_pending, tenant_quota=args.tenant_quota,
         profile=profile)
     daemon = DetectionDaemon(args.host, args.port, config=config)

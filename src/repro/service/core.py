@@ -34,21 +34,21 @@ to go fast when healthy:
   The batcher forms a new batch only after the last one finished, so
   backpressure is real: work waits in the quota-governed tenant queues,
   never in a hidden unbounded executor queue.
-* **Per-tenant fairness** — batches are drained by weighted round-robin
-  over the tenant queues (each pass grants every waiting tenant up to
-  its weight in slots), so a tenant submitting 100 modules cannot
-  monopolise ``max_batch``. Per-tenant depth, admits, sheds and p95
-  latency appear in :meth:`stats`; past :data:`MAX_TENANTS` tenants, idle
-  ones are dropped oldest first, so the table stays bounded however
-  many tenant names clients invent.
+* **Per-tenant fairness** — batches are drained by round-robin over
+  the tenant queues (each pass grants every waiting tenant one slot),
+  so a tenant submitting 100 modules cannot monopolise ``max_batch``.
+  Per-tenant depth, admits, sheds and p95 latency appear in
+  :meth:`stats`; past :data:`MAX_TENANTS` tenants, idle ones are
+  dropped oldest first, so the table stays bounded however many tenant
+  names clients invent.
 * **Deadline propagation** — :meth:`submit` accepts ``deadline_s``
   (remaining wall-clock budget). Already-expired work is rejected at
   admission with :class:`DeadlineExpired`; work that expires while
   queued fails the same way when its batch starts; the tightest
-  remaining budget in a batch is threaded into the session's
-  :class:`~repro.reliability.supervisor.RetryPolicy` per-function
-  deadline (:meth:`~repro.reliability.supervisor.RetryPolicy.tightened`),
-  so a slow solve degrades to a ``timed-out-partial`` outcome instead
+  remaining budget in a batch tightens the session's per-function
+  ``deadline_s``
+  (:func:`~repro.reliability.supervisor.tightened_deadline`), so a
+  slow solve degrades to a ``timed-out-partial`` outcome instead
   of outliving its callers.
 * **Lifecycle** — ``starting → ready → draining → stopped``.
   :meth:`drain` stops admission (new submits get a typed
@@ -83,9 +83,9 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..cache import EVICTION_POLICIES, ArtifactStore, module_fingerprints
+from ..cache import ArtifactStore, module_fingerprints
 from ..errors import IDLError
 from ..idioms import IdiomDetector
 from ..idioms.matches import DetectionReport
@@ -94,13 +94,21 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..platform.placement import ConcurrentPlan, plan_concurrent
 from ..reliability import faults
+from ..reliability.supervisor import tightened_deadline
 from .latency import percentile, summarize_latencies
 
 #: Tenant states the service keeps before it drops idle ones (empty
 #: queue), oldest first. Every distinct tenant string a client sends
 #: would otherwise stay resident, each with its own latency window. A
-#: dropped tenant that returns starts fresh, with its configured weight.
+#: dropped tenant that returns starts fresh.
 MAX_TENANTS = 256
+
+#: Distinct module texts kept parsed in memory (LRU), each with its
+#: fingerprint memo.
+PARSE_CACHE_ENTRIES = 64
+
+#: Most recent per-request latencies retained for the stats endpoint.
+LATENCY_WINDOW = 2048
 
 
 class ServiceError(IDLError):
@@ -145,19 +153,17 @@ class ServiceConfig:
     """Every knob of a resident detection service, in one place.
 
     ``deadline_s`` is each batch's per-function solve deadline;
-    ``cache_dir``/``budget_bytes``/
-    ``eviction``/``durable`` the shared artifact store (``cache_dir=None``
-    keeps it in memory, capped at
+    ``cache_dir``/``budget_bytes``/``durable`` the shared artifact store
+    (``cache_dir=None`` keeps it in memory, capped at
     :data:`~repro.cache.store.DEFAULT_MEMORY_BUDGET_BYTES` unless
-    ``budget_bytes`` says otherwise);
+    ``budget_bytes`` says otherwise; the store evicts least recently
+    used entries first);
     ``batch_window_s``/``max_batch`` the micro-batcher;
-    ``max_pending``/``tenant_quota``/``tenant_weights`` admission and
-    fairness.
+    ``max_pending``/``tenant_quota`` admission.
     """
 
     cache_dir: str | None = None
     budget_bytes: int | None = None
-    eviction: str = "lru"
     durable: bool = False
     #: How long the batcher waits for co-travellers once a batch holds a
     #: plan or a cold detect; a batch of warm detects (store hits)
@@ -166,38 +172,26 @@ class ServiceConfig:
     batch_window_s: float = 0.002
     max_batch: int = 32
     deadline_s: float | None = None
-    #: Distinct module texts kept parsed in memory (LRU), each with its
-    #: fingerprint memo.
-    parse_cache_entries: int = 64
-    #: Most recent per-request latencies retained for the stats endpoint.
-    latency_window: int = 2048
     #: Admission bound across all tenants: submits past it shed with a
     #: typed :class:`ServiceOverloaded` instead of queueing unboundedly.
     max_pending: int = 1024
     #: Per-tenant pending bound; ``None`` derives ``max_pending // 4``
     #: so one flooding tenant can never fill the whole queue.
     tenant_quota: int | None = None
-    #: Round-robin weights (slots granted per drain pass) for known
-    #: tenants; everyone else gets ``default_weight``.
-    tenant_weights: dict = field(default_factory=dict)
-    default_weight: int = 1
     #: Calibration profile
     #: (:class:`~repro.platform.calibrate.CalibrationProfile`) used to
     #: cost joint placement batches; None keeps the static constants.
     profile: object | None = None
 
     def __post_init__(self):
-        if self.eviction not in EVICTION_POLICIES:
-            raise IDLError(f"unknown eviction policy {self.eviction!r}")
+        if self.budget_bytes is not None and self.budget_bytes < 0:
+            raise IDLError("budget_bytes must be >= 0 (or None)")
         if self.max_batch < 1:
             raise IDLError("max_batch must be >= 1")
         if self.max_pending < 1:
             raise IDLError("max_pending must be >= 1")
         if self.tenant_quota is not None and self.tenant_quota < 1:
             raise IDLError("tenant_quota must be >= 1 (or None)")
-        if self.default_weight < 1 or any(
-                w < 1 for w in self.tenant_weights.values()):
-            raise IDLError("tenant weights must be >= 1")
 
     @property
     def effective_tenant_quota(self) -> int:
@@ -296,12 +290,11 @@ class _TenantState:
     """One tenant's queue plus its fairness/telemetry counters, all
     guarded by the service lock."""
 
-    __slots__ = ("queue", "weight", "admits", "sheds", "expired",
-                 "completed", "latencies")
+    __slots__ = ("queue", "admits", "sheds", "expired", "completed",
+                 "latencies")
 
-    def __init__(self, weight: int, latency_window: int = 512):
+    def __init__(self, latency_window: int = 512):
         self.queue: deque[_Request] = deque()
-        self.weight = weight
         self.admits = 0
         self.sheds = 0
         self.expired = 0
@@ -311,7 +304,6 @@ class _TenantState:
     def as_dict(self) -> dict:
         return {
             "pending": len(self.queue),
-            "weight": self.weight,
             "admits": self.admits,
             "sheds": self.sheds,
             "expired": self.expired,
@@ -332,8 +324,7 @@ class DetectionService:
         if store is None:
             store = ArtifactStore(self.config.cache_dir,
                                   durable=self.config.durable,
-                                  budget_bytes=self.config.budget_bytes,
-                                  eviction=self.config.eviction)
+                                  budget_bytes=self.config.budget_bytes)
         self.store = store
         self.detector = IdiomDetector(cache=store)
         self.warmup_s = 0.0
@@ -353,7 +344,7 @@ class DetectionService:
         #: 1 while the batcher runs a batch (drain waits on it).
         self._inflight = 0
         self._parse_cache: OrderedDict[str, _Parsed] = OrderedDict()
-        self._latencies = deque(maxlen=self.config.latency_window)
+        self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._batcher: threading.Thread | None = None
         self._started = False
         self._draining = False
@@ -585,10 +576,8 @@ class DetectionService:
     def _tenant_locked(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            weight = self.config.tenant_weights.get(
-                tenant, self.config.default_weight)
             self._trim_tenants_locked(MAX_TENANTS - 1)
-            state = self._tenants[tenant] = _TenantState(weight)
+            state = self._tenants[tenant] = _TenantState()
             self._tenant_order.append(tenant)
         return state
 
@@ -682,7 +671,7 @@ class DetectionService:
         with self._lock:
             parsed = self._parse_cache.setdefault(digest, parsed)
             self._parse_cache.move_to_end(digest)
-            while len(self._parse_cache) > self.config.parse_cache_entries:
+            while len(self._parse_cache) > PARSE_CACHE_ENTRIES:
                 self._parse_cache.popitem(last=False)
         return parsed.module, parsed
 
@@ -700,13 +689,13 @@ class DetectionService:
                    for _, key in prints.functions)
 
     def _next_batch_locked(self, limit: int) -> list[_Request]:
-        """Weighted round-robin drain across the tenant queues.
+        """Round-robin drain across the tenant queues.
 
-        Each pass grants every tenant with pending work up to ``weight``
-        slots; passes repeat until the batch fills or the queues empty.
-        The pass origin rotates per batch, so no tenant is structurally
-        first. A flooding tenant therefore gets at most its weighted
-        share of every batch while anyone else is waiting."""
+        Each pass grants every tenant with pending work one slot;
+        passes repeat until the batch fills or the queues empty. The
+        pass origin rotates per batch, so no tenant is structurally
+        first. A flooding tenant therefore gets at most an equal share
+        of every batch while anyone else is waiting."""
         batch: list[_Request] = []
         order = self._tenant_order
         if not order:
@@ -716,14 +705,12 @@ class DetectionService:
             progressed = False
             for k in range(len(order)):
                 state = self._tenants[order[(start + k) % len(order)]]
-                quantum = state.weight
-                while quantum and state.queue and len(batch) < limit:
+                if state.queue and len(batch) < limit:
                     request = state.queue.popleft()
                     batch.append(request)
                     self._pending -= 1
                     if not request.warm:
                         self._pending_cold -= 1
-                    quantum -= 1
                     progressed = True
             if not progressed:
                 break
@@ -859,10 +846,10 @@ class DetectionService:
                     prints.append(
                         None if request.parsed is None
                         else request.parsed.fingerprints_for(config_sig))
-            session = DetectionSession(self.detector,
-                                       deadline_s=self.config.deadline_s)
-            if budget is not None:
-                session.policy = session.policy.tightened(budget)
+            session = DetectionSession(
+                self.detector,
+                deadline_s=tightened_deadline(self.config.deadline_s,
+                                              budget))
             reports = session.detect_many(unique, fingerprints=prints)
             now = time.perf_counter()
             per_module_functions = [

@@ -225,12 +225,6 @@ class DetectionDaemon(socketserver.ThreadingTCPServer):
             return {"ok": True, "shutting_down": True}
         raise IDLError(f"unknown op {op!r}")
 
-    def serve_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever,
-                                  name="repro-daemon", daemon=True)
-        thread.start()
-        return thread
-
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown, phase 1: stop admitting, finish in-flight.
         The SIGTERM hook and the ``drain`` op both land here."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.dataflow import data_operands
 from ..analysis.info import FunctionAnalyses
 from ..errors import TransformError
 from ..ir.instructions import (
@@ -30,8 +29,6 @@ from ..ir.instructions import (
     SelectInst,
 )
 from ..ir.values import (
-    Argument,
-    Constant,
     ConstantFloat,
     ConstantInt,
     UndefValue,
@@ -204,11 +201,6 @@ class ExtractedKernel:
 
     def evaluate(self, params: list, capture_values: list):
         return evaluate(self.expr, params, capture_values)
-
-    def guard_mask(self, params: list, capture_values: list):
-        if self.guard is None:
-            return None
-        return evaluate(self.guard, params, capture_values)
 
 
 class KernelExtractor:

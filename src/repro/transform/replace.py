@@ -152,10 +152,6 @@ class Transformer:
         return [AppliedTransform(m, s, function)
                 for m, s in zip(group, sites)]
 
-    def apply_one(self, match: IdiomMatch) -> AppliedTransform:
-        applied = self.apply_group([match])
-        return applied[0]
-
 
 class _SiteBuilder:
     """Lowers one match under a registry contract, via its Region."""

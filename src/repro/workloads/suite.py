@@ -42,9 +42,6 @@ class Workload:
     #: to dynamic statistics before costing; see EXPERIMENTS.md.
     paper_scale: float = 1.0
 
-    def total_expected(self) -> int:
-        return sum(self.expected.values())
-
 
 _REGISTRY: dict[str, Workload] = {}
 

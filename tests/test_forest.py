@@ -485,3 +485,39 @@ class TestKnobCensus:
         with pytest.raises(SystemExit):
             harness.main(["table1", flag, "2"])
         assert flag in capsys.readouterr().err
+
+    def test_service_options_are_the_census_survivors(self):
+        """No benchmark, example, CI step or gate chose a store eviction
+        policy, a tenant weight, a parse-cache size or a latency window:
+        LRU is the only eviction order, every tenant gets one slot per
+        drain pass, and the two sizes are module constants."""
+        from dataclasses import fields
+        from inspect import signature
+
+        import repro.cache
+        from repro.cache import ArtifactStore
+        from repro.service import ServiceConfig
+        from repro.service.core import _TenantState
+
+        assert {f.name for f in fields(ServiceConfig)} == {
+            "cache_dir", "budget_bytes", "durable", "batch_window_s",
+            "max_batch", "deadline_s", "max_pending", "tenant_quota",
+            "profile"}
+        assert list(signature(ArtifactStore).parameters) == [
+            "root", "durable", "budget_bytes"]
+        assert "weight" not in _TenantState.__slots__
+        assert not hasattr(repro.cache, "EVICTION_POLICIES")
+        session = DetectionSession(deadline_s=1.0)
+        assert session.deadline_s == 1.0 and not hasattr(session, "policy")
+
+    def test_serve_options_are_the_census_survivors(self):
+        from repro.service.__main__ import _build_parser
+
+        [subparsers] = [action for action in _build_parser()._actions
+                        if action.dest == "command"]
+        options = {option for action in subparsers.choices["serve"]._actions
+                   for option in action.option_strings}
+        assert options == {
+            "-h", "--help", "--host", "--port", "--cache-dir",
+            "--budget-mb", "--deadline", "--max-pending", "--tenant-quota",
+            "--drain-timeout", "--profile"}

@@ -261,3 +261,165 @@ double f(int n, double *a, int *b) {
         m = compile_c(src)
         optimize(m)
         assert idl.match(m.get_function("f"), "Reduction") == []
+
+
+# ---------------------------------------------------------------------------
+# Atoms the shipped library never solves with: custom idioms
+# ---------------------------------------------------------------------------
+
+#: name -> (IDL, the entry the atom must reach, C that must match, C of
+#: a near miss that must not). Each idiom leans on one atom kind the
+#: library does not exercise.
+UNUSED_BY_LIBRARY = {
+    # {l}'s only generator is the dependence edge: memory ops on a
+    # may-aliasing base. Distinct globals cannot alias.
+    "AliasedLoad": ("""
+Constraint AliasedLoad
+( {s} is store instruction and
+  {s} has dependence edge to {l} and
+  {l} is not the same as {s} )
+End
+""", "gen_dependence", """
+double A[8];
+void f(void) { A[0] = A[1] + 1.0; }
+""", """
+double A[8];
+double B[8];
+void f(void) { B[0] = A[1] + 1.0; }
+"""),
+    # Both ends bound by opcode first: the edge is a check.
+    "StoreThenLoad": ("""
+Constraint StoreThenLoad
+( {s} is store instruction and
+  {l} is load instruction and
+  {l} has dependence edge to {s} )
+End
+""", "check_dependence", """
+double A[8];
+void f(void) { A[0] = A[1] + 1.0; }
+""", """
+double A[8];
+double B[8];
+void f(void) { B[0] = A[1] + 1.0; }
+"""),
+    "KilledByMul": ("""
+Constraint KilledByMul
+( {a} is an argument and
+  {m} is mul instruction and
+  {r} is return instruction and
+  all flow from {a} to {r} is killed by {m} )
+End
+""", "killed", """
+int f(int a) { int t = a * 3; return t + 1; }
+""", """
+int f(int a) { int t = a * 3; return t + a; }
+"""),
+    "ThroughMul": ("""
+Constraint ThroughMul
+( {a} is an argument and
+  {m} is mul instruction and
+  {r} is return instruction and
+  all data flow from {a} to {r} passes through {m} )
+End
+""", "data_passes_through", """
+int f(int a) { int t = a * 3; return t + 1; }
+""", """
+int f(int a) { int t = a * 3; return t + a; }
+"""),
+    # {x} has no cheaper generator than its type.
+    "FloatFlow": ("""
+Constraint FloatFlow
+( {x} is float and
+  {x} has data flow to {y} and
+  {y} is float )
+End
+""", "gen_type", """
+double f(double a) { return a * 2.0; }
+""", """
+int f(int a) { return a * 2; }
+"""),
+    "PointerArgument": ("""
+Constraint PointerArgument
+( {p} is an argument and
+  {p} is pointer )
+End
+""", "gen_class", """
+double f(double *x) { return x[0]; }
+""", """
+double f(double a) { return a; }
+"""),
+}
+
+
+class TestAtomsUnusedByLibrary:
+    """Each custom idiom matches its function and not the near miss, the
+    atom it leans on is really solved with, and the forest agrees with
+    every per-idiom oracle configuration."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        from repro.idl import atoms
+
+        seen = set()
+
+        def spy(label, fn):
+            def wrapper(*args, **kwargs):
+                seen.add(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def check_edge(engine, atom, env):
+            if atom.extra["edge"] == "dependence":
+                seen.add("check_dependence")
+            return atoms.AtomEngine._check_edge(engine, atom, env)
+
+        def check_passes_through(engine, atom, env):
+            if atom.extra.get("flow") == "data":
+                seen.add("data_passes_through")
+            return atoms.AtomEngine._check_passes_through(engine, atom, env)
+
+        monkeypatch.setitem(atoms.CHECKS, "edge", check_edge)
+        monkeypatch.setitem(atoms.CHECKS, "passes_through",
+                            check_passes_through)
+        monkeypatch.setattr(atoms, "flow_killed_by",
+                            spy("killed", atoms.flow_killed_by))
+        monkeypatch.setattr(atoms.AtomEngine, "_gen_dependence",
+                            spy("gen_dependence",
+                                atoms.AtomEngine._gen_dependence))
+        for kind in ("type", "class"):
+            monkeypatch.setitem(atoms.GENERATORS, kind,
+                                spy(f"gen_{kind}", atoms.GENERATORS[kind]))
+        return seen
+
+    @staticmethod
+    def match_sets(detector, function):
+        from repro.idl import value_key
+
+        matches, _ = detector.detect_function_with_stats(function)
+        return sorted(sorted((k, value_key(v)) for k, v in m.solution.items())
+                      for m in matches)
+
+    @pytest.mark.parametrize("name", sorted(UNUSED_BY_LIBRARY))
+    def test_match_and_near_miss(self, name, entered):
+        from repro.idioms import IdiomDetector
+        from repro.idioms.oracle import PerIdiomDetector
+
+        idl_text, atom, hit, miss = UNUSED_BY_LIBRARY[name]
+        idl = IdiomCompiler()
+        idl.load(idl_text)
+        detectors = [
+            IdiomDetector(idl, [name]),
+            PerIdiomDetector(idl, [name]),
+            PerIdiomDetector(idl, [name], ordering="dynamic",
+                             indexed=False)]
+        found = {}
+        for label, src in (("hit", hit), ("miss", miss)):
+            module = compile_c(src)
+            optimize(module)
+            function = module.get_function("f")
+            forest, *oracles = [self.match_sets(d, function)
+                                for d in detectors]
+            assert all(oracle == forest for oracle in oracles), label
+            found[label] = len(forest)
+        assert found["hit"] >= 1 and found["miss"] == 0
+        assert atom in entered

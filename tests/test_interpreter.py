@@ -159,3 +159,58 @@ double f() { return g[1] + g[2]; }
         first = it.call("f", [])
         m2, it2 = interp("int f() { return rand() % 100; }")
         assert it2.call("f", []) == first
+
+
+DO_WHILE = """
+int hits[4];
+
+int f(int n) {
+  int i = 0;
+  int s = 0;
+  do {
+    i = i + 1;
+    if (i % 3 == 0) continue;
+    hits[i % 4] = hits[i % 4] + 1;
+    if (s > 20) break;
+    s = s + i;
+  } while (i < n);
+  return s;
+}
+"""
+
+
+class TestDoWhile:
+    """``do { ... } while (c)`` runs its body before the first test,
+    ``continue`` jumps to the test, not to the body, and ``break``
+    leaves the loop: the same on every tier, optimised or not."""
+
+    # n -> (f's value, hits afterwards)
+    CASES = {
+        0: (1, [0, 1, 0, 0]),      # the body runs once although 1 < 0 fails
+        3: (3, [0, 1, 1, 0]),      # continue at i == 3 reaches the test
+        5: (12, [1, 2, 1, 0]),
+        100: (27, [2, 2, 2, 1]),   # break at i == 10 once s > 20
+    }
+
+    @staticmethod
+    def run(engine, n):
+        value = engine.call("f", [n])
+        return value, engine.globals["hits"].data.tolist(), \
+            engine.profile.block_counts, engine.steps
+
+    @pytest.mark.parametrize("optimized", [False, True],
+                             ids=["O0", "O1"])
+    @pytest.mark.parametrize("n", sorted(CASES))
+    def test_identical_across_tiers(self, optimized, n):
+        from repro.runtime import JitVirtualMachine, VirtualMachine
+
+        module = compile_c(DO_WHILE)
+        if optimized:
+            optimize(module)
+        engines = (Interpreter(module), VirtualMachine(module),
+                   JitVirtualMachine(module, jit_threshold=1))
+        runs = [self.run(engine, n) for engine in engines]
+        value, hits, _, _ = runs[0]
+        assert (value, hits) == self.CASES[n]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert engines[2].jit_compiled() == ["f"]

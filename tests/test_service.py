@@ -1,5 +1,5 @@
-"""Tests for the serving layer: the LRU/generational byte-budgeted
-store, the latency helpers, warm-detector residency, cross-module
+"""Tests for the serving layer: the LRU byte-budgeted store, the
+latency helpers, warm-detector residency, cross-module
 ``detect_many`` with in-batch dedupe, the in-process
 :class:`DetectionService` (micro-batching, concurrent tenants) and the
 TCP daemon and its wire format."""
@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from repro.service import (
     encode_report,
     report_wire_fingerprint,
 )
+from repro.service import core as service_core
 from repro.service.latency import percentile, summarize_latencies
 
 SRC = """
@@ -61,12 +63,20 @@ def compiled(src=SRC, name="t"):
     return module
 
 
+def serve_in_thread(daemon):
+    """Run ``daemon.serve_forever`` on a daemon thread; returns it."""
+    thread = threading.Thread(target=daemon.serve_forever,
+                              name="repro-daemon", daemon=True)
+    thread.start()
+    return thread
+
+
 def module_text(src=SRC, name="t"):
     return print_module(compiled(src, name))
 
 
 # ---------------------------------------------------------------------------
-# Store: both backends, byte budget, eviction policies, fault seams
+# Store: both backends, byte budget, LRU eviction, fault seams
 # ---------------------------------------------------------------------------
 
 def put_sized(store, key, approx_bytes):
@@ -119,25 +129,14 @@ class _StoreContract:
         assert store.get(keys[0]) is not None
         assert store.get(keys[1]) is None
 
-    def test_generational_evicts_never_read_first(self, root):
-        store = ArtifactStore(root, budget_bytes=800,
-                              eviction="generational")
-        old = "a" * 16
-        put_sized(store, old, 150)
-        assert store.get(old) is not None  # tenured: read after write
-        nursery = [f"{i:x}{'c' * 15}" for i in range(3)]
-        for key in nursery:
-            time.sleep(0.01)
-            put_sized(store, key, 150)
-        put_sized(store, "d" * 16, 150)
-        # The never-read nursery entries went first, although the
-        # tenured entry is older by write time.
-        assert store.get(old) is not None
-        assert store.stats.evictions > 0
-
-    def test_unknown_policy_rejected(self, root):
+    def test_negative_budget_rejected(self, root):
+        # A negative budget would evict every entry on its own put.
         with pytest.raises(ValueError):
-            ArtifactStore(root, eviction="fifo")
+            ArtifactStore(root, budget_bytes=-5)
+        store = ArtifactStore(root, budget_bytes=0)
+        put_sized(store, "ab" * 8, 10)
+        assert store.get("ab" * 8) is None
+        assert store.stats.evictions == 1
 
     def test_round_trip_and_absent_key(self, root):
         store = ArtifactStore(root)
@@ -542,6 +541,15 @@ class TestDetectionService:
             with pytest.raises(IDLError):
                 service.submit(42)
 
+    def test_negative_budget_rejected(self):
+        from repro.service.__main__ import main
+
+        with pytest.raises(IDLError, match="budget_bytes"):
+            ServiceConfig(budget_bytes=-1)
+        # The CLI fails on the config, before it binds a socket.
+        with pytest.raises(IDLError, match="budget_bytes"):
+            main(["serve", "--port", "0", "--budget-mb", "-1"])
+
     def test_eviction_under_tiny_budget_never_errors(self, tmp_path):
         config = ServiceConfig(cache_dir=str(tmp_path), budget_bytes=256)
         text = module_text()
@@ -700,15 +708,15 @@ class TestStoreHitPath:
         texts = [module_text(SRC.replace("0.0", f"{i}.5"), "t")
                  for i in range(4)]
         calls = self.count_prints(monkeypatch)
-        config = ServiceConfig(parse_cache_entries=2)
-        with DetectionService(config) as service:
+        monkeypatch.setattr(service_core, "PARSE_CACHE_ENTRIES", 2)
+        with DetectionService(ServiceConfig()) as service:
             service.detect(texts[0])
             first_memo = weakref.ref(
                 next(iter(service._parse_cache.values())).fingerprints)
             for text in texts[1:]:
                 service.detect(text)
             entries = list(service._parse_cache.values())
-            assert len(entries) == config.parse_cache_entries
+            assert len(entries) == 2
             assert all(e.fingerprints is not None for e in entries)
             gc.collect()
             assert first_memo() is None
@@ -720,7 +728,7 @@ class TestStoreHitPath:
             del calls[:]
             service.detect(texts[0])
             assert calls == []
-            assert len(service._parse_cache) == config.parse_cache_entries
+            assert len(service._parse_cache) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +833,7 @@ class TestDaemon:
         text = module_text()
         want = report_wire_fingerprint(detect_idioms(parse_module(text)))
         daemon = DetectionDaemon(port=0)
-        thread = daemon.serve_in_thread()
+        thread = serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port) as client:
@@ -871,7 +879,7 @@ class TestDaemon:
 
     def test_malformed_request_is_error_not_crash(self):
         daemon = DetectionDaemon(port=0)
-        thread = daemon.serve_in_thread()
+        thread = serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port) as client:
@@ -893,7 +901,7 @@ class TestDaemon:
 
         monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", 1024)
         daemon = DetectionDaemon(port=0)
-        thread = daemon.serve_in_thread()
+        thread = serve_in_thread(daemon)
         host, port = daemon.address
         try:
             line = json.dumps({"op": "detect", "module": "x" * 65536})

@@ -1,5 +1,5 @@
 """Tests for the service's overload-safety layer: admission control and
-typed sheds, per-tenant weighted-round-robin fairness, deadline
+typed sheds, per-tenant round-robin fairness, deadline
 propagation, the ``starting → ready → draining → stopped`` lifecycle,
 structured daemon error kinds, and the self-healing client."""
 
@@ -17,7 +17,7 @@ from repro.ir.printer import print_module
 from repro.passes import optimize
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan
-from repro.reliability.supervisor import RetryPolicy
+from repro.reliability.supervisor import tightened_deadline
 from repro.service import (
     DeadlineExpired,
     DetectionDaemon,
@@ -32,6 +32,8 @@ from repro.service import (
     report_wire_fingerprint,
 )
 from repro.service.core import MAX_TENANTS, _Request
+
+from test_service import serve_in_thread
 
 SRC = """
 double dot(double* a, double* b, int n) {
@@ -63,27 +65,25 @@ def slow_batches(seconds=0.05, count=64):
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy.tightened — the deadline-propagation primitive
+# tightened_deadline — the deadline-propagation primitive
 # ---------------------------------------------------------------------------
 
 class TestTightened:
     def test_none_budget_is_identity(self):
-        policy = RetryPolicy(deadline_s=2.0)
-        assert policy.tightened(None) is policy
+        assert tightened_deadline(2.0, None) == 2.0
+        assert tightened_deadline(None, None) is None
 
     def test_budget_tightens_an_unbounded_policy(self):
-        assert RetryPolicy().tightened(0.5).deadline_s == 0.5
+        assert tightened_deadline(None, 0.5) == 0.5
 
     def test_budget_tightens_a_looser_deadline(self):
-        assert RetryPolicy(deadline_s=10.0).tightened(0.5).deadline_s == 0.5
+        assert tightened_deadline(10.0, 0.5) == 0.5
 
     def test_tighter_existing_deadline_wins(self):
-        policy = RetryPolicy(deadline_s=0.1)
-        assert policy.tightened(5.0) is policy
+        assert tightened_deadline(0.1, 5.0) == 0.1
 
     def test_non_positive_budget_clamps_near_zero(self):
-        tightened = RetryPolicy().tightened(-3.0)
-        assert 0 < tightened.deadline_s <= 1e-6
+        assert 0 < tightened_deadline(None, -3.0) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +151,13 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Fairness: weighted round-robin batch formation
+# Fairness: round-robin batch formation
 # ---------------------------------------------------------------------------
 
-def _loaded_service(pending: dict, weights=None) -> DetectionService:
+def _loaded_service(pending: dict) -> DetectionService:
     """A never-started service with hand-loaded tenant queues, for
     white-box batch-formation tests (no solving involved)."""
-    service = DetectionService(ServiceConfig(
-        tenant_weights=weights or {}))
+    service = DetectionService(ServiceConfig())
     with service._lock:
         for tenant, count in pending.items():
             state = service._tenant_locked(tenant)
@@ -180,13 +179,6 @@ class TestFairBatching:
         with service._lock:
             batch = service._next_batch_locked(8)
         assert self.counts(batch) == {"flood": 3, "b": 3, "c": 2}
-
-    def test_weights_grant_proportional_slots(self):
-        service = _loaded_service({"big": 10, "small": 10},
-                                  weights={"big": 3})
-        with service._lock:
-            batch = service._next_batch_locked(8)
-        assert self.counts(batch) == {"big": 6, "small": 2}
 
     def test_rotation_moves_the_leftover_slot_around(self):
         # With 3 equal tenants and batches of 4, the odd slot must not
@@ -210,12 +202,11 @@ class TestFairBatching:
     def test_tenant_table_stays_bounded(self):
         """Distinct tenant names past MAX_TENANTS do not accumulate:
         idle tenants are dropped oldest first, service-wide counters
-        keep their totals, and a dropped weighted tenant returns with
-        its configured weight."""
+        keep their totals, and a dropped tenant returns with fresh
+        counters."""
         text = module_text()
         flood = 4 * MAX_TENANTS
-        config = ServiceConfig(tenant_weights={"vip": 3},
-                               max_pending=flood + 1)
+        config = ServiceConfig(max_pending=flood + 1)
         with DetectionService(config) as service:
             service.detect(text, tenant="vip")
             futures = [service.submit(text, tenant=f"t{i}")
@@ -231,7 +222,6 @@ class TestFairBatching:
             assert stats["errors"] == 0 and stats["sheds"] == 0
             service.detect(text, tenant="vip")
             vip = service.stats()["tenants"]["vip"]
-        assert vip["weight"] == 3
         assert vip["admits"] == 1 and vip["completed"] == 1
 
 
@@ -389,7 +379,7 @@ def daemon_config(tmp_path=None, **kw):
 class TestDaemonLifecycle:
     def test_health_and_drain_ops(self):
         daemon = DetectionDaemon(port=0, config=daemon_config())
-        daemon.serve_in_thread()
+        serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port, max_retries=0) as client:
@@ -405,7 +395,7 @@ class TestDaemonLifecycle:
 
     def test_expired_deadline_rejected_over_the_wire(self):
         daemon = DetectionDaemon(port=0, config=daemon_config())
-        daemon.serve_in_thread()
+        serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port) as client:
@@ -418,7 +408,7 @@ class TestDaemonLifecycle:
         text = module_text()
         config = daemon_config(tmp_path)
         daemon = DetectionDaemon(port=0, config=config)
-        daemon.serve_in_thread()
+        serve_in_thread(daemon)
         host, port = daemon.address
         client = ServiceClient(host, port, max_retries=10,
                                backoff_s=0.05)
@@ -429,7 +419,7 @@ class TestDaemonLifecycle:
             def restart():
                 time.sleep(0.2)
                 replacement = DetectionDaemon(host, port, config=config)
-                replacement.serve_in_thread()
+                serve_in_thread(replacement)
                 return replacement
 
             holder = {}
@@ -451,7 +441,7 @@ class TestDaemonLifecycle:
             {"site": "daemon.conn", "kind": "exception", "at": (1,),
              "key": "ping"}]))
         daemon = DetectionDaemon(port=0, config=daemon_config())
-        daemon.serve_in_thread()
+        serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port, backoff_s=0.01) as client:
@@ -635,7 +625,7 @@ class TestChaos:
              "key": "detect"}]))
         text = module_text()
         daemon = DetectionDaemon(port=0, config=daemon_config())
-        daemon.serve_in_thread()
+        serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port, max_retries=6,

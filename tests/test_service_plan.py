@@ -21,6 +21,8 @@ from repro.service import (
     encode_plan_request,
 )
 
+from test_service import serve_in_thread
+
 
 def _request(label="", calls=8, elements=4e6, flops=40, nbytes=32e6):
     runtime = ApiRuntime()
@@ -172,7 +174,7 @@ class TestPlanWire:
 class TestPlanDaemon:
     def test_plan_over_the_wire(self):
         daemon = DetectionDaemon(port=0)
-        thread = daemon.serve_in_thread()
+        thread = serve_in_thread(daemon)
         host, port = daemon.address
         try:
             with ServiceClient(host, port) as client:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends.sparse import csr_from_dense, csr_spmv, random_csr
+from repro.backends.sparse import csr_spmv, random_csr
 from repro.runtime import (
     compile_workload,
     outputs_match,
@@ -18,6 +18,23 @@ def roundtrip(name, src, entry, inputs):
     w2 = compile_workload(name, src)
     r2 = run_accelerated(w2, entry, inputs)
     return r1, r2
+
+
+def csr_from_dense(dense: np.ndarray):
+    """(row_ptr, col_idx, values) of a dense matrix."""
+    rows, cols = dense.shape
+    row_ptr = [0]
+    col_idx: list[int] = []
+    values: list[float] = []
+    for i in range(rows):
+        for j in range(cols):
+            if dense[i, j] != 0.0:
+                col_idx.append(j)
+                values.append(float(dense[i, j]))
+        row_ptr.append(len(values))
+    return (np.asarray(row_ptr, dtype=np.int32),
+            np.asarray(col_idx, dtype=np.int32),
+            np.asarray(values, dtype=np.float64))
 
 
 class TestReductionTransform:

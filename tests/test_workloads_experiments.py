@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends import blas, halide, lift
+from repro.backends import halide, lift
 from repro.backends.api import API_DESCRIPTORS, ApiRuntime, apis_for
 from repro.detect import baseline_counts
 from repro.platform import CPU, GPU, IGPU, best_api_cost, site_cost
@@ -55,6 +55,20 @@ class TestBaselines:
         assert rows["Polly"] == {"scalar_reduction": 3, "stencil": 5}
 
 
+def gemm_flat(a, lda, b, ldb, c, ldc, m, n, k, alpha=1.0, beta=0.0):
+    """C[i + j*ldc] = beta*C + alpha * Σ_k A[i + k*lda] · B[j + k*ldb]
+    over flat 1-D buffers (the Parboil sgemm layout: column slices of
+    stride ld)."""
+    a_eff = np.reshape(a[:lda * k], (k, lda))[:, :m]     # a_eff[k, i]
+    b_eff = np.reshape(b[:ldb * k], (k, ldb))[:, :n]     # b_eff[k, j]
+    c_eff = np.reshape(c[:ldc * n], (n, ldc))[:, :m]     # c_eff[j, i]
+    prod = np.einsum("ki,kj->ji", a_eff, b_eff)
+    result = beta * c_eff + alpha * prod
+    c_view = np.reshape(c[:ldc * n], (n, ldc))
+    c_view[:, :m] = result
+    return result
+
+
 class TestBackends:
     def test_gemm_flat_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -63,7 +77,7 @@ class TestBackends:
         b = rng.uniform(-1, 1, n * k)
         c = rng.uniform(-1, 1, m * n)
         c0 = c.copy()
-        blas.gemm_flat(a, m, b, n, c, m, m, n, k, alpha=2.0, beta=0.5)
+        gemm_flat(a, m, b, n, c, m, m, n, k, alpha=2.0, beta=0.5)
         a_eff = a.reshape(k, m)
         b_eff = b.reshape(k, n)
         expect = 0.5 * c0.reshape(n, m) + 2.0 * np.einsum(
@@ -205,6 +219,33 @@ class TestGates:
         failures = gates.interp_gate(compile_suite(["histo"]))
         assert failures == ["interp: histo: tier outputs or dynamic counts "
                             "diverge"]
+
+
+class TestCacheStats:
+    def test_prints_the_shared_store_counters(self, monkeypatch, capsys,
+                                              tmp_path):
+        from repro.cache import ArtifactStore
+        from repro.experiments import harness
+
+        store = ArtifactStore(str(tmp_path))
+        store.put("ab" * 8, {"kind": "t"})
+        assert store.get("ab" * 8) is not None
+        assert store.get("cd" * 8) is None
+        monkeypatch.setattr(harness, "CACHE_STORE", store)
+        harness.print_cache_stats()
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [
+            f"Artifact store ({tmp_path}):",
+            "  hits=1 misses=1 writes=1 evictions=0",
+            f"  bytes={store.total_bytes()} corrupt=0 write_errors=0"]
+
+    def test_reports_a_disabled_store(self, monkeypatch, capsys):
+        from repro.experiments import harness
+
+        monkeypatch.setattr(harness, "CACHE_STORE", None)
+        harness.print_cache_stats()
+        assert capsys.readouterr().out.strip() == \
+            "Artifact store: disabled (no cache directory)"
 
 
 #: Files that tell a reader which experiment modules to run.
