@@ -66,19 +66,6 @@ def all_data_flow_passes_through(src: Value, dst: Value, via: Value) -> bool:
     return not reaches_via_dataflow(src, dst, [via])
 
 
-def transitive_data_users(value: Value) -> set[int]:
-    """ids of every value reachable from ``value`` along def-use edges."""
-    seen: set[int] = set()
-    stack = list(data_users(value))
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(data_users(node))
-    return seen
-
-
 def flow_killed_by(sources: list[Value], sinks: list[Value],
                    kills: list[Value], cfg: InstructionCFG | None = None) -> bool:
     """IDL atom ``all flow from {S} to {T} is killed by {K}``.

@@ -190,15 +190,3 @@ class LoopInfo:
     def __repr__(self) -> str:
         return f"<LoopInfo {self.function.name}: {len(self.loops)} loops>"
 
-
-def perfect_nest_depth(loop: Loop) -> int:
-    """Depth of the perfect nest rooted at ``loop`` (1 if not nested)."""
-    depth = 1
-    current = loop
-    while len(current.children) == 1:
-        child = current.children[0]
-        # Perfect nesting: the child covers all of the parent's body except
-        # the parent's own header/latch bookkeeping blocks.
-        depth += 1
-        current = child
-    return depth

@@ -8,10 +8,11 @@ schema:
   dedup and overlap resolution) in the structural solution wire format
   (:func:`encode_solution`: instructions as (block index, instruction
   index), arguments by position, globals by name, constants by value),
-  which the daemon's response encoding shares, with each match's own
-  :class:`~repro.idl.solver.SolverStats` plus the function-level
-  aggregate. Per-match stats are interned into a pool by object identity
-  — the forest detector's matches of one function all share one stats
+  with each match's own :class:`~repro.idl.solver.SolverStats` plus the
+  function-level aggregate; :func:`encode_pooled` and
+  :func:`decode_pooled` are the codec, which the daemon's report
+  encoding shares. Per-match stats are interned into a pool by object
+  identity — the forest detector's matches of one function all share one stats
   object, the per-idiom oracle's (:mod:`repro.idioms.oracle`) one per
   idiom, and the round trip preserves both the values and the sharing. Decoding
   rebinds every locator against the *caller's* module, so cached matches
@@ -38,11 +39,7 @@ from ..ir.instructions import Instruction
 from ..ir.module import Function, Module
 from ..ir.types import parse_type
 from ..ir.values import Argument, ConstantFloat, ConstantInt, GlobalVariable
-from .fingerprint import (
-    function_fingerprint,
-    globals_signature,
-    summary_fingerprint,
-)
+from .fingerprint import summary_fingerprint
 from .store import ArtifactStore
 
 
@@ -108,6 +105,39 @@ def _stats_from(payload_stats: dict, max_steps) -> SolverStats:
                        **{k: int(v) for k, v in payload_stats.items()})
 
 
+def encode_pooled(matches: list, stats: SolverStats, encode_match) -> dict:
+    """The match list and stats fields of a payload: each match as
+    ``encode_match(m)`` plus its index into a pool of per-match stats
+    interned by object identity (None when the match has none), then the
+    aggregate ``stats``. The store entry and the wire report share it.
+    Raises :class:`~repro.errors.IDLError` when ``encode_match`` does."""
+    pool: list = []
+    pool_index: dict[int, int] = {}
+    encoded = []
+    for m in matches:
+        index = None
+        if m.stats is not None:
+            index = pool_index.get(id(m.stats))
+            if index is None:
+                index = pool_index[id(m.stats)] = len(pool)
+                pool.append((m.stats.as_dict(), m.stats.max_steps))
+        encoded.append((*encode_match(m), index))
+    return {"matches": encoded, "stats_pool": pool,
+            "stats": stats.as_dict(), "max_steps": stats.max_steps}
+
+
+def decode_pooled(payload: dict, decode_match) -> tuple[list, SolverStats]:
+    """The inverse of :func:`encode_pooled`: the matches, each built by
+    ``decode_match(*fields, stats)`` with its pooled stats object (shared
+    as it was when encoded), and the aggregate stats."""
+    pool = [_stats_from(blob, max_steps)
+            for blob, max_steps in payload["stats_pool"]]
+    matches = [decode_match(*fields,
+                            stats=None if index is None else pool[index])
+               for *fields, index in payload["matches"]]
+    return matches, _stats_from(payload["stats"], payload["max_steps"])
+
+
 def encode_detection(function: Function, matches: list,
                      stats: SolverStats) -> dict | None:
     """One function's detection result in the store's payload schema
@@ -118,25 +148,13 @@ def encode_detection(function: Function, matches: list,
     wire format cannot express."""
     if stats.timed_out:
         return None
-    pool: list = []
-    pool_index: dict[int, int] = {}
     try:
-        encoded = []
-        for m in matches:
-            index = None
-            if m.stats is not None:
-                index = pool_index.get(id(m.stats))
-                if index is None:
-                    index = pool_index[id(m.stats)] = len(pool)
-                    pool.append((m.stats.as_dict(), m.stats.max_steps))
-            encoded.append((m.idiom,
-                            encode_solution(m.solution, function),
-                            index))
+        pooled = encode_pooled(
+            matches, stats,
+            lambda m: (m.idiom, encode_solution(m.solution, function)))
     except IDLError:
         return None
-    return {"kind": "detection", "function": function.name,
-            "matches": encoded, "stats_pool": pool,
-            "stats": stats.as_dict(), "max_steps": stats.max_steps}
+    return {"kind": "detection", "function": function.name, **pooled}
 
 
 def decode_detection(payload: dict, function: Function,
@@ -146,15 +164,11 @@ def decode_detection(payload: dict, function: Function,
     that as a corrupt entry (cache) or fall back to solving (dedupe)."""
     from ..idioms.matches import IdiomMatch
 
-    stats = _stats_from(payload["stats"], payload["max_steps"])
-    pool = [_stats_from(blob, max_steps)
-            for blob, max_steps in payload["stats_pool"]]
-    matches = [
-        IdiomMatch(str(idiom), function,
-                   decode_solution(encoded, function, module),
-                   stats=None if index is None else pool[index])
-        for idiom, encoded, index in payload["matches"]]
-    return CachedDetection(matches, stats)
+    return CachedDetection(*decode_pooled(
+        payload,
+        lambda idiom, encoded, stats: IdiomMatch(
+            str(idiom), function,
+            decode_solution(encoded, function, module), stats=stats)))
 
 
 class DetectionCache:
@@ -164,27 +178,12 @@ class DetectionCache:
         self.store = store
         self.config_signature = config_signature
 
-    # -- keys ------------------------------------------------------------------
-    def function_key(self, function: Function,
-                     globals_sig: str | None = None,
-                     text: str | None = None) -> str:
-        return function_fingerprint(function, self.config_signature,
-                                    globals_sig, text)
-
     # -- detection entries -----------------------------------------------------
     def load(self, function: Function, module: Module,
-             globals_sig: str | None = None,
-             text: str | None = None,
-             key: str | None = None) -> CachedDetection | None:
-        """The cached detection result for ``function``, or None.
-
-        ``text`` is the precomputed canonical form (optional, avoids a
-        re-print — the dominant warm-path cost) and ``key`` the
-        precomputed :meth:`function_key` (avoids the re-hash)."""
-        if key is None:
-            if globals_sig is None:
-                globals_sig = globals_signature(module)
-            key = self.function_key(function, globals_sig, text)
+             key: str) -> CachedDetection | None:
+        """The cached detection result stored under ``key`` (the
+        function's entry in its module's
+        :class:`~repro.cache.fingerprint.ModuleFingerprints`), or None."""
         payload = self.store.get(key)
         if payload is None or payload.get("kind") != "detection":
             return None
@@ -198,13 +197,12 @@ class DetectionCache:
             return None
 
     def save(self, function: Function, matches: list, stats: SolverStats,
-             summary: AnalysisSummary | dict | None = None,
-             globals_sig: str | None = None,
-             text: str | None = None, key: str | None = None) -> bool:
-        """Persist one function's detection result (and, when given, its
-        summary — pass None when the summary was itself adopted from the
-        store, so it is not rewritten). ``text`` and ``key`` are as in
-        :meth:`load`.
+             summary: AnalysisSummary | dict | None, text: str,
+             key: str) -> bool:
+        """Persist one function's detection result under ``key`` and,
+        when given, its summary under its canonical ``text`` (pass None
+        when the summary was itself adopted from the store, so it is not
+        rewritten).
 
         Matches that cannot be expressed in the wire format make the
         whole function uncacheable (it will simply re-solve next time);
@@ -217,8 +215,6 @@ class DetectionCache:
                 summary = summary.as_dict()
             self.store.put(summary_fingerprint(function, text),
                            {"kind": "summary", "summary": summary})
-        if key is None:
-            key = self.function_key(function, globals_sig, text)
         return self.store.put(key, payload)
 
     # -- analysis summaries ----------------------------------------------------

@@ -172,10 +172,10 @@ def cache_gate(modules) -> list[str]:
             warm.detect(module)  # populate
             session = DetectionSession(warm)
             report = session.detect(module)
-            if session.cache_misses:
+            misses = session.counts()["cache_misses"]
+            if misses:
                 failures.append(f"cache: {workload.name}: warm run "
-                                f"re-solved {session.cache_misses} "
-                                f"functions")
+                                f"re-solved {misses} functions")
             if report_fingerprint(report, by_identity=False) != \
                     report_fingerprint(cold.detect(module),
                                        by_identity=False):

@@ -717,7 +717,14 @@ def main(argv: list[str] | None = None) -> int:
         _EXPERIMENTS[args.experiment]()
     if args.cache_stats:
         print_cache_stats()
-    return 0
+    # Every accelerated run was checked against its original; a
+    # mismatch fails the command.
+    mismatched = dict.fromkeys(ev.workload.name for ev in _CACHE.values()
+                               if ev.outputs_equal is False)
+    for name in mismatched:
+        print(f"FAIL {name}: accelerated outputs differ from the "
+              f"original run")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

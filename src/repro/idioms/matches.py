@@ -140,14 +140,14 @@ class DetectionReport:
     #: Aggregated search effort over every (function, idiom) solve —
     #: including solves that produced no match.
     stats: SolverStats = field(default_factory=SolverStats)
-    #: Per-function reliability records
-    #: (:class:`~repro.reliability.supervisor.SessionOutcomes`) when the
-    #: report came from a :class:`~repro.idioms.scheduler.DetectionSession`;
-    #: None for reports assembled by hand. A report with any
+    #: Function name -> what it took (ok, cache-hit, dedupe-hit,
+    #: timed-out-partial) when the report came from a
+    #: :class:`~repro.idioms.scheduler.DetectionSession`; None for
+    #: reports assembled by hand. A report with any
     #: ``timed-out-partial`` outcome is complete in *shape* (every
     #: function accounted for) but possibly missing matches for those
     #: functions.
-    outcomes: object = None
+    outcomes: dict[str, str] | None = None
 
     def by_category(self) -> dict[str, int]:
         counts: dict[str, int] = {}

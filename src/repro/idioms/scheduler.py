@@ -4,17 +4,20 @@ after another.
 A :class:`DetectionSession` is the unit of repository-scale detection:
 it compiles every idiom's execution plan once, shares one
 :class:`FunctionAnalyses` per function across all idioms and solves the
-module's functions in module order, so the :class:`DetectionReport` is
-deterministic — same matches, same order.
+functions of one module, or of a batch of modules, in module order, so
+each :class:`DetectionReport` is deterministic — same matches, same
+order. :meth:`~DetectionSession.detect` is a batch of one.
 
 Every function gets a wall-clock deadline (``deadline_s``, enforced
 in-band by the solver via :class:`~repro.errors.SolveTimeout`, sampled
 every 4,096 ticks); a function that runs out of time contributes the
 idioms it completed. Nothing kills a solve that hangs outside the
 solver; the in-band deadline is the only bound. Any other error
-propagates. The session always returns a complete report — every
-function appears, in module order — and ``report.outcomes`` records what
-each function took (ok, cache-hit, dedupe-hit, timed-out-partial).
+propagates. The session always returns complete reports — every
+function appears, in module order — and ``report.outcomes`` maps each
+function's name to what it took (ok, cache-hit, dedupe-hit,
+timed-out-partial); :meth:`~DetectionSession.counts` tallies those
+records over the last call.
 
 When the detector carries an artifact cache (:mod:`repro.cache`), the
 session consults it *before* solving: every function whose fingerprint
@@ -29,40 +32,36 @@ aggregated stats.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError
 from ..ir.module import Module
-from ..reliability import faults
-from ..reliability.supervisor import FunctionOutcome, SessionOutcomes
 from .matches import DetectionReport
 
 
 class _Job:
     """One function scheduled for detection.
 
-    ``uid`` keys the session's results and ``analyses`` map:
-    :meth:`DetectionSession.detect` uses the function name, while
-    :meth:`DetectionSession.detect_many` qualifies it with the module's
-    position, because function names collide across tenants' modules.
-    ``outcomes`` is the record set of the job's own module, keyed by
-    function name. ``text`` is the canonical print (None when nothing
-    needed it) and ``key`` the content fingerprint (detect_many only)."""
+    ``uid`` keys the call's results; it qualifies the function name with
+    the module's position, because function names collide across
+    tenants' modules. ``outcomes`` is the record dict of the job's own
+    module. ``text`` is the canonical print and ``key`` the content
+    fingerprint, both None when nothing reads them (a lone module and no
+    store)."""
 
-    __slots__ = ("uid", "function", "module", "outcomes", "text",
-                 "globals_sig", "key")
+    __slots__ = ("uid", "function", "module", "outcomes", "text", "key")
 
-    def __init__(self, uid, function, module, outcomes, text=None,
-                 globals_sig=None, key=None):
+    def __init__(self, uid, function, module, outcomes, text, key):
         self.uid = uid
         self.function = function
         self.module = module
         self.outcomes = outcomes
         self.text = text
-        self.globals_sig = globals_sig
         self.key = key
 
     def record(self, status: str) -> None:
-        self.outcomes.record(FunctionOutcome(self.function.name, status))
+        self.outcomes[self.function.name] = status
 
 
 class DetectionSession:
@@ -76,84 +75,15 @@ class DetectionSession:
         self.detector = detector
         #: Per-function in-band solve deadline (seconds, None = none).
         self.deadline_s = deadline_s
-        #: Per-function records for the most recent detect() call (also
-        #: attached to the report as ``report.outcomes``); detect_many()
-        #: attaches one record set per module to that module's report.
-        self.outcomes = SessionOutcomes()
-        #: FunctionAnalyses per function name (per job uid in
-        #: detect_many), reset and refilled by each detect() call for
-        #: reuse by later pipeline stages. Cache-served functions have
-        #: no entry — nothing was analysed for them.
-        self.analyses: dict[str, FunctionAnalyses] = {}
-        #: Artifact-cache accounting for the most recent detect() call:
-        #: functions served from the store vs actually solved (always 0 /
-        #: all-functions without a cache).
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: detect_many() dedupe accounting: functions replayed from an
-        #: identical function solved in the same batch, and functions
-        #: actually solved.
-        self.dedupe_hits = 0
-        self.solved_functions = 0
+        #: The last call's outcome records, one dict per module (each
+        #: is also that module's ``report.outcomes``).
+        self._outcomes: list[dict[str, str]] = []
 
     # -- public API ---------------------------------------------------------------
     def detect(self, module: Module) -> DetectionReport:
-        functions = [f for f in module.functions.values()
-                     if not f.is_declaration()]
-        report = DetectionReport(module.name)
-        self.analyses = {}
-        self.cache_hits = self.cache_misses = 0
-        self.dedupe_hits = self.solved_functions = 0
-        self.outcomes = SessionOutcomes()
-        report.outcomes = self.outcomes
-        if not functions:
-            return report
-        plan = faults.active_plan()
-        fired_before = len(plan.fired) if plan is not None else 0
-        cache = self.detector.cache
-        warm: dict[str, object] = {}
-        if cache is not None:
-            from ..cache.fingerprint import globals_signature
-            from ..ir.printer import print_function_canonical
+        return self.detect_many([module])[0]
 
-            globals_sig = globals_signature(module)
-            cold = []
-            for function in functions:
-                text = print_function_canonical(function)
-                entry = cache.load(function, module, globals_sig, text)
-                if entry is not None:
-                    warm[function.name] = entry
-                else:
-                    cold.append(_Job(function.name, function, module,
-                                     self.outcomes, text, globals_sig))
-            self.cache_hits = len(warm)
-        else:
-            cold = [_Job(f.name, f, module, self.outcomes)
-                    for f in functions]
-        self.cache_misses = self.solved_functions = len(cold)
-        for name in warm:
-            self.outcomes.record(FunctionOutcome(name, "cache-hit"))
-        solved = self._run(cold)
-        for job in cold:
-            self._save(cache, job, *solved[job.uid])
-        if plan is not None:
-            for event in plan.fired[fired_before:]:
-                self.outcomes.note_fault(
-                    "fault injected at {site} (kind {kind}, occurrence "
-                    "{occurrence}, key {key!r})".format(**event))
-        # Deterministic merge in module order, hits and fresh solves
-        # interleaved — bit-identical to the all-cold report.
-        for function in functions:
-            entry = warm.get(function.name)
-            if entry is not None:
-                matches, stats = entry.matches, entry.stats
-            else:
-                matches, stats, _ = solved[function.name]
-            report.matches.extend(matches)
-            report.stats.merge(stats)
-        return report
-
-    def detect_many(self, modules, dedupe: bool = True,
+    def detect_many(self, modules,
                     fingerprints=None) -> list[DetectionReport]:
         """Detect across several modules in one batch — the serving
         layer's micro-batch unit.
@@ -165,9 +95,9 @@ class DetectionSession:
         objects:
 
         1. the artifact store (when the detector carries a cache),
-        2. ``dedupe=True``: identical functions *within this batch* —
-           one representative per content fingerprint is solved, the
-           rest decode its encoded result (cross-tenant overlap).
+        2. identical functions *within this batch* — one representative
+           per content fingerprint is solved, the rest decode its
+           encoded result (cross-tenant overlap).
 
         Results that cannot be replayed (timed-out partials, unencodable
         bindings) fall back to a local solve, so dedupe can degrade but
@@ -175,12 +105,13 @@ class DetectionSession:
         order and are bit-identical to per-module :meth:`detect` calls;
         each carries only its own module's outcome records.
 
-        ``fingerprints``, when given, runs parallel to ``modules``: each
-        item is a :class:`~repro.cache.fingerprint.ModuleFingerprints`
-        memo of that module (or None), used instead of re-printing and
-        re-hashing its functions. A memo made under another
-        configuration, or with another number of functions, is
-        recomputed.
+        Functions are fingerprinted only when something reads the keys:
+        a store, or a batch of more than one module. ``fingerprints``,
+        when given, runs parallel to ``modules``: each item is a
+        :class:`~repro.cache.fingerprint.ModuleFingerprints` memo of
+        that module (or None), used instead of re-printing and re-hashing
+        its functions. A memo made under another configuration, or with
+        another number of functions, is recomputed.
         """
         from ..cache.detection import encode_detection
         from ..cache.fingerprint import module_fingerprints
@@ -188,13 +119,12 @@ class DetectionSession:
         modules = list(modules)
         if fingerprints is None:
             fingerprints = [None] * len(modules)
-        self.analyses = {}
-        self.cache_hits = self.cache_misses = 0
-        self.dedupe_hits = self.solved_functions = 0
-        self.outcomes = SessionOutcomes()
         cache = self.detector.cache
-        config_sig = (self.detector.config_signature() if cache is None
-                      else cache.config_signature)
+        keyed = cache is not None or len(modules) > 1
+        if keyed:
+            config_sig = (self.detector.config_signature() if cache is None
+                          else cache.config_signature)
+        self._outcomes = []
 
         results: dict[str, tuple] = {}  # uid -> (matches, stats)
         reports: list[DetectionReport] = []
@@ -203,20 +133,24 @@ class DetectionSession:
         for index, (module, prints) in enumerate(zip(modules,
                                                      fingerprints)):
             report = DetectionReport(module.name)
-            report.outcomes = SessionOutcomes()
+            report.outcomes = {}
+            self._outcomes.append(report.outcomes)
             reports.append(report)
             defined = [f for f in module.functions.values()
                        if not f.is_declaration()]
-            if prints is None or prints.config_signature != config_sig \
-                    or len(prints.functions) != len(defined):
-                prints = module_fingerprints(module, config_sig)
-            globals_sig = prints.globals_sig
+            if not keyed:
+                pairs = [(None, None)] * len(defined)
+            else:
+                if prints is None or prints.config_signature != config_sig \
+                        or len(prints.functions) != len(defined):
+                    prints = module_fingerprints(module, config_sig)
+                pairs = prints.functions
             module_jobs: list[_Job] = []
-            for function, (text, key) in zip(defined, prints.functions):
+            for function, (text, key) in zip(defined, pairs):
                 job = _Job(f"m{index}:{function.name}", function, module,
-                           report.outcomes, text, globals_sig, key)
+                           report.outcomes, text, key)
                 module_jobs.append(job)
-                entry = cache.load(function, module, key=key) \
+                entry = cache.load(function, module, key) \
                     if cache is not None else None
                 if entry is not None:
                     results[job.uid] = (entry.matches, entry.stats)
@@ -224,19 +158,12 @@ class DetectionSession:
                 else:
                     cold.append(job)
             jobs_by_module.append(module_jobs)
-        self.cache_hits = len(results)
-        self.cache_misses = len(cold)
 
-        # One group per content fingerprint. Without dedupe every job is
-        # its own group (the "!" prefix keeps two identical functions
-        # apart).
+        # One group per content fingerprint; unkeyed jobs stand alone.
         groups: dict[str, list[_Job]] = {}
-        for position, job in enumerate(cold):
-            group_key = job.key if dedupe else f"!{position}:{job.key}"
-            groups.setdefault(group_key, []).append(job)
-        representatives = [group[0] for group in groups.values()]
-        solved = self._run(representatives)
-        self.solved_functions += len(representatives)
+        for job in cold:
+            groups.setdefault(job.key or job.uid, []).append(job)
+        solved = self._run([group[0] for group in groups.values()])
         for group in groups.values():
             representative = group[0]
             matches, stats, summary = solved[representative.uid]
@@ -255,6 +182,26 @@ class DetectionSession:
                 report.stats.merge(stats)
         return reports
 
+    def counts(self) -> dict[str, int]:
+        """Functions per outcome status over the last call, plus
+        ``solved`` (ok and timed-out-partial) and ``cache_misses``
+        (every function the store did not serve)."""
+        counts = dict(Counter(status for outcomes in self._outcomes
+                              for status in outcomes.values()))
+        counts["solved"] = counts.get("ok", 0) + \
+            counts.get("timed-out-partial", 0)
+        counts["cache_misses"] = sum(map(len, self._outcomes)) - \
+            counts.get("cache-hit", 0)
+        return counts
+
+    @property
+    def cache_hits(self) -> int:
+        return self.counts().get("cache-hit", 0)
+
+    @property
+    def cache_misses(self) -> int:
+        return self.counts()["cache_misses"]
+
     def _serve_duplicate(self, job: _Job, payload: dict | None,
                          results: dict) -> None:
         """Serve one deduped job from its representative's encoded
@@ -269,12 +216,10 @@ class DetectionSession:
                 entry = None
             if entry is not None:
                 results[job.uid] = (entry.matches, entry.stats)
-                self.dedupe_hits += 1
                 job.record("dedupe-hit")
                 return
         matches, stats, summary = self._run([job])[job.uid]
         results[job.uid] = (matches, stats)
-        self.solved_functions += 1
         self._save(self.detector.cache, job, matches, stats, summary)
 
     # -- solving primitives -------------------------------------------------------
@@ -302,7 +247,6 @@ class DetectionSession:
             if summary is not None:
                 analyses.adopt_summary(summary)
                 adopted = True
-        self.analyses[job.uid] = analyses
         matches, stats = self.detector.detect_function_with_stats(
             function, analyses, deadline_s=self.deadline_s)
         # An adopted summary is already in the store — returning None
@@ -315,5 +259,5 @@ class DetectionSession:
         """Write one fresh solve back to the store; timed-out partial
         results are never stored."""
         if cache is not None and not stats.timed_out:
-            cache.save(job.function, matches, stats, summary,
-                       job.globals_sig, text=job.text, key=job.key)
+            cache.save(job.function, matches, stats, summary, job.text,
+                       job.key)

@@ -72,9 +72,7 @@ from .values import (
     User,
     Value,
     const_bool,
-    const_float,
     const_int,
-    is_constant_zero,
 )
 from .verifier import verify_function, verify_module
 
@@ -92,6 +90,6 @@ __all__ = [
     "PointerType", "parse_type", "ptr",
     "Argument", "Constant", "ConstantFloat", "ConstantInt",
     "ConstantPointerNull", "GlobalVariable", "UndefValue", "Use", "User",
-    "Value", "const_bool", "const_float", "const_int", "is_constant_zero",
+    "Value", "const_bool", "const_int",
     "verify_function", "verify_module",
 ]

@@ -13,7 +13,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import IRError
-from .types import F64, I1, FloatType, IntType, IRType, PointerType
+from .types import I1, FloatType, IntType, IRType, PointerType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .module import Function
@@ -109,9 +109,6 @@ class User(Value):
 class Constant(Value):
     """Base class for compile-time constants."""
 
-    def is_zero(self) -> bool:
-        return False
-
 
 class ConstantInt(Constant):
     """An integer constant of a specific width, stored two's-complement."""
@@ -126,9 +123,6 @@ class ConstantInt(Constant):
         if ty.bits > 1 and v >= (1 << (ty.bits - 1)):
             v -= 1 << ty.bits
         self.value = v
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def ref(self) -> str:
         if self.type is I1:
@@ -154,9 +148,6 @@ class ConstantFloat(Constant):
             raise IRError(f"ConstantFloat requires a float type, got {ty}")
         super().__init__(ty)
         self.value = float(value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0.0 and not math.copysign(1.0, self.value) < 0
 
     def ref(self) -> str:
         if math.isinf(self.value):
@@ -194,9 +185,6 @@ class ConstantPointerNull(Constant):
         if not isinstance(ty, PointerType):
             raise IRError("null constant requires pointer type")
         super().__init__(ty)
-
-    def is_zero(self) -> bool:
-        return True
 
     def ref(self) -> str:
         return "null"
@@ -237,15 +225,6 @@ def const_int(value: int, ty: IntType | None = None) -> ConstantInt:
     return ConstantInt(ty or I64, value)
 
 
-def const_float(value: float, ty: FloatType | None = None) -> ConstantFloat:
-    """Convenience constructor, defaulting to double."""
-    return ConstantFloat(ty or F64, value)
-
-
 def const_bool(value: bool) -> ConstantInt:
     return ConstantInt(I1, 1 if value else 0)
 
-
-def is_constant_zero(value: Value) -> bool:
-    """True if ``value`` is a constant equal to zero (int, float or null)."""
-    return isinstance(value, Constant) and value.is_zero()

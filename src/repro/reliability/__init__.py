@@ -1,9 +1,9 @@
-"""Fault tolerance: supervised execution, quarantine, fault injection.
+"""Fault tolerance: fault injection and quarantine.
 
 The reliability subsystem generalizes PR 6's "blacklist and replay on the
 VM" pattern into a repo-wide discipline: every tier has an always-correct
 fallback and every failure is contained or degraded — never allowed
-to take the process down. Three pieces:
+to take the process down. Two pieces:
 
 * :mod:`.faults` — a deterministic, seeded, site-addressed fault plan.
   Named seams (``store.read``, ``store.write``, ``backend.dispatch``,
@@ -12,11 +12,6 @@ to take the process down. Three pieces:
   per occurrence whether to raise, hang or tear. With no plan
   installed the hook is one global read — injection stays compiled in at
   negligible cost (the ``seams`` gate of :mod:`repro.experiments.gates`).
-* :mod:`.supervisor` — what a detection session records: the
-  per-function in-band wall-clock deadline
-  (:func:`~repro.reliability.supervisor.tightened_deadline`) and one
-  :class:`~repro.reliability.supervisor.FunctionOutcome` per function,
-  merged into a deterministic report.
 * :mod:`.quarantine` — (backend, category) pairs that failed at dispatch
   more than N times are quarantined: the aliasing-guard machinery steers
   their sites onto the intact original loops and the transformer stops
@@ -32,21 +27,13 @@ from .faults import (
     plan_from_spec,
 )
 from .quarantine import Quarantine
-from .supervisor import (
-    FunctionOutcome,
-    SessionOutcomes,
-    tightened_deadline,
-)
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "FunctionOutcome",
     "Quarantine",
-    "SessionOutcomes",
     "active_plan",
     "install_plan",
     "maybe_fire",
     "plan_from_spec",
-    "tightened_deadline",
 ]

@@ -36,8 +36,6 @@ def scalar_count(ty: IRType) -> int:
     while isinstance(ty, ArrayType):
         count *= ty.count
         ty = ty.element
-    if isinstance(ty, PointerType):
-        raise InterpreterError("arrays of pointers are not supported")
     return count
 
 
@@ -47,32 +45,29 @@ def dtype_of(ty: IRType) -> np.dtype:
         key = ("int", scalar.bits if scalar.bits in (8, 32, 64) else 64)
     elif isinstance(scalar, FloatType):
         key = ("float", scalar.bits)
+    elif isinstance(scalar, PointerType):
+        return np.dtype(object)  # a stack slot holding a Pointer
     else:
         raise InterpreterError(f"no dtype for type {scalar}")
     return np.dtype(_DTYPES[(key[0], key[1])])
 
 
 class Buffer:
-    """A flat scalar array with an element width in bytes."""
+    """A flat array of one scalar element type."""
 
-    __slots__ = ("name", "data", "element_bits")
+    __slots__ = ("name", "data")
 
-    def __init__(self, name: str, data: np.ndarray, element_bits: int):
+    def __init__(self, name: str, data: np.ndarray):
         self.name = name
         self.data = data
-        self.element_bits = element_bits
 
     @classmethod
     def for_type(cls, name: str, ty: IRType) -> "Buffer":
-        scalar = scalar_type_of(ty)
-        data = np.zeros(scalar_count(ty), dtype=dtype_of(ty))
-        bits = scalar.bits  # type: ignore[union-attr]
-        return cls(name, data, bits)
+        return cls(name, np.zeros(scalar_count(ty), dtype=dtype_of(ty)))
 
     @classmethod
     def from_numpy(cls, name: str, array: np.ndarray) -> "Buffer":
-        flat = np.ascontiguousarray(array).reshape(-1)
-        return cls(name, flat, flat.dtype.itemsize * 8)
+        return cls(name, np.ascontiguousarray(array).reshape(-1))
 
     @property
     def size(self) -> int:

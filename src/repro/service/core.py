@@ -46,10 +46,8 @@ to go fast when healthy:
   admission with :class:`DeadlineExpired`; work that expires while
   queued fails the same way when its batch starts; the tightest
   remaining budget in a batch tightens the session's per-function
-  ``deadline_s``
-  (:func:`~repro.reliability.supervisor.tightened_deadline`), so a
-  slow solve degrades to a ``timed-out-partial`` outcome instead
-  of outliving its callers.
+  ``deadline_s`` (:func:`tightened_deadline`), so a slow solve degrades
+  to a ``timed-out-partial`` outcome instead of outliving its callers.
 * **Lifecycle** — ``starting → ready → draining → stopped``.
   :meth:`drain` stops admission (new submits get a typed
   :class:`ServiceDraining`) while in-flight and queued batches complete;
@@ -81,7 +79,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -94,7 +92,6 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..platform.placement import ConcurrentPlan, plan_concurrent
 from ..reliability import faults
-from ..reliability.supervisor import tightened_deadline
 from .latency import percentile, summarize_latencies
 
 #: Tenant states the service keeps before it drops idle ones (empty
@@ -109,6 +106,25 @@ PARSE_CACHE_ENTRIES = 64
 
 #: Most recent per-request latencies retained for the stats endpoint.
 LATENCY_WINDOW = 2048
+
+
+def tightened_deadline(deadline_s: float | None,
+                       budget_s: float | None) -> float | None:
+    """A per-function deadline clamped to a caller's remaining
+    wall-clock budget.
+
+    End-to-end deadline propagation: each batch's tightest surviving
+    request deadline is threaded through here, so a slow solve runs out
+    of in-band solver ticks (:class:`~repro.errors.SolveTimeout`,
+    degraded to a ``timed-out-partial`` outcome) instead of outliving
+    the caller. A non-positive budget is clamped to a near-zero
+    deadline: the solve fails fast rather than being granted infinity."""
+    if budget_s is None:
+        return deadline_s
+    budget_s = max(float(budget_s), 1e-6)
+    if deadline_s is not None and deadline_s <= budget_s:
+        return deadline_s
+    return budget_s
 
 
 class ServiceError(IDLError):
@@ -153,7 +169,7 @@ class ServiceConfig:
     """Every knob of a resident detection service, in one place.
 
     ``deadline_s`` is each batch's per-function solve deadline;
-    ``cache_dir``/``budget_bytes``/``durable`` the shared artifact store
+    ``cache_dir``/``budget_bytes`` the shared artifact store
     (``cache_dir=None`` keeps it in memory, capped at
     :data:`~repro.cache.store.DEFAULT_MEMORY_BUDGET_BYTES` unless
     ``budget_bytes`` says otherwise; the store evicts least recently
@@ -164,7 +180,6 @@ class ServiceConfig:
 
     cache_dir: str | None = None
     budget_bytes: int | None = None
-    durable: bool = False
     #: How long the batcher waits for co-travellers once a batch holds a
     #: plan or a cold detect; a batch of warm detects (store hits)
     #: drains without waiting. A couple of milliseconds is enough to
@@ -323,7 +338,6 @@ class DetectionService:
         self.config = config or ServiceConfig()
         if store is None:
             store = ArtifactStore(self.config.cache_dir,
-                                  durable=self.config.durable,
                                   budget_bytes=self.config.budget_bytes)
         self.store = store
         self.detector = IdiomDetector(cache=store)
@@ -360,9 +374,8 @@ class DetectionService:
         self._expired = 0
         self._module_dedupe_hits = 0
         self._functions_requested = 0
-        self._store_hits = 0
-        self._solved_functions = 0
-        self._batch_dedupe_hits = 0
+        #: The sessions' :meth:`~DetectionSession.counts`, summed.
+        self._function_counts: Counter = Counter()
         self._errors = 0
         self._parse_hits = 0
         self._parse_misses = 0
@@ -452,26 +465,12 @@ class DetectionService:
         rejected here (:class:`DeadlineExpired`), queued work that
         outlives it fails the same way, and the surviving budget bounds
         the solve itself."""
-        if not self._started:
-            self.start()
-        tenant = str(tenant)
-        if deadline_s is not None and deadline_s <= 0:
-            raise DeadlineExpired(
-                f"request from tenant {tenant!r} arrived with an "
-                f"already-expired deadline ({deadline_s:.4g}s)")
-        # Shed before parsing: an over-capacity service must refuse work
-        # without paying parse cost for it.
-        with self._lock:
-            self._check_admission_locked(tenant)
-        module, parsed = self._resolve_module(source)
-        faults.maybe_fire("service.admit", tenant)
-        request = _Request(module, tenant, deadline_s, parsed=parsed,
-                           warm=self._is_warm(parsed))
-        with self._queue_cond:
-            # Re-check: capacity may have filled while we parsed.
-            self._check_admission_locked(tenant)
-            self._enqueue_locked(request)
-        return request.future
+        def prepare(tenant):
+            module, parsed = self._resolve_module(source)
+            return _Request(module, tenant, deadline_s, parsed=parsed,
+                            warm=self._is_warm(parsed))
+
+        return self._admit("request", tenant, deadline_s, prepare)
 
     def detect(self, source, tenant: str = "default",
                timeout: float | None = None,
@@ -494,21 +493,13 @@ class DetectionService:
         than each assuming the machine to itself. A malformed request
         raises :class:`~repro.errors.PlacementError` here, to its own
         submitter, and never joins a batch."""
-        if not self._started:
-            self.start()
-        tenant = str(tenant)
-        if deadline_s is not None and deadline_s <= 0:
-            raise DeadlineExpired(
-                f"placement request from tenant {tenant!r} arrived with "
-                f"an already-expired deadline ({deadline_s:.4g}s)")
-        request.check()
-        faults.maybe_fire("service.admit", tenant)
-        pending = _Request(None, tenant, deadline_s, kind="plan",
-                           payload=request)
-        with self._queue_cond:
-            self._check_admission_locked(tenant)
-            self._enqueue_locked(pending)
-        return pending.future
+        def prepare(tenant):
+            request.check()
+            return _Request(None, tenant, deadline_s, kind="plan",
+                            payload=request)
+
+        return self._admit("placement request", tenant, deadline_s,
+                           prepare)
 
     def plan(self, request, tenant: str = "default",
              timeout: float | None = None,
@@ -538,7 +529,8 @@ class DetectionService:
         read under the batcher's own lock, so the snapshot is coherent
         even mid-batch."""
         with self._lock:
-            served = (self._store_hits + self._batch_dedupe_hits +
+            counts = self._function_counts
+            served = (counts["cache-hit"] + counts["dedupe-hit"] +
                       self._module_dedupe_hits)
             total = self._functions_requested
             payload = {
@@ -555,9 +547,9 @@ class DetectionService:
                 "max_pending": self.config.max_pending,
                 "tenant_quota": self.config.effective_tenant_quota,
                 "functions_requested": total,
-                "solved_functions": self._solved_functions,
-                "store_hits": self._store_hits,
-                "batch_dedupe_hits": self._batch_dedupe_hits,
+                "solved_functions": counts["solved"],
+                "store_hits": counts["cache-hit"],
+                "batch_dedupe_hits": counts["dedupe-hit"],
                 "module_dedupe_hits": self._module_dedupe_hits,
                 "dedupe_ratio": served / total if total else 0.0,
                 "plan_requests": self._plan_requests,
@@ -573,6 +565,31 @@ class DetectionService:
         return payload
 
     # -- admission ----------------------------------------------------------------
+    def _admit(self, what: str, tenant, deadline_s: float | None,
+               prepare) -> Future:
+        """The path every request takes into the queue: reject an
+        expired budget, shed over capacity, ``prepare(tenant)`` the
+        :class:`_Request` (a parse or a shape check), fire the
+        ``service.admit`` seam, then re-check capacity and enqueue."""
+        if not self._started:
+            self.start()
+        tenant = str(tenant)
+        if deadline_s is not None and deadline_s <= 0:
+            raise DeadlineExpired(
+                f"{what} from tenant {tenant!r} arrived with an "
+                f"already-expired deadline ({deadline_s:.4g}s)")
+        # Shed before preparing: an over-capacity service must refuse
+        # work without paying parse cost for it.
+        with self._lock:
+            self._check_admission_locked(tenant)
+        request = prepare(tenant)
+        faults.maybe_fire("service.admit", tenant)
+        with self._queue_cond:
+            # Re-check: capacity may have filled while we prepared.
+            self._check_admission_locked(tenant)
+            self._enqueue_locked(request)
+        return request.future
+
     def _tenant_locked(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
@@ -754,6 +771,34 @@ class DetectionService:
             if state is not None:
                 state.expired += 1
 
+    def _fail(self, batch: list[_Request], exc: BaseException) -> None:
+        """Resolve every unfinished future of ``batch`` with ``exc``,
+        each counted in ``errors``."""
+        with self._lock:
+            self._errors += sum(1 for r in batch if not r.future.done())
+        for request in batch:
+            if not request.future.done():
+                request.future.set_exception(exc)
+
+    def _complete(self, batch: list[_Request], results: list,
+                  tally) -> None:
+        """Resolve each request of ``batch`` with its result, stamped
+        with the request's latency. Under the lock, ``tally()`` updates
+        the request kind's counters beside the latency window and each
+        tenant's ``completed``, so a stats snapshot sees all or none."""
+        now = time.perf_counter()
+        with self._lock:
+            tally()
+            for request, result in zip(batch, results):
+                result.latency_s = now - request.t_submit
+                self._latencies.append(result.latency_s)
+                state = self._tenants.get(request.tenant)
+                if state is not None:
+                    state.completed += 1
+                    state.latencies.append(result.latency_s)
+        for request, result in zip(batch, results):
+            request.future.set_result(result)
+
     def _serve_plans(self, batch: list[_Request]) -> None:
         """Jointly place every placement request in this micro-batch.
 
@@ -761,34 +806,55 @@ class DetectionService:
         that arrived within the batch window contend for the simulated
         accelerators, so each tenant's answer already accounts for its
         co-travellers. Each request was checked on its own at submit, so
-        a malformed one never reaches this call. Failures resolve each
-        future with the typed exception; detection requests in the same
-        batch are unaffected.
+        a malformed one never reaches this call.
         """
-        try:
-            plan = plan_concurrent([r.payload for r in batch],
-                                   profile=self.config.profile)
-            now = time.perf_counter()
-            with self._lock:
-                self._plan_requests += len(batch)
-                self._plan_batches += 1
-                for request in batch:
-                    latency = now - request.t_submit
-                    self._latencies.append(latency)
-                    state = self._tenants.get(request.tenant)
-                    if state is not None:
-                        state.completed += 1
-                        state.latencies.append(latency)
-            for i, request in enumerate(batch):
-                request.future.set_result(PlanResult(
-                    plan, i, request.tenant, now - request.t_submit))
-        except BaseException as exc:
-            with self._lock:
-                self._errors += sum(
-                    1 for r in batch if not r.future.done())
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+        plan = plan_concurrent([r.payload for r in batch],
+                               profile=self.config.profile)
+
+        def tally():
+            self._plan_requests += len(batch)
+            self._plan_batches += 1
+
+        self._complete(batch, [PlanResult(plan, i, r.tenant, 0.0)
+                               for i, r in enumerate(batch)], tally)
+
+    def _serve_detects(self, batch: list[_Request]) -> None:
+        """Detect every module of this micro-batch in one
+        :meth:`~repro.idioms.scheduler.DetectionSession.detect_many`
+        call; requests for the same parsed module share its report."""
+        # Deadline propagation, step 2: the tightest surviving budget
+        # bounds the solve via the session's per-function deadline.
+        now_mono = time.monotonic()
+        budget = min((r.deadline_at - now_mono for r in batch
+                      if r.deadline_at is not None), default=None)
+        first: dict[int, _Request] = {}
+        for request in batch:
+            first.setdefault(id(request.module), request)
+        config_sig = self.detector.config_signature()
+        session = DetectionSession(
+            self.detector,
+            deadline_s=tightened_deadline(self.config.deadline_s, budget))
+        # A submitted Module object has no memo: the session
+        # fingerprints it afresh.
+        reports = session.detect_many(
+            [r.module for r in first.values()],
+            fingerprints=[None if r.parsed is None
+                          else r.parsed.fingerprints_for(config_sig)
+                          for r in first.values()])
+        report_of = dict(zip(first, reports))
+        counts = session.counts()
+        requested = sum(len(report_of[id(r.module)].outcomes)
+                        for r in batch)
+
+        def tally():
+            self._function_counts.update(counts)
+            self._functions_requested += requested
+            self._module_dedupe_hits += requested - sum(
+                len(report.outcomes) for report in reports)
+
+        self._complete(batch, [
+            ServiceResult(report_of[id(r.module)], r.module, r.tenant, 0.0)
+            for r in batch], tally)
 
     def _run_batch(self, batch: list[_Request]):
         t_batch = time.perf_counter()
@@ -814,77 +880,19 @@ class DetectionService:
                         f"deadline expired after "
                         f"{time.perf_counter() - request.t_submit:.3f}s "
                         f"in the service queue"))
-            batch = live
-            if not batch:
-                return
             # Placement requests co-batched here form one joint
-            # contention domain; detection continues below on the rest.
-            plan_batch = [r for r in batch if r.kind == "plan"]
-            batch = [r for r in batch if r.kind == "detect"]
-            if plan_batch:
-                self._serve_plans(plan_batch)
-            if not batch:
-                return
-            # Step 2: the tightest surviving budget bounds the solve via
-            # the session's per-function deadline.
-            budget = None
-            for request in batch:
-                if request.deadline_at is not None:
-                    remaining = request.deadline_at - now_mono
-                    budget = (remaining if budget is None
-                              else min(budget, remaining))
-            config_sig = self.detector.config_signature()
-            unique: list[Module] = []
-            prints: list = []
-            index_of: dict[int, int] = {}
-            for request in batch:
-                if id(request.module) not in index_of:
-                    index_of[id(request.module)] = len(unique)
-                    unique.append(request.module)
-                    # A Module object has no memo: the session
-                    # fingerprints it afresh.
-                    prints.append(
-                        None if request.parsed is None
-                        else request.parsed.fingerprints_for(config_sig))
-            session = DetectionSession(
-                self.detector,
-                deadline_s=tightened_deadline(self.config.deadline_s,
-                                              budget))
-            reports = session.detect_many(unique, fingerprints=prints)
-            now = time.perf_counter()
-            per_module_functions = [
-                sum(1 for f in module.functions.values()
-                    if not f.is_declaration())
-                for module in unique]
-            with self._lock:
-                self._store_hits += session.cache_hits
-                self._solved_functions += session.solved_functions
-                self._batch_dedupe_hits += session.dedupe_hits
-                for request in batch:
-                    fcount = per_module_functions[
-                        index_of[id(request.module)]]
-                    self._functions_requested += fcount
-                self._module_dedupe_hits += sum(
-                    per_module_functions[index_of[id(r.module)]]
-                    for r in batch) - sum(per_module_functions)
-                for request in batch:
-                    latency = now - request.t_submit
-                    self._latencies.append(latency)
-                    state = self._tenants.get(request.tenant)
-                    if state is not None:
-                        state.completed += 1
-                        state.latencies.append(latency)
-            for request in batch:
-                request.future.set_result(ServiceResult(
-                    reports[index_of[id(request.module)]],
-                    request.module, request.tenant,
-                    now - request.t_submit))
+            # contention domain; detection runs on the rest. A failure
+            # of either resolves only its own requests.
+            for kind, serve in (("plan", self._serve_plans),
+                                ("detect", self._serve_detects)):
+                part = [r for r in live if r.kind == kind]
+                if part:
+                    try:
+                        serve(part)
+                    except BaseException as exc:
+                        self._fail(part, exc)
         except BaseException as exc:
-            with self._lock:
-                self._errors += sum(1 for r in batch if not r.future.done())
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            self._fail(batch, exc)
         finally:
             with self._queue_cond:
                 self._inflight = 0

@@ -3,9 +3,11 @@
 The daemon's line protocol ships reports as pure JSON: matches carry the
 scheduler's structural solution tokens (block/instruction indices,
 argument positions, global names, constant values) plus an identity-
-interned pool of per-match solver stats — the same discipline the
-artifact cache uses (:mod:`repro.cache.detection`), lifted from one
-function to one report. A client that parses the module text it submitted can
+interned pool of per-match solver stats — the codec the artifact cache
+uses (:func:`~repro.cache.detection.encode_pooled` and
+:func:`~repro.cache.detection.decode_pooled`), lifted from one function
+to one report, with the report's per-function outcome records. A
+client that parses the module text it submitted can
 :func:`decode_report` the payload back into a
 :class:`~repro.idioms.matches.DetectionReport` whose matches reference
 its own IR objects, bit-identical (under the structural fingerprint) to
@@ -25,11 +27,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 from ..backends.api import ApiCallSite
-from ..cache.detection import decode_solution, encode_solution
+from ..cache.detection import (
+    decode_pooled,
+    decode_solution,
+    encode_pooled,
+    encode_solution,
+)
 from ..errors import IDLError, InjectedFault, ReproError
-from ..idl.solver import SolverStats
 from ..idioms.matches import DetectionReport, IdiomMatch
 from ..ir.module import Module
 from ..platform.placement import PlacementRequest
@@ -91,11 +98,6 @@ def error_from_response(response: dict) -> IDLError:
     return IDLError(f"daemon error ({kind}): {message}")
 
 
-def _stats_from(payload_stats: dict, max_steps) -> SolverStats:
-    return SolverStats(max_steps=int(max_steps),
-                       **{k: int(v) for k, v in payload_stats.items()})
-
-
 def encode_report(report: DetectionReport) -> dict:
     """One report as a JSON-safe dict.
 
@@ -103,29 +105,21 @@ def encode_report(report: DetectionReport) -> dict:
     of one function share one stats object; the round trip preserves
     the sharing). Raises :class:`~repro.errors.IDLError` if a solution
     binds a value the wire format cannot express."""
-    pool: list = []
-    pool_index: dict[int, int] = {}
-    matches = []
-    for m in report.matches:
-        index = None
-        if m.stats is not None:
-            index = pool_index.get(id(m.stats))
-            if index is None:
-                index = pool_index[id(m.stats)] = len(pool)
-                pool.append((m.stats.as_dict(), m.stats.max_steps))
-        matches.append((m.idiom, m.function.name,
-                        encode_solution(m.solution, m.function), index))
+    outcomes = report.outcomes
     return {
         "wire_version": WIRE_VERSION,
         "module": report.module_name,
-        "matches": matches,
-        "stats_pool": pool,
-        "stats": report.stats.as_dict(),
-        "max_steps": report.stats.max_steps,
+        **encode_pooled(report.matches, report.stats,
+                        lambda m: (m.idiom, m.function.name,
+                                   encode_solution(m.solution,
+                                                   m.function))),
         "total": report.total(),
         "by_category": report.by_category(),
-        "outcomes": report.outcomes.as_dict()
-        if report.outcomes is not None else None,
+        "outcomes": None if outcomes is None else {
+            "counts": dict(Counter(outcomes.values())),
+            "functions": [{"function": name, "status": status}
+                          for name, status in outcomes.items()],
+        },
     }
 
 
@@ -151,16 +145,14 @@ def decode_report(payload: dict, module: Module) -> DetectionReport:
     """Rebind an :func:`encode_report` payload against the caller's
     parse of the module it was computed for. Raises on a mis-shaped
     payload or a module that does not contain the referenced IR."""
-    report = DetectionReport(str(payload["module"]))
-    report.stats = _stats_from(payload["stats"], payload["max_steps"])
-    pool = [_stats_from(blob, max_steps)
-            for blob, max_steps in payload["stats_pool"]]
-    for idiom, fname, encoded, index in payload["matches"]:
+    def decode_match(idiom, fname, encoded, stats):
         function = module.functions[fname]
-        report.matches.append(
-            IdiomMatch(str(idiom), function,
-                       decode_solution(encoded, function, module),
-                       stats=None if index is None else pool[index]))
+        return IdiomMatch(str(idiom), function,
+                          decode_solution(encoded, function, module),
+                          stats=stats)
+
+    report = DetectionReport(str(payload["module"]))
+    report.matches, report.stats = decode_pooled(payload, decode_match)
     return report
 
 

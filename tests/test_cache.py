@@ -435,8 +435,9 @@ class TestDetectionCache:
         module = compiled()
         det = IdiomDetector(cache=str(tmp_path))
         cold = det.detect(module)
-        key = det.cache.function_key(module.functions["f"],
-                                     globals_signature(module))
+        key = function_fingerprint(module.functions["f"],
+                                   det.cache.config_signature,
+                                   globals_signature(module))
         path = det.cache.store._path(key)
         with open(path) as fh:
             payload = json.load(fh)
@@ -454,8 +455,9 @@ class TestDetectionCache:
         module = compiled()
         det = IdiomDetector(cache=str(tmp_path))
         cold = det.detect(module)
-        key = det.cache.function_key(module.functions["f"],
-                                     globals_signature(module))
+        key = function_fingerprint(module.functions["f"],
+                                   det.cache.config_signature,
+                                   globals_signature(module))
         with open(det.cache.store._path(key), "w") as fh:
             fh.write("garbage")
         session = DetectionSession(det)

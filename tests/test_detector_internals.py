@@ -1,4 +1,4 @@
-"""Tests for detector internals: overlap resolution, SESE, control
+"""Tests for detector internals: overlap resolution, control
 dependence, kernel extraction edge cases."""
 
 import pytest
@@ -7,7 +7,6 @@ from repro.analysis import (
     ControlDependence,
     FunctionAnalyses,
     InstructionCFG,
-    is_sese_pair,
 )
 from repro.errors import TransformError
 from repro.frontend import compile_c
@@ -67,21 +66,6 @@ double f(int m, double *a, int *rs, int *ci, double *z, double *r) {
 
 
 class TestSESE:
-    def test_loop_region_is_sese(self):
-        m = compiled("""
-int f(int n) {
-  int s = 0;
-  for (int i = 0; i < n; i++) s += i;
-  return s;
-}
-""")
-        f = m.get_function("f")
-        an = FunctionAnalyses(f)
-        header = [b for b in f.blocks if b.phis()][0]
-        begin = header.instructions[0]
-        end = header.terminator
-        assert is_sese_pair(an.cfg, an.dom, an.postdom, begin, end)
-
     def test_control_dependence(self):
         m = compiled("""
 int f(int a) {

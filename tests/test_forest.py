@@ -274,12 +274,14 @@ void f(int n, double *x, double *q) {
 }
 """)
         detector = IdiomDetector()
-        session = DetectionSession(detector)
-        report = session.detect(module)
+        report = detector.detect(module)
         counts = report.by_idiom()
         assert counts.get("Histogram") == 1 and counts.get("Reduction") == 1
         assert report.stats.subquery_hits > 0
-        assert session.analyses["f"].subquery_cache
+        function = module.functions["f"]
+        analyses = FunctionAnalyses(function)
+        detector.detect_function_with_stats(function, analyses)
+        assert analyses.subquery_cache
         # Same matches as the per-idiom executor, cache or no cache.
         plan_report = PerIdiomDetector().detect(module)
         assert report_fingerprint(report) == report_fingerprint(plan_report)
@@ -500,7 +502,7 @@ class TestKnobCensus:
         from repro.service.core import _TenantState
 
         assert {f.name for f in fields(ServiceConfig)} == {
-            "cache_dir", "budget_bytes", "durable", "batch_window_s",
+            "cache_dir", "budget_bytes", "batch_window_s",
             "max_batch", "deadline_s", "max_pending", "tenant_quota",
             "profile"}
         assert list(signature(ArtifactStore).parameters) == [

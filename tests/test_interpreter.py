@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import InterpreterError
 from repro.frontend import compile_c
-from repro.ir import ArrayType, F64, I32, parse_module
+from repro.ir import ArrayType, F64, I32, parse_module, ptr
 from repro.passes import optimize
 from repro.runtime import Buffer, Interpreter, Pointer
 from repro.runtime.memory import dtype_of, scalar_count
@@ -24,6 +24,7 @@ class TestMemory:
     def test_dtype_of(self):
         assert dtype_of(I32) == np.int32
         assert dtype_of(ArrayType(2, F64)) == np.float64
+        assert dtype_of(ptr(F64)) == np.dtype(object)
 
     def test_pointer_arithmetic(self):
         buf = Buffer.from_numpy("a", np.arange(10.0))
@@ -212,5 +213,59 @@ class TestDoWhile:
         runs = [self.run(engine, n) for engine in engines]
         value, hits, _, _ = runs[0]
         assert (value, hits) == self.CASES[n]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert engines[2].jit_compiled() == ["f"]
+
+
+class TestPointerParameters:
+    """Unoptimised code keeps each parameter in a stack slot, so a
+    pointer parameter lives in a ``ptr``-typed alloca: every tier runs
+    it, with the same value, buffers, block profile and steps as the
+    other tiers, optimised or not."""
+
+    STORE_THROUGH = "int f(int n, int *a) { a[0] = n; return a[0] + a[1]; }"
+    TWO_ARRAYS = """
+double f(int n, double *x, double *y) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    y[i] = x[i] * 2.0;
+    s = s + y[i];
+  }
+  return s;
+}
+"""
+    # case -> (source, n, element type, arrays, f's value, arrays after)
+    CASES = {
+        "store-through": (STORE_THROUGH, 5, np.int32, [[0, 7]], 12,
+                          [[5, 7]]),
+        "two-arrays": (TWO_ARRAYS, 20, np.float64,
+                       [list(range(20)), [0.0] * 20], 380.0,
+                       [list(range(20)), [2.0 * i for i in range(20)]]),
+    }
+
+    @staticmethod
+    def run(engine, n, arrays, dtype):
+        buffers = [Buffer.from_numpy(f"a{i}", np.array(a, dtype=dtype))
+                   for i, a in enumerate(arrays)]
+        value = engine.call("f", [n] + [Pointer(b) for b in buffers])
+        return value, [b.data.tolist() for b in buffers], \
+            engine.profile.block_counts, engine.steps
+
+    @pytest.mark.parametrize("optimized", [False, True],
+                             ids=["O0", "O1"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_identical_across_tiers(self, optimized, case):
+        from repro.runtime import JitVirtualMachine, VirtualMachine
+
+        source, n, dtype, arrays, want_value, want_arrays = \
+            self.CASES[case]
+        module = compile_c(source)
+        if optimized:
+            optimize(module)
+        engines = (Interpreter(module), VirtualMachine(module),
+                   JitVirtualMachine(module, jit_threshold=1))
+        runs = [self.run(engine, n, arrays, dtype) for engine in engines]
+        value, after, _, _ = runs[0]
+        assert (value, after) == (want_value, want_arrays)
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert engines[2].jit_compiled() == ["f"]

@@ -85,11 +85,6 @@ class TestConstants:
         assert ConstantInt(I32, 5) != ConstantInt(I64, 5)
         assert ConstantFloat(F64, 0.5) == ConstantFloat(F64, 0.5)
 
-    def test_zero_detection(self):
-        assert ConstantInt(I32, 0).is_zero()
-        assert ConstantFloat(F64, 0.0).is_zero()
-        assert not ConstantInt(I32, 1).is_zero()
-
 
 class TestUseLists:
     def test_operand_tracking(self):

@@ -3,6 +3,7 @@ and the parallel DetectionSession (plan → execute → schedule stack)."""
 
 import pytest
 
+from repro.analysis.info import FunctionAnalyses
 from repro.errors import IDLError
 from repro.frontend import compile_c
 from repro.idioms import (
@@ -145,28 +146,27 @@ class TestPlanCompilation:
     def test_memoized_for_solved_once_per_function(self):
         """All seven idioms share one cached For solution set (per-idiom
         plan mode: every feasible idiom replays the same memo entry)."""
-        module = compiled(SNIPPETS["reduction"])
-        detector = PerIdiomDetector()
-        session = DetectionSession(detector)
-        report = session.detect(module)
-        assert report.by_idiom() == {"Reduction": 1}
-        analyses = session.analyses["f"]
+        function = compiled(SNIPPETS["reduction"]).functions["f"]
+        analyses = FunctionAnalyses(function)
+        matches, stats = PerIdiomDetector().detect_function_with_stats(
+            function, analyses)
+        assert [m.idiom for m in matches] == ["Reduction"]
         assert "For()" in analyses.memo_solutions
-        assert report.stats.memo_misses == 1
-        assert report.stats.memo_hits >= len(TOP_LEVEL_IDIOMS) - 1
+        assert stats.memo_misses == 1
+        assert stats.memo_hits >= len(TOP_LEVEL_IDIOMS) - 1
 
     def test_forest_skips_infeasible_idioms_entirely(self):
         """Forest mode solves only feasible idioms: the reduction snippet
         has no store, so every idiom but Reduction is skipped before the
         solver runs — same matches, fewer memo replays."""
-        module = compiled(SNIPPETS["reduction"])
-        detector = IdiomDetector()
-        session = DetectionSession(detector)
-        report = session.detect(module)
-        assert report.by_idiom() == {"Reduction": 1}
-        assert report.stats.feasibility_skips == len(TOP_LEVEL_IDIOMS) - 1
-        assert report.stats.memo_misses == 1
-        assert session.analyses["f"].subquery_cache
+        function = compiled(SNIPPETS["reduction"]).functions["f"]
+        analyses = FunctionAnalyses(function)
+        matches, stats = IdiomDetector().detect_function_with_stats(
+            function, analyses)
+        assert [m.idiom for m in matches] == ["Reduction"]
+        assert stats.feasibility_skips == len(TOP_LEVEL_IDIOMS) - 1
+        assert stats.memo_misses == 1
+        assert analyses.subquery_cache
 
     def test_plan_reduces_search_steps(self):
         module = compiled(SNIPPETS["spmv"])
@@ -258,5 +258,6 @@ class TestDetectionSession:
             assert report.stats == sequential.stats
         functions = sum(1 for f in module.functions.values()
                         if not f.is_declaration())
-        assert (session.solved_functions, session.dedupe_hits) == \
+        counts = session.counts()
+        assert (counts["solved"], counts["dedupe-hit"]) == \
             (functions, functions)

@@ -285,10 +285,10 @@ class TestMemoryStore(_StoreContract):
         detector = IdiomDetector(cache=store)
         first = DetectionSession(detector)
         first.detect(module)
-        assert first.solved_functions == 2
+        assert first.counts()["solved"] == 2
         second = DetectionSession(detector)
         warm = second.detect(module)
-        assert second.solved_functions == 0 and second.cache_hits == 2
+        assert second.counts()["solved"] == 0 and second.cache_hits == 2
         assert report_wire_fingerprint(warm) == report_wire_fingerprint(cold)
         assert warm.stats.as_dict() == cold.stats.as_dict()
         with pytest.raises(IDLError):
@@ -334,7 +334,7 @@ class TestResidency:
             session = DetectionSession(detector)
             report = session.detect(module)
             assert session.cache_misses == 0
-            assert session.solved_functions == 0
+            assert session.counts()["solved"] == 0
             assert report_fingerprint(report, by_identity=False) == fp
             assert report.stats.as_dict() == baseline.stats.as_dict()
         # warmup() + detects never rebuilt the forest.
@@ -368,30 +368,52 @@ class TestDetectMany:
                 report_wire_fingerprint(want)
             assert got.stats.as_dict() == want.stats.as_dict()
             # Each report records its own module's functions, by name.
-            assert sorted(got.outcomes.records) == ["dot", "hist"]
+            assert sorted(got.outcomes) == ["dot", "hist"]
         # 6 functions requested; identical pairs solved once: dot+hist
         # solved for module a, replayed for b; c's edited dot solved,
         # its unchanged hist replayed.
-        assert session.solved_functions == 3
-        assert session.dedupe_hits == 3
+        counts = session.counts()
+        assert counts["solved"] == 3
+        assert counts["dedupe-hit"] == 3
 
-    def test_dedupe_disabled_solves_everything(self):
-        modules = [compiled(name="a"), compiled(name="b")]
-        session = DetectionSession(IdiomDetector())
-        session.detect_many(modules, dedupe=False)
-        assert session.solved_functions == 4
-        assert session.dedupe_hits == 0
+    def test_lone_module_without_store_is_not_fingerprinted(
+            self, monkeypatch):
+        """Fingerprints serve the store and in-batch dedupe, so a lone
+        module with no store is neither printed nor hashed; a batch of
+        two fingerprints both modules."""
+        import repro.cache.fingerprint as fingerprint
+
+        prints = TestStoreHitPath.count_prints(monkeypatch)
+        memos = []
+        real = fingerprint.module_fingerprints
+
+        def counted(module, config_sig):
+            memos.append(module.name)
+            return real(module, config_sig)
+
+        monkeypatch.setattr(fingerprint, "module_fingerprints", counted)
+        detector = IdiomDetector()
+        module = compiled()
+        want = report_wire_fingerprint(detector.detect(module))
+        report = DetectionSession(detector).detect(module)
+        assert prints == [] and memos == []
+        assert report_wire_fingerprint(report) == want
+        assert report.outcomes == {"dot": "ok", "hist": "ok"}
+        DetectionSession(detector).detect_many(
+            [module, compiled(name="b")])
+        assert memos == ["t", "b"]
+        assert sorted(prints) == ["dot", "dot", "hist", "hist"]
 
     def test_store_serves_across_detect_many_calls(self, tmp_path):
         detector = IdiomDetector(cache=str(tmp_path))
         first = DetectionSession(detector)
         first.detect_many([compiled(name="a"),
                            compiled(SRC_EDITED, name="b")])
-        assert first.solved_functions > 0
+        assert first.counts()["solved"] > 0
         second = DetectionSession(detector)
         reports = second.detect_many([compiled(name="a"),
                                       compiled(SRC_EDITED, name="b")])
-        assert second.solved_functions == 0
+        assert second.counts()["solved"] == 0
         assert second.cache_hits == 4
         assert all(r.total() > 0 for r in reports)
 
@@ -410,7 +432,7 @@ class TestDetectMany:
                 [module],
                 fingerprints=[module_fingerprints(module, config_sig)])[0]
             # A foreign memo's keys would all miss the store.
-            assert session.solved_functions == 0
+            assert session.counts()["solved"] == 0
             assert session.cache_hits == 2
             assert report_wire_fingerprint(got) == \
                 report_wire_fingerprint(want)
@@ -938,6 +960,61 @@ class TestDaemon:
             thread.join(timeout=10)
             daemon.server_close()
             daemon.service.close()
+
+
+class TestWireGolden:
+    """The wire bytes of every suite report, pinned: all 21 modules
+    served cold by a fresh service, re-served warm from its store, and
+    each co-batched with a duplicate parse of itself in one batch.
+    A digest covers ``json.dumps(encode_report(r), sort_keys=True)`` of
+    every report in submission order, outcome records included."""
+
+    GOLDEN = {
+        "cold": ("55ec753ac5a2599263720c6487dc4fd4"
+                 "85a04982ea6e5a07b10f71397e5dd4bc"),
+        "warm": ("27237429b08f344b829369ec05f713b9"
+                 "52fc07a14e86ad668824d961a8dc80e5"),
+        "cobatched": ("c989198408f7f2859eca18905a4e8adf"
+                      "c6282b0f75d3d91f9a27f2e625941063"),
+    }
+
+    @staticmethod
+    def digest(reports) -> str:
+        import hashlib
+
+        blob = "\n".join(json.dumps(encode_report(r), sort_keys=True)
+                         for r in reports)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        from repro.experiments.suites import compile_suite
+
+        return [print_module(m) for _, m in compile_suite(None)]
+
+    def test_cold_and_warm(self, texts):
+        assert len(texts) == 21
+        with DetectionService(ServiceConfig()) as service:
+            cold = [service.detect(t).report for t in texts]
+            warm = [service.detect(t).report for t in texts]
+            assert service.stats()["errors"] == 0
+        assert self.digest(cold) == self.GOLDEN["cold"]
+        assert self.digest(warm) == self.GOLDEN["warm"]
+
+    def test_cobatched_with_a_duplicate(self, texts):
+        config = ServiceConfig(batch_window_s=30.0,
+                               max_batch=2 * len(texts))
+        with DetectionService(config) as service:
+            futures = []
+            for i, text in enumerate(texts):
+                futures.append(service.submit(text))
+                futures.append(service.submit(
+                    parse_module(text, name=f"dup{i}")))
+            reports = [f.result(timeout=300).report for f in futures]
+            stats = service.stats()
+        assert stats["batches"] == 1 and stats["errors"] == 0
+        assert stats["batch_dedupe_hits"] > 0
+        assert self.digest(reports) == self.GOLDEN["cobatched"]
 
 
 def test_daemon_import_does_not_load_the_benchmark_package():

@@ -17,7 +17,7 @@ from repro.ir.printer import print_module
 from repro.passes import optimize
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan
-from repro.reliability.supervisor import tightened_deadline
+from repro.service.core import tightened_deadline
 from repro.service import (
     DeadlineExpired,
     DetectionDaemon,
@@ -268,8 +268,7 @@ class TestDeadlines:
         config = ServiceConfig(deadline_s=0.0)
         with DetectionService(config) as service:
             result = service.detect(text, timeout=120.0)
-        outcomes = result.report.outcomes.counts()
-        assert outcomes.get("timed-out-partial", 0) >= 1
+        assert "timed-out-partial" in result.report.outcomes.values()
 
     def test_generous_budget_does_not_change_the_answer(self):
         text = module_text()

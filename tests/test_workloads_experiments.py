@@ -221,6 +221,41 @@ class TestGates:
                             "diverge"]
 
 
+class TestOutputsCheck:
+    """``python -m repro.experiments`` exits 1 and names each workload
+    whose accelerated outputs differ from its original run."""
+
+    @staticmethod
+    def run_histo(monkeypatch, capsys, outputs_match):
+        from repro.experiments import harness
+
+        for name in ("ENGINE", "SCALE", "JIT_THRESHOLD", "BACKENDS",
+                     "PLACEMENT", "CACHE_DIR", "CACHE_STORE", "DEADLINE_S",
+                     "PROFILE", "PROFILE_PATH"):
+            monkeypatch.setattr(harness, name, getattr(harness, name))
+        monkeypatch.setattr(harness, "_CACHE", {})
+        monkeypatch.setattr(harness, "outputs_match", outputs_match)
+        monkeypatch.setattr(harness, "_EXPERIMENTS", {
+            "histo": lambda: harness.evaluate_workload(
+                get_workload("histo"))})
+        status = harness.main(["histo", "--no-cache"])
+        return status, capsys.readouterr().out
+
+    def test_mismatch_fails_and_names_the_workload(self, monkeypatch,
+                                                   capsys):
+        status, out = self.run_histo(monkeypatch, capsys,
+                                     lambda original, accelerated: False)
+        assert status == 1
+        assert out.splitlines() == [
+            "FAIL histo: accelerated outputs differ from the original run"]
+
+    def test_matching_outputs_pass(self, monkeypatch, capsys):
+        from repro.runtime import outputs_match
+
+        status, out = self.run_histo(monkeypatch, capsys, outputs_match)
+        assert status == 0 and "FAIL" not in out
+
+
 class TestCacheStats:
     def test_prints_the_shared_store_counters(self, monkeypatch, capsys,
                                               tmp_path):
