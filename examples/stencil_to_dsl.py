@@ -12,8 +12,7 @@ from repro.backends import halide, lift
 from repro.frontend import compile_c
 from repro.idioms import detect_idioms
 from repro.passes import optimize
-from repro.transform import KernelExtractor, kernel_to_c
-from repro.transform.kernels import evaluate
+from repro.transform import KernelExtractor, compile_kernel, kernel_to_c
 
 C_SOURCE = """
 void blur(int n, double *out, double *in) {
@@ -56,7 +55,7 @@ def main() -> None:
     # Direct vectorised evaluation of the extracted kernel (what the
     # simulated Lift pipeline executes under the hood).
     views = [grid[1 + o:63 + o] for o in offsets]
-    direct = evaluate(kernel.expr, views, [])
+    direct = compile_kernel(kernel.expr)(views, [])
 
     np.testing.assert_allclose(halide_out, direct, atol=1e-12)
     print("\nHalide realisation matches the extracted kernel: OK")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from ..errors import BackendError
@@ -204,6 +205,17 @@ class ApiCallSite:
     def callee(self) -> str:
         return f"repro.api.call{self.call_id}"
 
+    @cached_property
+    def access_modes(self) -> tuple:
+        """``(argument index, mode)`` per pointer operand in index order,
+        mode ``'r'``, ``'w'`` or ``'rw'``: what each dispatch's residency
+        event records (``reads`` and ``writes`` are fixed at creation)."""
+        reads, writes = set(self.reads), set(self.writes)
+        return tuple(
+            (index, "rw" if index in reads and index in writes
+             else "w" if index in writes else "r")
+            for index in sorted(reads | writes))
+
 
 #: Per-process cap on recorded dispatch events; beyond it the planner
 #: falls back to per-site aggregate statistics.
@@ -237,6 +249,10 @@ class ApiRuntime:
         #: [(call_id, ((buffer_key, nbytes, mode), ...)), ...]
         self.events: list = []
         self.events_overflowed = False
+        #: Each distinct event, keyed by itself: equal events in the log
+        #: share one tuple, so a long steady-state run costs one list
+        #: slot per dispatch instead of a fresh nest of tuples.
+        self._interned: dict = {}
         #: call_id -> location name ('host'/'igpu'/'gpu'); when set, the
         #: runtime tracks residency live and tallies measured transfer
         #: bytes/events into each site's stats.
@@ -289,15 +305,12 @@ class ApiRuntime:
 
     def _accesses(self, site: ApiCallSite, args: list) -> tuple:
         accesses = []
-        reads, writes = set(site.reads), set(site.writes)
-        for index in sorted(reads | writes):
+        for index, mode in site.access_modes:
             if index >= len(args):
                 continue
             buffer = getattr(args[index], "buffer", None)
             if buffer is None:
                 continue
-            mode = ("rw" if index in reads and index in writes
-                    else "w" if index in writes else "r")
             accesses.append((id(buffer), buffer.nbytes, mode))
         return tuple(accesses)
 
@@ -311,7 +324,9 @@ class ApiRuntime:
             accesses = self._accesses(site, args)
             if accesses:
                 if len(self.events) < EVENT_CAP:
-                    self.events.append((site.call_id, accesses))
+                    event = (site.call_id, accesses)
+                    self.events.append(
+                        self._interned.setdefault(event, event))
                 else:
                     self.events_overflowed = True
                 if self.placement_locations is not None:

@@ -205,14 +205,14 @@ def register_backend(registry) -> None:
     handler evaluates the shared kernel expression (bit-identical to the
     sequential loop), with the pipeline translator exposed for the DSL
     code path (``stencil_to_dsl`` example, C backend)."""
-    from ..transform.kernels import evaluate
+    from ..transform.kernels import compile_kernel
     from .api import HALIDE
     from .registry import BackendEntry, LoweringContract
 
     contract = LoweringContract(
         backend="halide", category="stencil",
         requires=("kernel.output",),
-        kernels={"evaluate": evaluate, "pipeline": stencil_to_halide},
+        kernels={"compile": compile_kernel, "pipeline": stencil_to_halide},
         emits="shifted-slice kernel evaluation over the index box")
     registry.register(BackendEntry(
         name="halide", title="Halide image-pipeline DSL",

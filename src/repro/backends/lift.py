@@ -144,9 +144,9 @@ def reduction_to_lift(delta_fn: Callable, kind: str, init: float,
 
 def register_backend(registry) -> None:
     """Register the Lift backend: reduction / histogram / stencil lowering
-    contracts around the shared kernel evaluator, with the pattern
+    contracts around the shared kernel compiler, with the pattern
     translators exposed for the DSL code path."""
-    from ..transform.kernels import evaluate
+    from ..transform.kernels import compile_kernel
     from .api import LIFT
     from .registry import BackendEntry, LoweringContract
 
@@ -154,18 +154,18 @@ def register_backend(registry) -> None:
         backend="lift", category="scalar_reduction",
         requires=("old_value", "iter_begin", "iter_end", "ind_init",
                   "kernel.output"),
-        kernels={"evaluate": evaluate, "pipeline": reduction_to_lift},
+        kernels={"compile": compile_kernel, "pipeline": reduction_to_lift},
         emits="reduce(op, init, map(delta, zip(inputs)))")
     histogram = LoweringContract(
         backend="lift", category="histogram_reduction",
         requires=("base_pointer", "old_value", "iter_begin", "iter_end",
                   "kernel.output", "indexkernel.output", "store"),
-        kernels={"evaluate": evaluate},
+        kernels={"compile": compile_kernel},
         emits="guarded scatter-accumulate over computed bins")
     stencil = LoweringContract(
         backend="lift", category="stencil",
         requires=("kernel.output",),
-        kernels={"evaluate": evaluate},
+        kernels={"compile": compile_kernel},
         emits="shifted-slice kernel evaluation over the index box")
     registry.register(BackendEntry(
         name="lift", title="Lift data-parallel pattern DSL",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 
 def register_backend(registry) -> None:
-    from ..transform.kernels import evaluate
+    from ..transform.kernels import compile_kernel
     from .api import OPENMP_RT
     from .registry import BackendEntry, LoweringContract
 
@@ -21,7 +21,7 @@ def register_backend(registry) -> None:
         return LoweringContract(
             backend="parallel-cpu", category=category,
             requires=requires,
-            kernels={"evaluate": evaluate},
+            kernels={"compile": compile_kernel},
             emits="threaded host loop over the extracted kernel")
 
     registry.register(BackendEntry(

@@ -33,7 +33,7 @@ class LoweringContract:
     ``requires`` lists the solution keys the lowering consumes; a match
     that lacks any of them cannot be lowered under this contract.
     ``kernels`` maps kernel-role names (``"spmv"``, ``"matmul_tt"``,
-    ``"evaluate"``) to the callables the emitted handler computes with —
+    ``"compile"``) to the callables the emitted handler computes with —
     the only place numeric primitives enter the transformer.
     """
 

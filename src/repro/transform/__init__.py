@@ -12,7 +12,7 @@ from .kernels import (
     KParam,
     KSelect,
     KernelExtractor,
-    evaluate,
+    compile_kernel,
     match_accumulator_form,
 )
 from .region import Region, make_alias_guard
@@ -21,7 +21,7 @@ from .replace import AppliedTransform, RejectedTransform, Transformer
 __all__ = [
     "expr_to_c", "kernel_to_c",
     "ExtractedKernel", "KBin", "KCall", "KCapture", "KCast", "KCmp",
-    "KConst", "KParam", "KSelect", "KernelExtractor", "evaluate",
+    "KConst", "KParam", "KSelect", "KernelExtractor", "compile_kernel",
     "match_accumulator_form",
     "Region", "make_alias_guard",
     "AppliedTransform", "RejectedTransform", "Transformer",

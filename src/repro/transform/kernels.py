@@ -3,8 +3,9 @@
 The paper cuts the loop body's kernel function out of the IR and hands it
 to the DSL backends (§6.2). Here the extracted kernel is an expression
 tree (:class:`KExpr`) over the declared inputs plus captured loop-invariant
-values. The tree has two evaluators — scalar, and numpy-vectorised (used
-by the simulated Halide/Lift compilers) — plus shape recognisers that spot
+values. :func:`compile_kernel` turns a tree into a closure that evaluates
+it over numpy arrays (vectorised, as the simulated Halide/Lift compilers
+run it) or over one element's scalars. Shape recognisers spot
 ``acc + f(reads)`` / min / max reductions and ``old + delta`` histogram
 updates so the runtime can use closed-form numpy implementations.
 """
@@ -12,6 +13,7 @@ updates so the runtime can use closed-form numpy implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +102,7 @@ _BIN_NUMPY = {
     "fadd": np.add, "fsub": np.subtract, "fmul": np.multiply,
     "fdiv": np.divide, "and": np.bitwise_and, "or": np.bitwise_or,
     "xor": np.bitwise_xor, "shl": np.left_shift, "ashr": np.right_shift,
+    "srem": np.remainder, "urem": np.remainder,
 }
 
 _CMP_NUMPY = {
@@ -123,56 +126,89 @@ _CALL_NUMPY = {
 }
 
 
-def evaluate(expr: KExpr, params: list, captures: list):
-    """Evaluate over numpy arrays (or scalars) — vectorised semantics."""
+def compile_kernel(expr: KExpr) -> Callable:
+    """Compile ``expr`` once into ``fn(params, captures)``.
+
+    ``params`` holds the per-element streams (numpy arrays, or one
+    element's scalars) and ``captures`` the loop-invariant scalars. The
+    closure tree makes one numpy call per node, children left to right,
+    so a handler pays for the tree walk once per site rather than once
+    per dispatch. Nodes or operations with no numpy counterpart raise
+    :class:`TransformError` here, before any function is rewritten.
+    """
     if isinstance(expr, KConst):
-        return expr.value
+        value = expr.value
+        return lambda params, captures: value
     if isinstance(expr, KParam):
-        return params[expr.index]
+        index = expr.index
+        return lambda params, captures: params[index]
     if isinstance(expr, KCapture):
-        return captures[expr.index]
+        index = expr.index
+        return lambda params, captures: captures[index]
     if isinstance(expr, KBin):
-        lhs = evaluate(expr.lhs, params, captures)
-        rhs = evaluate(expr.rhs, params, captures)
-        if expr.op in ("sdiv", "udiv"):
-            return np.floor_divide(lhs, rhs) if _all_int(lhs, rhs) else \
-                np.divide(lhs, rhs)
-        if expr.op in ("srem", "urem"):
-            return np.remainder(lhs, rhs)
-        return _BIN_NUMPY[expr.op](lhs, rhs)
-    if isinstance(expr, KCmp):
-        return _CMP_NUMPY[expr.pred](
-            evaluate(expr.lhs, params, captures),
-            evaluate(expr.rhs, params, captures))
+        return _compile_bin(expr.op, compile_kernel(expr.lhs),
+                            compile_kernel(expr.rhs))
+    if isinstance(expr, KCmp) and expr.pred in _CMP_NUMPY:
+        cmp = _CMP_NUMPY[expr.pred]
+        lhs, rhs = compile_kernel(expr.lhs), compile_kernel(expr.rhs)
+        return lambda params, captures: cmp(lhs(params, captures),
+                                            rhs(params, captures))
     if isinstance(expr, KSelect):
-        return np.where(evaluate(expr.cond, params, captures),
-                        evaluate(expr.on_true, params, captures),
-                        evaluate(expr.on_false, params, captures))
+        cond, on_true, on_false = (compile_kernel(expr.cond),
+                                   compile_kernel(expr.on_true),
+                                   compile_kernel(expr.on_false))
+        return lambda params, captures: np.where(
+            cond(params, captures), on_true(params, captures),
+            on_false(params, captures))
     if isinstance(expr, KCast):
-        value = evaluate(expr.operand, params, captures)
-        if expr.kind in ("fptosi",):
-            if _is_array(value):
+        return _compile_cast(expr.kind, compile_kernel(expr.operand))
+    if isinstance(expr, KCall) and expr.name in _CALL_NUMPY:
+        fn = _CALL_NUMPY[expr.name]
+        args = [compile_kernel(a) for a in expr.args]
+
+        def call(params, captures):
+            values = [arg(params, captures) for arg in args]
+            # Lanes excluded by the guard may hold out-of-domain values
+            # (e.g. sqrt of a negative); they are masked out downstream.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return fn(*values)
+        return call
+    raise TransformError(f"cannot compile kernel node {expr!r}")
+
+
+def _compile_bin(op: str, lhs: Callable, rhs: Callable) -> Callable:
+    if op in ("sdiv", "udiv"):
+        def divide(params, captures):
+            a, b = lhs(params, captures), rhs(params, captures)
+            return np.floor_divide(a, b) if _all_int(a, b) else \
+                np.divide(a, b)
+        return divide
+    fn = _BIN_NUMPY.get(op)
+    if fn is None:
+        raise TransformError(f"cannot compile kernel operation {op!r}")
+    return lambda params, captures: fn(lhs(params, captures),
+                                       rhs(params, captures))
+
+
+def _compile_cast(kind: str, operand: Callable) -> Callable:
+    if kind == "fptosi":
+        def fptosi(params, captures):
+            value = operand(params, captures)
+            if isinstance(value, np.ndarray):
                 # Lanes holding non-finite values are guarded out later;
                 # cast them to 0 to keep the vectorised evaluation silent.
-                return np.nan_to_num(np.asarray(value), nan=0.0,
-                                     posinf=0.0, neginf=0.0
-                                     ).astype(np.int64)
+                lanes = np.where(np.isfinite(value), value, 0.0)
+                # A 0-d result becomes a numpy scalar; lanes stay an array.
+                return lanes.astype(np.int64)[()]
             return int(value)
-        if expr.kind in ("sitofp", "fpext", "fptrunc"):
-            return np.asarray(value).astype(np.float64) if _is_array(value) \
-                else float(value)
-        return value
-    if isinstance(expr, KCall):
-        args = [evaluate(a, params, captures) for a in expr.args]
-        # Lanes excluded by the guard may hold out-of-domain values
-        # (e.g. sqrt of a negative); they are masked out downstream.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return _CALL_NUMPY[expr.name](*args)
-    raise TransformError(f"cannot evaluate kernel node {expr!r}")
-
-
-def _is_array(value) -> bool:
-    return isinstance(value, np.ndarray)
+        return fptosi
+    if kind in ("sitofp", "fpext", "fptrunc"):
+        def to_float(params, captures):
+            value = operand(params, captures)
+            return value.astype(np.float64) \
+                if isinstance(value, np.ndarray) else float(value)
+        return to_float
+    return operand
 
 
 def _all_int(*values) -> bool:
@@ -198,9 +234,6 @@ class ExtractedKernel:
     captures: list[Value] = field(default_factory=list)
     #: Optional guard predicate (None = unconditional).
     guard: KExpr | None = None
-
-    def evaluate(self, params: list, capture_values: list):
-        return evaluate(self.expr, params, capture_values)
 
 
 class KernelExtractor:

@@ -245,7 +245,7 @@ class _SiteBuilder:
     # -- Reduction -----------------------------------------------------------------
     def _build_reduction(self, runtime: ApiRuntime) -> ApiCallSite:
         contract = self._contract("scalar_reduction")
-        evaluate = contract.kernels["evaluate"]
+        compile_kernel = contract.kernels["compile"]
         sol = self.match.solution
         old_value = sol["old_value"]
         self.result_value = old_value
@@ -257,6 +257,12 @@ class _SiteBuilder:
         kernel = extractor.extract(sol["kernel.output"])
         acc_index = len(reads)
         fast = match_accumulator_form(kernel.expr, acc_index)
+        # The closed form evaluates only the delta; the per-element loop
+        # evaluates the whole update.
+        if fast is not None:
+            kind, compiled = fast[0], compile_kernel(fast[1])
+        else:
+            kind, compiled = None, compile_kernel(kernel.expr)
 
         i_begin = self._arg(sol["iter_begin"])
         i_end = self._arg(sol["iter_end"])
@@ -287,10 +293,8 @@ class _SiteBuilder:
                 pointer = args[ptr_lo + p]
                 views.append(pointer.view()[int(begin):int(end)])
             params = views + [None]
-            if fast is not None:
-                kind, delta = fast
-                arr = evaluate(delta, params, caps)
-                arr = np.broadcast_to(np.asarray(arr), (n,))
+            if kind is not None:
+                arr = _lanes(compiled(params, caps), n)
                 if kind == "sum":
                     return init + arr.sum()
                 if kind == "max":
@@ -299,7 +303,7 @@ class _SiteBuilder:
             acc = init
             for i in range(n):
                 params_i = [v[i] for v in views] + [acc]
-                acc = evaluate(kernel.expr, params_i, caps)
+                acc = compiled(params_i, caps)
             return acc
 
         site = runtime.new_site(
@@ -315,7 +319,7 @@ class _SiteBuilder:
     # -- Histogram -----------------------------------------------------------------
     def _build_histogram(self, runtime: ApiRuntime) -> ApiCallSite:
         contract = self._contract("histogram_reduction")
-        evaluate = contract.kernels["evaluate"]
+        compile_kernel = contract.kernels["compile"]
         sol = self.match.solution
         self._check_escapes([])
 
@@ -329,6 +333,12 @@ class _SiteBuilder:
         index_kernel = extractor.extract(sol["indexkernel.output"])
         guard = extractor.extract_guard(sol["store"])
         fast = match_accumulator_form(value_kernel.expr, acc_index)
+        if fast is not None and fast[0] == "sum":
+            delta_of, update = compile_kernel(fast[1]), None
+        else:
+            delta_of, update = None, compile_kernel(value_kernel.expr)
+        index_of = compile_kernel(index_kernel.expr)
+        mask_of = compile_kernel(guard) if guard is not None else None
 
         i_begin = self._arg(sol["iter_begin"])
         i_end = self._arg(sol["iter_end"])
@@ -357,18 +367,20 @@ class _SiteBuilder:
             views = [args[ptr_lo + p].view()[begin:end]
                      for p in range(n_reads)]
             params = views + [None]
-            idx = np.broadcast_to(
-                np.asarray(evaluate(index_kernel.expr, params, caps)), (n,))
-            idx = idx.astype(np.int64) + bins.offset
+            idx = _lanes(index_of(params, caps), n).astype(np.int64) + \
+                bins.offset
             mask = None
-            if guard is not None:
-                mask = np.broadcast_to(
-                    np.asarray(evaluate(guard, params, caps)), (n,)
-                ).astype(bool)
+            if mask_of is not None:
+                mask = _lanes(mask_of(params, caps), n).astype(bool)
             data = bins.buffer.data
-            if fast is not None and fast[0] == "sum":
-                delta = np.broadcast_to(
-                    np.asarray(evaluate(fast[1], params, caps)), (n,))
+            if delta_of is not None:
+                delta = _lanes(delta_of(params, caps), n)
+                if delta.dtype != data.dtype and delta.dtype.kind in "iu" \
+                        and data.dtype.kind in "iu":
+                    # Integer addition wraps, so adding in the bins' own
+                    # dtype leaves the same bytes and keeps np.add.at on
+                    # its typed loop (mixed dtypes take a generic one).
+                    delta = delta.astype(data.dtype)
                 if mask is not None:
                     np.add.at(data, idx[mask], delta[mask])
                 else:
@@ -379,7 +391,7 @@ class _SiteBuilder:
                     continue
                 old = data[idx[i]]
                 params_i = [v[i] for v in views] + [old]
-                data[idx[i]] = evaluate(value_kernel.expr, params_i, caps)
+                data[idx[i]] = update(params_i, caps)
             return None
 
         site = runtime.new_site(
@@ -522,7 +534,7 @@ class _SiteBuilder:
     # -- Stencil ---------------------------------------------------------------------
     def _build_stencil(self, runtime: ApiRuntime) -> ApiCallSite:
         contract = self._contract("stencil")
-        evaluate = contract.kernels["evaluate"]
+        compile_kernel = contract.kernels["compile"]
         sol = self.match.solution
         self._check_escapes([])
         dims = {"Stencil1D": 1, "Stencil2D": 2, "Stencil3D": 3}[
@@ -542,6 +554,7 @@ class _SiteBuilder:
             reads, outer_key="begin" if dims == 1 else "loop[0].begin",
             inner_key=inner_key)
         kernel = extractor.extract(sol["kernel.output"])
+        compiled = compile_kernel(kernel.expr)
 
         write_base = sol["write.address"].operands[0] if dims == 1 else \
             sol[f"write.{'outer_gep' if dims == 2 else 'gep1'}"].operands[0]
@@ -582,7 +595,7 @@ class _SiteBuilder:
                     slice(b + o, e + o)
                     for (b, e), o in zip(bounds, offset))
                 views.append(arr[slices])
-            result = evaluate(kernel.expr, views, caps)
+            result = compiled(views, caps)
             out = _shaped(args[write_arg], write_shape)
             out_slices = tuple(slice(b, e) for b, e in bounds)
             out[out_slices] = result
@@ -641,6 +654,14 @@ class _GemmOperand:
             arr[:m, :n] = beta * arr[:m, :n] + alpha * prod
         else:
             arr[:n, :m] = beta * arr[:n, :m] + alpha * prod.T
+
+
+def _lanes(value, n: int) -> np.ndarray:
+    """A kernel result as ``n`` lanes. A kernel that reads no stream
+    gives a scalar, which is broadcast; a stream result already is."""
+    if isinstance(value, np.ndarray) and value.shape == (n,):
+        return value
+    return np.broadcast_to(np.asarray(value), (n,))
 
 
 def _shaped(pointer: Pointer, shape: tuple) -> np.ndarray:

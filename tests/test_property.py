@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,17 @@ from repro.frontend import compile_c
 from repro.ir import ConstantInt, I32, parse_module, print_module, verify_module
 from repro.passes import optimize
 from repro.runtime import Interpreter
+from kernel_oracle import evaluate, same_result
 from repro.transform.kernels import (
     KBin,
+    KCall,
+    KCapture,
+    KCast,
+    KCmp,
     KConst,
     KParam,
     KSelect,
-    evaluate,
+    compile_kernel,
 )
 
 # ---------------------------------------------------------------------------
@@ -189,11 +195,103 @@ _kexpr = st.recursive(
 def test_kernel_eval_scalar_matches_vector(expr, values):
     xs = np.array(values[:2])
     ys = np.array(values[2:])
-    vector = np.broadcast_to(np.asarray(evaluate(expr, [xs, ys], [])), (2,))
+    compiled = compile_kernel(expr)
+    vector = np.broadcast_to(np.asarray(compiled([xs, ys], [])), (2,))
     for i in range(2):
-        scalar = evaluate(expr, [xs[i], ys[i]], [])
+        scalar = compiled([xs[i], ys[i]], [])
         assert math.isclose(float(vector[i]), float(scalar),
                             rel_tol=1e-12, abs_tol=1e-12)
+
+
+# Every node kind, over values that include NaN, the infinities, -0.0 and
+# out-of-domain arguments (sqrt and log of negatives, pow of a negative
+# base), with float or integer streams.
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+_any_kexpr = st.recursive(
+    st.one_of(
+        st.floats(-4, 4, allow_nan=False).map(KConst),
+        st.integers(-3, 3).map(KConst),
+        st.sampled_from([KParam(0), KParam(1), KCapture(0)]),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["fadd", "fsub", "fmul", "fdiv", "sdiv",
+                                   "srem", "add", "mul"]),
+                  children, children).map(lambda t: KBin(*t)),
+        st.tuples(st.sampled_from(["olt", "oge", "eq", "une"]),
+                  children, children).map(lambda t: KCmp(*t)),
+        st.tuples(children, children, children).map(lambda t: KSelect(*t)),
+        st.tuples(st.sampled_from(["fptosi", "sitofp", "sext"]),
+                  children).map(lambda t: KCast(*t)),
+        st.tuples(st.sampled_from(["sqrt", "log", "fabs", "floor"]),
+                  children).map(lambda t: KCall(t[0], (t[1],))),
+        st.tuples(st.sampled_from(["pow", "fmax", "fmin"]),
+                  children, children).map(lambda t: KCall(t[0], t[1:])),
+    ),
+    max_leaves=8,
+)
+_lane = st.one_of(st.floats(-5, 5), st.sampled_from(_SPECIAL))
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, exception type): both evaluators must
+    raise alike, e.g. ``int()`` of a NaN lane evaluated as a scalar."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared, not swallowed
+        return None, type(exc)
+
+
+def assert_same_as_oracle(expr, params, captures):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, got_exc = _outcome(compile_kernel(expr), params, captures)
+        want, want_exc = _outcome(evaluate, expr, params, captures)
+    assert got_exc is want_exc
+    assert same_result(got, want), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_kexpr, st.lists(_lane, min_size=7, max_size=7), st.booleans())
+def test_compiled_kernel_matches_oracle(expr, values, integer_streams):
+    xs, ys = np.array(values[:3]), np.array(values[3:6])
+    if integer_streams:
+        xs = np.nan_to_num(xs, posinf=7, neginf=-7).astype(np.int64)
+        ys = np.nan_to_num(ys, posinf=7, neginf=-7).astype(np.int64)
+    captures = [values[6]]
+    assert_same_as_oracle(expr, [xs, ys], captures)
+    for i in range(3):
+        assert_same_as_oracle(expr, [xs[i], ys[i]], captures)
+
+
+class TestCompiledKernelEdges:
+    """The cases the property might miss, pinned."""
+
+    LANES = np.array([math.nan, math.inf, -math.inf, -0.0, 2.7, -2.7])
+
+    def test_fptosi_of_non_finite_and_negative_zero(self):
+        expr = KCast("fptosi", KParam(0))
+        assert_same_as_oracle(expr, [self.LANES], [])
+        assert compile_kernel(expr)([self.LANES], []).tolist() == \
+            [0, 0, 0, 0, 2, -2]
+        for lane in (-0.0, 2.7):
+            assert_same_as_oracle(expr, [np.float64(lane)], [])
+
+    def test_integer_and_float_sdiv(self):
+        expr = KBin("sdiv", KParam(0), KParam(1))
+        ints = [np.array([7, -7, 7, 0]), np.array([2, 2, 0, 3])]
+        floats = [np.array([7.0, -7.0, 1.0, -0.0]),
+                  np.array([2.0, 2.0, 0.0, 3.0])]
+        for params in (ints, floats, [7, 2], [np.int32(-7), 2],
+                       [7.0, 2], [ints[0], 2.0]):
+            assert_same_as_oracle(expr, params, [])
+
+    def test_calls_outside_the_domain(self):
+        lanes = np.array([-1.0, 0.0, -0.0, math.nan, -math.inf, 4.0])
+        for name in ("sqrt", "log"):
+            assert_same_as_oracle(KCall(name, (KParam(0),)), [lanes], [])
+        assert_same_as_oracle(KCall("pow", (KParam(0), KConst(0.5))),
+                              [lanes], [])
+        assert_same_as_oracle(KCall("log", (KCapture(0),)), [lanes], [-1.0])
 
 
 # ---------------------------------------------------------------------------
