@@ -10,7 +10,7 @@ Run:  python examples/accelerate_cg.py
 """
 
 from repro.backends.api import API_DESCRIPTORS
-from repro.experiments.harness import _accelerated_seconds, evaluate_workload
+from repro.experiments.harness import accelerated_seconds, evaluate_workload
 from repro.platform import MACHINES
 from repro.runtime import (
     compile_workload,
@@ -50,7 +50,7 @@ def main() -> None:
     for mname, machine in MACHINES.items():
         best = None
         for api in API_DESCRIPTORS.values():
-            seconds = _accelerated_seconds(ev, api, machine, lazy=True)
+            seconds = accelerated_seconds(ev, api, machine, lazy=True)
             if seconds is not None and (best is None or seconds < best[0]):
                 best = (seconds, api.name)
         if best:

@@ -2,7 +2,7 @@
 
 No idiom in the IDL library lowers to a spectral API yet (FT's Fourier
 kernels are below the matcher's reach), so this backend registers
-*descriptors only*: it participates in registry discovery, ``--backends``
+*descriptors only*: it participates in registry discovery, backend
 filtering, and planner capability queries under the ``spectral_op``
 category.
 """

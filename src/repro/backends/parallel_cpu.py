@@ -6,7 +6,7 @@ efficiency (calibrated strictly below the per-category CPU winners so
 Table 3 / Figure 18 orderings are unchanged) with near-zero launch
 overhead and no transfer cost. Its role is planner scenario diversity —
 the fallback placement when transfer costs sink every accelerator, and
-the last-resort lowering contract when ``--backends`` excludes the DSLs.
+the last-resort lowering contract when a backend subset excludes the DSLs.
 """
 
 from __future__ import annotations

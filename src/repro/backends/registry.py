@@ -14,7 +14,7 @@ discoverable registry in the style of SOAR's ``ApiMatching`` catalog:
 Replacement consults ``contracts_for(category)`` instead of first-match
 imports; the offload planner consults ``apis_for(category, device)`` for
 its candidate (API, device) placements. Both accept an ``allowed``
-backend subset (the ``--backends`` CLI flag).
+backend subset.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Experiment regeneration for every table and figure in the paper."""
 
 from .harness import (
+    Evaluations,
+    RunConfig,
     evaluate_workload,
     fig16,
     fig17,
@@ -13,6 +15,6 @@ from .harness import (
 )
 
 __all__ = [
-    "evaluate_workload", "fig16", "fig17", "fig18", "fig19", "main",
-    "table1", "table2", "table3",
+    "Evaluations", "RunConfig", "evaluate_workload", "fig16", "fig17",
+    "fig18", "fig19", "main", "table1", "table2", "table3",
 ]

@@ -1,21 +1,32 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
 Run ``python -m repro.experiments <table1|table2|table3|fig16|fig17|fig18|
-fig19|all>`` or use the per-experiment functions programmatically. Results
-are cached per workload within a process so the figure/table functions can
-share one detection+execution pass.
+fig19|placement|all>`` (``--list`` names the workloads, backends and
+experiments; ``--scale``, ``--cache-dir``, ``--profile`` and
+``--calibrate`` set up the run) or call the per-experiment functions.
+One run's settings are a frozen :class:`RunConfig`; its
+:class:`Evaluations` hold one detection+execution pass per workload,
+which the figure/table functions share. Library callers that pass no
+``Evaluations`` share one of the default configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 from dataclasses import dataclass, field
 
 from ..backends.api import API_DESCRIPTORS, ApiCallSite
 from ..backends.registry import default_registry
+from ..cache import ArtifactStore
 from ..detect.baselines import baseline_counts
+from ..platform.calibrate import (
+    CalibrationProfile,
+    Calibrator,
+    read_profile_json,
+    write_profile_json,
+)
 from ..platform.cost import (
     OPENCL,
     OPENMP,
@@ -24,17 +35,8 @@ from ..platform.cost import (
     site_cost,
 )
 from ..platform.machine import MACHINES
-from ..platform.placement import (
-    STRATEGIES,
-    PlacementPlan,
-    plan_module,
-    site_at_scale,
-)
-from ..runtime.profile import DEFAULT_JIT_THRESHOLD
+from ..platform.placement import PlacementPlan, plan_module, site_at_scale
 from ..runtime.runner import (
-    DEFAULT_ENGINE,
-    ENGINE_DESCRIPTIONS,
-    ENGINES,
     CompiledWorkload,
     compile_workload,
     outputs_match,
@@ -57,6 +59,9 @@ CATEGORY_LABELS = {
     "matrix_op": "Matrix Op.",
     "sparse_matrix_op": "Sparse Matrix Op.",
 }
+
+#: The planner search the placement experiment runs.
+STRATEGY = "beam"
 
 
 @dataclass
@@ -95,97 +100,57 @@ class WorkloadEvaluation:
         return measured * self.workload.paper_scale * (1.0 - self.coverage)
 
 
-_CACHE: dict[str, WorkloadEvaluation] = {}
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings of one run: the inputs' problem-size multiplier, the
+    artifact-store directory (None: every function solved cold; reports
+    are bit-identical either way) and the calibration profile placement
+    is costed with (None: the documented static constants)."""
 
-#: Execution defaults, settable from the CLI (``--engine`` / ``--scale``;
-#: the ``REPRO_ENGINE`` environment variable supplies the ``--engine``
-#: default). Engines are output- and profile-identical, so results only
-#: depend on the scale; both stay in the cache key because wall-clock
-#: measurements differ. ``JIT_THRESHOLD`` (``--jit-threshold``) is the
-#: heat (calls plus loop back edges) at which the jit tier specializes a
-#: function; other tiers ignore it.
-def default_engine() -> str:
-    """``$REPRO_ENGINE`` if set and valid, else :data:`DEFAULT_ENGINE`."""
-    env = os.environ.get("REPRO_ENGINE")
-    if env and env in ENGINES:
-        return env
-    return DEFAULT_ENGINE
+    scale: int = 1
+    cache_dir: str | None = None
+    profile: CalibrationProfile | None = None
 
 
-ENGINE = default_engine()
-SCALE = 1
-JIT_THRESHOLD: int | None = None
+class Evaluations:
+    """One run's evaluations, keyed by (workload name, execute), and the
+    run's one artifact store when its configuration names a directory.
 
-#: Offload configuration, settable from the CLI (``--backends`` /
-#: ``--placement``): which registry backends may lower and run matches,
-#: and which planner strategy the placement experiment uses.
-BACKENDS: list[str] | None = None
-PLACEMENT = "beam"
+    ``execute`` stays in the key because an executing evaluation
+    transforms its module in place, and Table 1's ICC/Polly models read
+    the untransformed IR."""
 
-#: Artifact-cache directory (``--cache-dir`` / ``--no-cache``; the
-#: ``REPRO_CACHE_DIR`` environment variable supplies the default). None
-#: disables the persistent cache; reports are bit-identical either way.
-CACHE_DIR: str | None = None
-#: Shared store instance when ``--cache-stats`` is given: every workload
-#: detects through ONE ArtifactStore so hit/miss/eviction telemetry
-#: aggregates across the run instead of resetting per workload.
-CACHE_STORE = None
-
-#: Per-function detection solve wall-clock bound (``--deadline``):
-#: overruns degrade to partial results flagged in ``report.outcomes``.
-DEADLINE_S: float | None = None
-
-#: Active calibration profile (``--profile PATH`` loads one,
-#: ``--calibrate`` measures one on this machine). None keeps every cost
-#: evaluation on the documented static constants.
-PROFILE = None
-PROFILE_PATH: str | None = None
+    def __init__(self, config: RunConfig = RunConfig()):
+        self.config = config
+        self.store = ArtifactStore(config.cache_dir) \
+            if config.cache_dir else None
+        self.by_key: dict[tuple[str, bool], WorkloadEvaluation] = {}
 
 
-def load_active_profile(path: str | None = None, calibrate: bool = False,
-                        out: str | None = None):
-    """Resolve the session's calibration profile.
-
-    ``calibrate`` runs the seeded microbench probes on this machine
-    (and writes the result to ``out`` when given); otherwise ``path``
-    names a previously written profile JSON. Returns None — static
-    fallback constants — when neither is requested."""
-    from ..platform.calibrate import Calibrator, read_profile_json, \
-        write_profile_json
-    if calibrate:
-        profile = Calibrator().run()
-        if out:
-            write_profile_json(profile, out)
-        return profile
-    if path:
-        return read_profile_json(path, strict=True)
-    return None
+@functools.cache
+def _shared() -> Evaluations:
+    """The evaluations library callers that pass none share: the default
+    configuration, memoised for the process. :func:`main` never uses it."""
+    return Evaluations()
 
 
-def evaluate_workload(workload: Workload, scale: int | None = None,
-                      execute: bool = True,
-                      engine: str | None = None) -> WorkloadEvaluation:
+def evaluate_workload(workload: Workload, execute: bool = True,
+                      evals: Evaluations | None = None
+                      ) -> WorkloadEvaluation:
     """Compile, detect, (optionally) run original + accelerated versions."""
-    scale = SCALE if scale is None else scale
-    engine = ENGINE if engine is None else engine
-    backends_key = "*" if BACKENDS is None else ",".join(sorted(BACKENDS))
-    key = f"{workload.name}@{scale}:{execute}:" \
-          f"{engine}:{JIT_THRESHOLD}:" \
-          f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}"
-    if key in _CACHE:
-        return _CACHE[key]
-    compiled = compile_workload(
-        workload.name, workload.source,
-        verify=False,
-        cache_dir=CACHE_STORE if CACHE_STORE is not None else CACHE_DIR,
-        deadline_s=DEADLINE_S)
+    evals = evals or _shared()
+    key = (workload.name, execute)
+    if key in evals.by_key:
+        return evals.by_key[key]
+    compiled = compile_workload(workload.name, workload.source,
+                                verify=False, cache_dir=evals.store)
     ev = WorkloadEvaluation(workload, compiled,
                             compile_base_s=compiled.compile_seconds,
                             compile_idl_s=compiled.detect_seconds)
     if execute:
-        inputs = workload.make_inputs(scale)
-        original = run_original(compiled, workload.entry, inputs,
-                                engine=engine, jit_threshold=JIT_THRESHOLD)
+        scale = evals.config.scale
+        original = run_original(compiled, workload.entry,
+                                workload.make_inputs(scale))
         ev.coverage = original.coverage
         ev.sequential_seconds = original.sequential_seconds
         ev.opcode_counts = dict(original.opcode_counts)
@@ -194,16 +159,14 @@ def evaluate_workload(workload: Workload, scale: int | None = None,
             # buffers, so the accelerated run can transform the same
             # compiled module in place — no second compile+detect pass.
             accelerated = run_accelerated(compiled, workload.entry,
-                                          workload.make_inputs(scale),
-                                          engine=engine, backends=BACKENDS,
-                                          jit_threshold=JIT_THRESHOLD)
+                                          workload.make_inputs(scale))
             ev.outputs_equal = outputs_match(original, accelerated)
             runtime = accelerated.api_runtime
             if runtime is not None:
                 ev.sites = runtime.all_sites()
                 ev.events = list(runtime.events)
                 ev.events_overflowed = runtime.events_overflowed
-    _CACHE[key] = ev
+    evals.by_key[key] = ev
     return ev
 
 
@@ -211,12 +174,12 @@ def evaluate_workload(workload: Workload, scale: int | None = None,
 # Table 1 — idiom counts by detector
 # ---------------------------------------------------------------------------
 
-def table1(execute: bool = False) -> dict:
+def table1(evals: Evaluations | None = None) -> dict:
     """Rows: detector -> category -> count across all 21 benchmarks."""
     idl_row: dict[str, int] = {c: 0 for c in CATEGORIES}
     all_matches = []
     for workload in all_workloads():
-        ev = evaluate_workload(workload, execute=execute)
+        ev = evaluate_workload(workload, execute=False, evals=evals)
         for category, count in ev.compiled.report.by_category().items():
             idl_row[category] = idl_row.get(category, 0) + count
         all_matches.extend(ev.compiled.report.matches)
@@ -229,8 +192,8 @@ def table1(execute: bool = False) -> dict:
     return table
 
 
-def print_table1() -> dict:
-    table = table1()
+def print_table1(evals: Evaluations) -> dict:
+    table = table1(evals)
     print("\nTable 1: idioms detected by IDL, ICC, Polly")
     header = f"{'':8s}" + "".join(f"{CATEGORY_LABELS[c]:>22s}"
                                   for c in CATEGORIES)
@@ -246,11 +209,11 @@ def print_table1() -> dict:
 # Table 2 — compile-time cost
 # ---------------------------------------------------------------------------
 
-def table2() -> dict:
+def table2(evals: Evaluations | None = None) -> dict:
     """Per-benchmark compile seconds without/with IDL detection."""
     rows = {}
     for workload in all_workloads():
-        ev = evaluate_workload(workload, execute=False)
+        ev = evaluate_workload(workload, execute=False, evals=evals)
         base = ev.compile_base_s
         with_idl = base + ev.compile_idl_s
         overhead = 100.0 * (with_idl - base) / base if base > 0 else 0.0
@@ -262,8 +225,8 @@ def table2() -> dict:
     return rows
 
 
-def print_table2() -> dict:
-    rows = table2()
+def print_table2(evals: Evaluations) -> dict:
+    rows = table2(evals)
     print("\nTable 2: compile time cost (seconds, this machine)")
     print(f"{'bench':8s}{'without':>10s}{'with IDL':>10s}{'overhead':>10s}")
     overheads = []
@@ -280,14 +243,14 @@ def print_table2() -> dict:
 # Figure 16 — idioms per benchmark / Figure 17 — runtime coverage
 # ---------------------------------------------------------------------------
 
-def fig16() -> dict:
-    return {w.name: evaluate_workload(w, execute=False)
+def fig16(evals: Evaluations | None = None) -> dict:
+    return {w.name: evaluate_workload(w, execute=False, evals=evals)
             .compiled.report.by_category()
             for w in all_workloads()}
 
 
-def print_fig16() -> dict:
-    data = fig16()
+def print_fig16(evals: Evaluations) -> dict:
+    data = fig16(evals)
     print("\nFigure 16: detected idioms per benchmark")
     for name, counts in data.items():
         total = sum(counts.values())
@@ -297,13 +260,13 @@ def print_fig16() -> dict:
     return data
 
 
-def fig17() -> dict:
-    return {w.name: 100.0 * evaluate_workload(w).coverage
+def fig17(evals: Evaluations | None = None) -> dict:
+    return {w.name: 100.0 * evaluate_workload(w, evals=evals).coverage
             for w in all_workloads()}
 
 
-def print_fig17() -> dict:
-    data = fig17()
+def print_fig17(evals: Evaluations) -> dict:
+    data = fig17(evals)
     print("\nFigure 17: runtime coverage of detected idioms (%)")
     for name, cov in data.items():
         bar = "#" * int(cov / 2.5)
@@ -315,9 +278,7 @@ def print_fig17() -> dict:
 # Table 3 / Figure 18 / Figure 19 — performance
 # ---------------------------------------------------------------------------
 
-
-
-def _accelerated_seconds(ev: WorkloadEvaluation, api, machine,
+def accelerated_seconds(ev: WorkloadEvaluation, api, machine,
                          lazy: bool) -> float | None:
     """End-to-end simulated seconds on ``machine``.
 
@@ -348,16 +309,16 @@ def _accelerated_seconds(ev: WorkloadEvaluation, api, machine,
     return total if used_api else None
 
 
-def table3(scale: int | None = None) -> dict:
+def table3(evals: Evaluations | None = None) -> dict:
     """benchmark -> platform -> api -> simulated milliseconds."""
     results: dict = {}
     for workload in dominant_workloads():
-        ev = evaluate_workload(workload, scale)
+        ev = evaluate_workload(workload, evals=evals)
         per_platform: dict = {}
         for mname, machine in MACHINES.items():
             row = {}
             for api in API_DESCRIPTORS.values():
-                seconds = _accelerated_seconds(ev, api, machine, lazy=True)
+                seconds = accelerated_seconds(ev, api, machine, lazy=True)
                 if seconds is not None:
                     row[api.name] = seconds * 1e3
             per_platform[mname] = row
@@ -365,8 +326,8 @@ def table3(scale: int | None = None) -> dict:
     return results
 
 
-def print_table3() -> dict:
-    data = table3()
+def print_table3(evals: Evaluations) -> dict:
+    data = table3(evals)
     print("\nTable 3: per-API runtime (simulated ms; fastest per platform *)")
     for bench, platforms in data.items():
         for mname, row in platforms.items():
@@ -380,7 +341,7 @@ def print_table3() -> dict:
     return data
 
 
-def fig18() -> dict:
+def fig18(evals: Evaluations | None = None) -> dict:
     """benchmark -> platform -> dict(speedup, api, lazy_speedup).
 
     The "lazy" entry exists only for the iterative benchmarks the paper's
@@ -389,7 +350,7 @@ def fig18() -> dict:
     """
     results: dict = {}
     for workload in dominant_workloads():
-        ev = evaluate_workload(workload)
+        ev = evaluate_workload(workload, evals=evals)
         per_platform: dict = {}
         lazy_modes = (False, True) if workload.name in LAZY_BENCHMARKS \
             else (False,)
@@ -399,7 +360,7 @@ def fig18() -> dict:
             for lazy in lazy_modes:
                 best_total, best_api = None, None
                 for api in apis:
-                    seconds = _accelerated_seconds(ev, api, machine, lazy)
+                    seconds = accelerated_seconds(ev, api, machine, lazy)
                     if seconds is None:
                         continue
                     if best_total is None or seconds < best_total:
@@ -415,8 +376,8 @@ def fig18() -> dict:
     return results
 
 
-def print_fig18() -> dict:
-    data = fig18()
+def print_fig18(evals: Evaluations) -> dict:
+    data = fig18(evals)
     print("\nFigure 18: speedup vs sequential (simulated; * = with the "
           "lazy-transfer runtime optimisation)")
     print(f"{'bench':8s}{'cpu':>12s}{'igpu':>12s}{'gpu':>12s}   best")
@@ -436,12 +397,12 @@ def print_fig18() -> dict:
     return data
 
 
-def fig19() -> dict:
+def fig19(evals: Evaluations | None = None) -> dict:
     """benchmark -> {idl, opencl, openmp} speedups vs sequential."""
     results: dict = {}
-    best_api = fig18()
+    best_api = fig18(evals)
     for workload in dominant_workloads():
-        ev = evaluate_workload(workload)
+        ev = evaluate_workload(workload, evals=evals)
         platforms = best_api[workload.name]
         idl_best = 0.0
         for m in ("cpu", "igpu", "gpu"):
@@ -469,8 +430,8 @@ def fig19() -> dict:
     return results
 
 
-def print_fig19() -> dict:
-    data = fig19()
+def print_fig19(evals: Evaluations) -> dict:
+    data = fig19(evals)
     print("\nFigure 19: IDL (best device) vs handwritten OpenCL / OpenMP")
     print(f"{'bench':8s}{'IDL':>10s}{'OpenCL':>10s}{'OpenMP':>10s}")
     for name, row in data.items():
@@ -484,8 +445,7 @@ def print_fig19() -> dict:
 # ---------------------------------------------------------------------------
 
 def workload_plans(ev: WorkloadEvaluation,
-                   strategy: str | None = None,
-                   profile=None
+                   profile: CalibrationProfile | None = None
                    ) -> tuple[PlacementPlan, PlacementPlan]:
     """(per-site-greedy plan, planner plan) for one evaluated workload.
 
@@ -493,15 +453,12 @@ def workload_plans(ev: WorkloadEvaluation,
     isolates *assignment quality*: greedy places each site in isolation
     with the legacy lazy/eager formula (the seed policy, lazy only where
     the paper's §8.3 optimisation applied), the planner optimises the
-    whole module. A calibration ``profile`` (default: the session's
-    :data:`PROFILE`) swaps measured parameters into both evaluations —
+    whole module with the :data:`STRATEGY` search. A calibration
+    ``profile`` swaps measured parameters into both evaluations —
     greedy's *picks* stay static, so the gap shows what trusting the
     unmeasured constants costs.
     """
-    strategy = PLACEMENT if strategy is None else strategy
-    profile = PROFILE if profile is None else profile
     kwargs = dict(
-        backends=BACKENDS,
         host_seconds=ev.uncovered_seconds_with(profile),
         scale=ev.workload.paper_scale,
         greedy_lazy=ev.workload.name in LAZY_BENCHMARKS,
@@ -509,16 +466,17 @@ def workload_plans(ev: WorkloadEvaluation,
         profile=profile,
     )
     greedy = plan_module(ev.sites, ev.events, strategy="greedy", **kwargs)
-    planner = plan_module(ev.sites, ev.events, strategy=strategy, **kwargs)
+    planner = plan_module(ev.sites, ev.events, strategy=STRATEGY, **kwargs)
     return greedy, planner
 
 
-def placement() -> dict:
+def placement(evals: Evaluations | None = None) -> dict:
     """benchmark -> {greedy_ms, planner_ms, speedup, sites}."""
+    evals = evals or _shared()
     results: dict = {}
     for workload in dominant_workloads():
-        ev = evaluate_workload(workload)
-        greedy, planner = workload_plans(ev)
+        ev = evaluate_workload(workload, evals=evals)
+        greedy, planner = workload_plans(ev, evals.config.profile)
         results[workload.name] = {
             "greedy_ms": greedy.total_s * 1e3,
             "planner_ms": planner.total_s * 1e3,
@@ -530,9 +488,9 @@ def placement() -> dict:
     return results
 
 
-def print_placement() -> dict:
-    data = placement()
-    print(f"\nOffload placement: whole-module planner ({PLACEMENT}) vs "
+def print_placement(evals: Evaluations) -> dict:
+    data = placement(evals)
+    print(f"\nOffload placement: whole-module planner ({STRATEGY}) vs "
           f"per-site greedy (simulated ms)")
     print(f"{'bench':8s}{'greedy':>12s}{'planner':>12s}{'gain':>8s}"
           f"   assignment")
@@ -551,29 +509,20 @@ def print_placement() -> dict:
 # ---------------------------------------------------------------------------
 
 def print_catalog() -> None:
-    """``--list``: workloads, engines, backends, placement strategies."""
+    """``--list``: workloads, backends and experiments."""
     print("Workloads (NAS + Parboil recreations):")
     for w in all_workloads():
         census = ", ".join(f"{c}:{n}" for c, n in sorted(w.expected.items())
                            if n) or "-"
         flag = " [dominant]" if w.dominant else ""
         print(f"  {w.name:8s} {w.suite:8s} {census}{flag}")
-    print("\nExecution tiers (--engine; $REPRO_ENGINE sets the default):")
-    for name in sorted(ENGINES):
-        default = " (default)" if name == default_engine() else ""
-        description = ENGINE_DESCRIPTIONS.get(name, "")
-        print(f"  {name:10s}{description}{default}")
-    print("\nBackends (--backends):")
+    print("\nBackends:")
     for entry in default_registry().entries():
         apis = ", ".join(d.name for d in entry.descriptors)
         categories = ", ".join(entry.contracts) or "descriptors only"
         print(f"  {entry.name:14s} {entry.title}")
         print(f"  {'':14s}   APIs: {apis}")
         print(f"  {'':14s}   lowers: {categories}")
-    print("\nPlacement strategies (--placement):")
-    for name in STRATEGIES:
-        default = " (default)" if name == PLACEMENT else ""
-        print(f"  {name}{default}")
     print("\nExperiments:", ", ".join(list(_EXPERIMENTS) + ["all"]))
 
 
@@ -589,77 +538,35 @@ _EXPERIMENTS = {
 }
 
 
-def print_cache_stats() -> None:
-    """``--cache-stats``: the shared store's aggregate telemetry."""
-    if CACHE_STORE is None:
-        print("\nArtifact store: disabled (no cache directory)")
-        return
-    stats = CACHE_STORE.stats.as_dict()
-    print(f"\nArtifact store ({CACHE_STORE.root}):")
+def print_cache_stats(store: ArtifactStore) -> None:
+    """The run's artifact-store counters, printed after the experiments
+    whenever ``--cache-dir`` is given."""
+    stats = store.stats.as_dict()
+    print(f"\nArtifact store ({store.root}):")
     print(f"  hits={stats['hits']} misses={stats['misses']} "
           f"writes={stats['writes']} evictions={stats['evictions']}")
-    print(f"  bytes={CACHE_STORE.total_bytes()} corrupt={stats['corrupt']} "
+    print(f"  bytes={store.total_bytes()} corrupt={stats['corrupt']} "
           f"write_errors={stats['write_errors']}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    global ENGINE, SCALE, \
-        JIT_THRESHOLD, BACKENDS, PLACEMENT, CACHE_DIR, CACHE_STORE, \
-        DEADLINE_S, PROFILE, PROFILE_PATH
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures (simulated)")
     parser.add_argument("experiment", nargs="?",
                         choices=list(_EXPERIMENTS) + ["all"])
     parser.add_argument("--list", action="store_true",
-                        help="print available workloads, engines, backends "
-                             "and placement strategies, then exit")
-    parser.add_argument("--engine", choices=sorted(ENGINES),
-                        default=default_engine(),
-                        help="execution tier (default "
-                             f"{default_engine()}, override with "
-                             "$REPRO_ENGINE; 'reference' is the "
-                             "tree-walking interpreter, 'jit' adds "
-                             "profile-guided specialization on the vm)")
-    parser.add_argument("--jit-threshold", type=int, default=None,
-                        metavar="N",
-                        help="heat (calls plus loop back edges) at which "
-                             "the jit tier specializes a function, "
-                             "entering a hot loop at its header "
-                             f"(default {DEFAULT_JIT_THRESHOLD}; 1 compiles "
-                             "every function on its first call; ignored "
-                             "by other engines)")
+                        help="print available workloads, backends and "
+                             "experiments, then exit")
     parser.add_argument("--scale", type=int, default=1,
                         help="problem-size multiplier for workload inputs "
-                             "(default 1; larger-than-paper sizes need the "
-                             "vm engine to stay tractable)")
-    parser.add_argument("--backends", nargs="*", default=None,
-                        metavar="NAME",
-                        help="restrict lowering and placement to these "
-                             "registry backends (see --list; default: all)")
-    parser.add_argument("--placement", choices=list(STRATEGIES),
-                        default=PLACEMENT,
-                        help="offload planner strategy for the 'placement' "
-                             f"experiment (default {PLACEMENT})")
+                             "(default 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent detection artifact cache "
-                             "directory (default: $REPRO_CACHE_DIR if "
-                             "set, else disabled); warm runs serve "
-                             "unchanged functions from disk with "
-                             "bit-identical reports")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the artifact cache even if "
-                             "$REPRO_CACHE_DIR is set")
-    parser.add_argument("--cache-stats", action="store_true",
-                        help="print aggregate artifact-store telemetry "
-                             "(hits, misses, bytes, evictions) after the "
-                             "experiments; requires a cache directory")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-function detection solve deadline; "
-                             "overruns yield partial results flagged in "
-                             "the report outcomes (default: none)")
+                        help="persistent detection artifact store "
+                             "(default: none); warm runs serve unchanged "
+                             "functions from disk with bit-identical "
+                             "reports, and the store's counters are "
+                             "printed after the experiments")
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="load a measured calibration profile (JSON "
                              "written by --calibrate) and cost every "
@@ -669,58 +576,38 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the seeded calibration microbenchmarks "
                              "on this machine and use (and, with "
                              "--profile PATH, write) the resulting "
-                             "profile for this session")
-    parser.add_argument("--fault-plan", default=None, metavar="PLAN",
-                        help="deterministic fault-injection plan: inline "
-                             "JSON or @path to a JSON file (also "
-                             "$REPRO_FAULT_PLAN); reliability testing "
-                             "only — results must stay bit-identical")
+                             "profile for this run")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list:
         print_catalog()
         return 0
     if args.experiment is None:
         parser.error("an experiment is required unless --list is given")
-    if args.backends is not None:
-        known = set(default_registry().names())
-        unknown = sorted(set(args.backends) - known)
-        if unknown:
-            parser.error(f"unknown backends: {', '.join(unknown)} "
-                         f"(choose from {', '.join(sorted(known))})")
-    ENGINE = args.engine
-    SCALE = args.scale
-    JIT_THRESHOLD = args.jit_threshold
-    BACKENDS = args.backends
-    PLACEMENT = args.placement
-    DEADLINE_S = args.deadline
-    PROFILE_PATH = args.profile
-    PROFILE = load_active_profile(args.profile, calibrate=args.calibrate,
-                                  out=args.profile if args.calibrate
-                                  else None)
-    if args.fault_plan is not None:
-        from ..reliability import faults
-        faults.install_plan(args.fault_plan)
-    if args.no_cache:
-        CACHE_DIR = None
+    if args.calibrate:
+        profile = Calibrator().run()
+        if args.profile:
+            write_profile_json(profile, args.profile)
+    elif args.profile:
+        profile = read_profile_json(args.profile, strict=True)
     else:
-        CACHE_DIR = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") \
-            or None
-    CACHE_STORE = None
-    if args.cache_stats and CACHE_DIR is not None:
-        from ..cache import ArtifactStore
-
-        CACHE_STORE = ArtifactStore(CACHE_DIR)
-    if args.experiment == "all":
-        for fn in _EXPERIMENTS.values():
-            fn()
-    else:
-        _EXPERIMENTS[args.experiment]()
-    if args.cache_stats:
-        print_cache_stats()
+        profile = None
+    evals = Evaluations(RunConfig(args.scale, args.cache_dir, profile))
+    experiments = _EXPERIMENTS.values() if args.experiment == "all" \
+        else [_EXPERIMENTS[args.experiment]]
+    for fn in experiments:
+        fn(evals)
+    if evals.store is not None:
+        print_cache_stats(evals.store)
     # Every accelerated run was checked against its original; a
-    # mismatch fails the command.
-    mismatched = dict.fromkeys(ev.workload.name for ev in _CACHE.values()
-                               if ev.outputs_equal is False)
+    # mismatch fails the command. Only executing evaluations set
+    # outputs_equal, so each workload appears at most once.
+    mismatched = [ev.workload.name for ev in evals.by_key.values()
+                  if ev.outputs_equal is False]
     for name in mismatched:
         print(f"FAIL {name}: accelerated outputs differ from the "
               f"original run")

@@ -117,9 +117,14 @@ class Parser:
         return tok.text in _BASE_TYPES + ("const", "static", "unsigned", "signed")
 
     def parse_type_prefix(self) -> tuple[str, bool]:
-        """Parse qualifiers + base type; returns (base, is_const)."""
+        """Parse qualifiers + base type; returns (base, is_const).
+
+        ``signed``/``unsigned`` may come before or after an integer base
+        keyword, or stand alone for ``int``; signedness is otherwise
+        ignored (all ints are signed)."""
         is_const = False
         base: str | None = None
+        signedness: Token | None = None
         while True:
             tok = self.current
             if tok.kind != "keyword":
@@ -128,9 +133,7 @@ class Parser:
                 is_const = is_const or tok.text == "const"
                 self.advance()
             elif tok.text in ("unsigned", "signed"):
-                self.advance()  # signedness is ignored (all ints signed)
-                if base is None:
-                    base = "int"
+                signedness = self.advance()
             elif tok.text in _BASE_TYPES:
                 if base is not None and not (base == "long" and tok.text == "long"):
                     raise ParseError(f"unexpected type keyword {tok.text!r}",
@@ -139,6 +142,11 @@ class Parser:
                 self.advance()
             else:
                 break
+        if signedness is not None:
+            base = base or "int"
+            if base not in ("char", "int", "long"):
+                raise ParseError(f"{signedness.text!r} applied to {base!r}",
+                                 signedness.location)
         if base is None:
             raise ParseError(f"expected type, got {self.current.text!r}",
                              self.current.location)

@@ -16,7 +16,6 @@ from .profile import GLOBAL_CODE_CACHE, CodeCache, HotnessTracker, \
     jit_fingerprint
 from .runner import (
     DEFAULT_ENGINE,
-    ENGINE_DESCRIPTIONS,
     ENGINES,
     CompiledWorkload,
     ExecutionResult,
@@ -34,7 +33,7 @@ __all__ = [
     "Interpreter", "Profile", "VirtualMachine", "JitVirtualMachine",
     "BytecodeFunction", "compile_function",
     "CodeCache", "HotnessTracker", "jit_fingerprint", "GLOBAL_CODE_CACHE",
-    "ENGINES", "ENGINE_DESCRIPTIONS", "DEFAULT_ENGINE", "new_engine",
+    "ENGINES", "DEFAULT_ENGINE", "new_engine",
     "Buffer", "Pointer", "dtype_of", "scalar_count", "scalar_type_of",
     "CompiledWorkload", "ExecutionResult", "compile_workload",
     "outputs_identical", "outputs_match",

@@ -40,16 +40,6 @@ ENGINES = {"reference": Interpreter, "vm": VirtualMachine,
            "jit": JitVirtualMachine}
 DEFAULT_ENGINE = "jit"
 
-#: One-line descriptions, surfaced by the harness's ``--list``.
-ENGINE_DESCRIPTIONS = {
-    "reference": "tree-walking interpreter over the IR (semantic baseline)",
-    "vm": "register bytecode VM, functions lowered once on first call",
-    "jit": "VM plus profile-guided specialization: functions whose calls "
-           "and loop iterations get hot become compiled Python with "
-           "numpy-batched affine loops, entered mid-call at the hot loop",
-}
-
-
 def new_engine(module: Module, engine: str | None = None, api_runtime=None,
                jit_threshold: int | None = None):
     """Instantiate an execution engine by name (None → DEFAULT_ENGINE).
@@ -107,8 +97,7 @@ class ExecutionResult:
 
 def compile_workload(name: str, source: str,
                      verify: bool = True,
-                     cache_dir=None,
-                     deadline_s: float | None = None) -> CompiledWorkload:
+                     cache_dir=None) -> CompiledWorkload:
     """Compile and detect, recording wall-clock for Table 2.
 
     ``verify=False`` skips post-convergence IR verification — the
@@ -116,9 +105,7 @@ def compile_workload(name: str, source: str,
     directory path, or a shared :class:`~repro.cache.ArtifactStore` for
     aggregate telemetry) enables the persistent artifact cache
     (:mod:`repro.cache`): unchanged functions are served from disk with
-    the report still bit-identical to a cold run. ``deadline_s`` is a
-    per-function solve wall-clock bound (overruns become partial results,
-    flagged in ``report.outcomes``).
+    the report still bit-identical to a cold run.
     """
     import time
 
@@ -126,8 +113,7 @@ def compile_workload(name: str, source: str,
     module = compile_c(source, name)
     optimize(module, verify=verify)
     t1 = time.perf_counter()
-    report = IdiomDetector(cache=cache_dir).detect(module,
-                                                   deadline_s=deadline_s)
+    report = IdiomDetector(cache=cache_dir).detect(module)
     t2 = time.perf_counter()
     return CompiledWorkload(name, module, report,
                             compile_seconds=t1 - t0,
@@ -191,8 +177,8 @@ def run_accelerated(workload: CompiledWorkload, entry: str, inputs: dict,
     wanting to compare against the original must either run the original
     first or compile a fresh copy.
 
-    ``backends`` restricts which registry backends may lower matches (the
-    ``--backends`` CLI flag). ``placement`` (call_id → location, from
+    ``backends`` restricts which registry backends may lower matches.
+    ``placement`` (call_id → location, from
     :meth:`repro.platform.placement.PlacementPlan.locations`) enables the
     runtime's live residency tracker during execution.
     """

@@ -74,8 +74,8 @@ class RejectedTransform:
 class Transformer:
     """Applies idiom replacements to a module.
 
-    ``backends`` restricts which registry entries may lower matches (the
-    ``--backends`` CLI flag); ``None`` means all registered backends.
+    ``backends`` restricts which registry entries may lower matches;
+    ``None`` means all registered backends.
     """
 
     def __init__(self, module: Module, runtime: ApiRuntime,

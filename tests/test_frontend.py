@@ -65,6 +65,24 @@ class TestParser:
         unit = parse_c("double a[4*8];")
         assert unit.globals[0].ctype.dims == (32,)
 
+    @pytest.mark.parametrize("decl,base,pointers", [
+        ("unsigned char *p", "char", 1),
+        ("unsigned long p", "long", 0),
+        ("long unsigned p", "long", 0),
+        ("unsigned p", "int", 0),
+    ])
+    def test_signedness_before_or_after_the_base(self, decl, base,
+                                                 pointers):
+        unit = parse_c(f"int f({decl}) {{ return 0; }}")
+        ctype = unit.functions[0].params[0].ctype
+        assert (ctype.base, ctype.pointers) == (base, pointers)
+
+    @pytest.mark.parametrize("decl", ["unsigned double x;",
+                                      "double signed x;"])
+    def test_signedness_of_a_non_integer_rejected(self, decl):
+        with pytest.raises(ParseError, match="applied to 'double'"):
+            parse_c(decl)
+
 
 def _nested_sum(depth: int) -> str:
     """``x+(x+(...(x)...))`` with ``depth`` parenthesised levels."""

@@ -20,37 +20,12 @@ from repro.runtime import (
     Interpreter,
     JitVirtualMachine,
     VirtualMachine,
-    compile_workload,
 )
 from repro.runtime.jit import _STATIC_NS
 from repro.runtime.profile import DEFAULT_JIT_THRESHOLD, GLOBAL_CODE_CACHE
-from repro.runtime.runner import _bind_arguments
 from repro.workloads import all_workloads, get_workload
 
 WORKLOADS = [w.name for w in all_workloads()]
-
-
-@pytest.fixture(scope="module")
-def compiled_suite():
-    """One compile+detect pass per workload, shared across tests."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            w = get_workload(name)
-            cache[name] = (w, compile_workload(name, w.source))
-        return cache[name]
-    return get
-
-
-def _execute(engine_cls, compiled, workload, **kwargs):
-    engine = engine_cls(compiled.module, **kwargs)
-    args, buffers = _bind_arguments(engine, compiled.module, workload.entry,
-                                    workload.make_inputs(1))
-    value = engine.call(workload.entry, args)
-    for name, buffer in engine.globals.items():
-        buffers.setdefault(name, buffer)
-    return value, buffers, engine.profile, engine
 
 
 def _assert_identical(a, b, label):
@@ -70,21 +45,6 @@ def _assert_identical(a, b, label):
     assert ea.steps == eb.steps, label
 
 
-@pytest.fixture(scope="module")
-def oracle_runs(compiled_suite):
-    """Reference and VM executions per workload, shared across the
-    jit-threshold variants."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            workload, compiled = compiled_suite(name)
-            cache[name] = (_execute(Interpreter, compiled, workload),
-                           _execute(VirtualMachine, compiled, workload))
-        return cache[name]
-    return get
-
-
 #: The default threshold keeps the plain workload id; threshold 1 enters
 #: every function at its first call, threshold 2 mostly at a loop header.
 SUITE_CASES = [pytest.param(name, None, id=name) for name in WORKLOADS] + [
@@ -94,14 +54,14 @@ SUITE_CASES = [pytest.param(name, None, id=name) for name in WORKLOADS] + [
 
 @pytest.mark.parametrize("name,jit_threshold", SUITE_CASES)
 def test_jit_bit_identical_on_suite(name, jit_threshold, compiled_suite,
-                                    oracle_runs):
+                                    suite_runs, execute):
     """Outputs bit-equal AND per-block counts identical across all three
     tiers, per workload and jit threshold."""
     workload, compiled = compiled_suite(name)
-    ref, vm = oracle_runs(name)
+    ref, vm = suite_runs(name)
     kwargs = {} if jit_threshold is None else \
         {"jit_threshold": jit_threshold}
-    jit = _execute(JitVirtualMachine, compiled, workload, **kwargs)
+    jit = execute(JitVirtualMachine, compiled, workload, **kwargs)
     _assert_identical(vm, jit, f"{name}:vm-vs-jit")
     # Reference values can differ from the VM only in float repr of the
     # same computation — in practice they are bit-equal too.

@@ -18,7 +18,7 @@ from repro.backends.api import (
 )
 from repro.backends.registry import BackendRegistry, default_registry
 from repro.errors import BackendError, PlacementError
-from repro.platform import CPU, GPU, MACHINES
+from repro.platform import CPU, GPU, MACHINES, read_profile_json
 from repro.platform.placement import (
     HOST,
     PlacementRequest,
@@ -393,15 +393,7 @@ class TestCliAndBench:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "parallel-cpu" in out and "fft" in out
-        assert "Placement strategies" in out
-        assert "Execution tiers" in out
-        vm_line = next(line for line in out.splitlines()
-                       if line.strip().startswith("vm "))
-        assert "(default)" not in vm_line
-        jit_line = next(line for line in out.splitlines()
-                        if line.strip().startswith("jit "))
-        assert "profile-guided" in jit_line
-        assert "(default)" in jit_line
+        assert "Workloads" in out and "Experiments: table1" in out
 
     def test_placement_experiment(self):
         from repro.experiments import harness
@@ -409,7 +401,7 @@ class TestCliAndBench:
         ev = harness.evaluate_workload(
             [w for w in __import__("repro.workloads", fromlist=["x"])
              .all_workloads() if w.name == "spmv"][0])
-        greedy, planner = harness.workload_plans(ev, "beam")
+        greedy, planner = harness.workload_plans(ev)
         assert planner.total_s <= greedy.total_s * (1 + 1e-12)
         assert planner.placed and planner.placed[0].placement.api.name
 
@@ -532,14 +524,13 @@ class TestCalibratedPlacement:
         placement never changes the numerics."""
         from repro.experiments import harness
 
-        profile = harness.load_active_profile(str(DEFAULT_PROFILE))
+        profile = read_profile_json(str(DEFAULT_PROFILE), strict=True)
         totals = {"greedy": 0.0, "independent": 0.0, "joint": 0.0}
         strict_wins = 0
         for workload in dominant_workloads():
             ev = harness.evaluate_workload(workload)
             assert ev.outputs_equal, workload.name
-            greedy, planner = harness.workload_plans(ev, "beam",
-                                                     profile=profile)
+            greedy, planner = harness.workload_plans(ev, profile)
             requests = [
                 PlacementRequest(ev.sites, ev.events,
                                  host_seconds=ev.uncovered_seconds_with(
@@ -604,7 +595,8 @@ def _golden_digests() -> dict:
     from repro.experiments import harness
 
     profiles = {"none": None,
-                "default": harness.load_active_profile(str(DEFAULT_PROFILE))}
+                "default": read_profile_json(str(DEFAULT_PROFILE),
+                                             strict=True)}
     evals = {w.name: harness.evaluate_workload(w)
              for w in dominant_workloads()}
     digests = {}

@@ -25,7 +25,7 @@ from repro.runtime import (
 )
 from repro.runtime import runner
 from repro.runtime.bytecode import OP_CALL_API, sequence_moves
-from repro.runtime.runner import _bind_arguments, new_engine
+from repro.runtime.runner import new_engine
 from repro.workloads import all_workloads, dominant_workloads, get_workload
 
 WORKLOADS = [w.name for w in all_workloads()]
@@ -34,35 +34,11 @@ DOMINANT = [w.name for w in dominant_workloads()]
 ENGINE_CLASSES = {"reference": Interpreter, "vm": VirtualMachine}
 
 
-@pytest.fixture(scope="module")
-def compiled_suite():
-    """One compile+detect pass per workload, shared across tests."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            w = get_workload(name)
-            cache[name] = (w, compile_workload(name, w.source))
-        return cache[name]
-    return get
-
-
-def _execute(engine_cls, compiled, workload):
-    engine = engine_cls(compiled.module)
-    args, buffers = _bind_arguments(engine, compiled.module, workload.entry,
-                                    workload.make_inputs(1))
-    value = engine.call(workload.entry, args)
-    for name, buffer in engine.globals.items():
-        buffers.setdefault(name, buffer)
-    return value, buffers, engine.profile
-
-
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_vm_equivalent_on_suite(name, compiled_suite):
+def test_vm_equivalent_on_suite(name, suite_runs):
     """Outputs equal AND per-block dynamic counts identical, per workload."""
-    workload, compiled = compiled_suite(name)
-    ref_value, ref_bufs, ref_prof = _execute(Interpreter, compiled, workload)
-    vm_value, vm_bufs, vm_prof = _execute(VirtualMachine, compiled, workload)
+    (ref_value, ref_bufs, ref_prof, _), (vm_value, vm_bufs, vm_prof, _) = \
+        suite_runs(name)
     if ref_value is None:
         assert vm_value is None
     else:

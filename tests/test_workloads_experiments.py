@@ -1,5 +1,7 @@
 """Suite-level tests: census (Table 1), baselines, backends, experiments."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,44 +223,77 @@ class TestGates:
                             "diverge"]
 
 
+def run_main(capsys, *argv):
+    """``python -m repro.experiments ARGV`` in process: (status, stdout)."""
+    from repro.experiments.harness import main
+
+    status = main(list(argv))
+    return status, capsys.readouterr().out
+
+
+def fail_lines(out):
+    return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def harness_options():
+    """Every option string the experiments CLI's parser accepts."""
+    from repro.experiments.harness import _build_parser
+
+    return {option for action in _build_parser()._actions
+            for option in action.option_strings}
+
+
+@pytest.fixture
+def histo_diverges(monkeypatch):
+    """histo's second input set (the accelerated run's) has an all-zero
+    image, so its accelerated outputs really differ from the original's."""
+    workload = get_workload("histo")
+    make_inputs = workload.make_inputs
+    calls = []
+
+    def diverging(scale):
+        inputs = make_inputs(scale)
+        calls.append(scale)
+        if len(calls) % 2 == 0:
+            inputs["img"] = np.zeros_like(inputs["img"])
+        return inputs
+
+    monkeypatch.setattr(workload, "make_inputs", diverging)
+    return monkeypatch
+
+
 class TestOutputsCheck:
     """``python -m repro.experiments`` exits 1 and names each workload
     whose accelerated outputs differ from its original run."""
 
-    @staticmethod
-    def run_histo(monkeypatch, capsys, outputs_match):
-        from repro.experiments import harness
-
-        for name in ("ENGINE", "SCALE", "JIT_THRESHOLD", "BACKENDS",
-                     "PLACEMENT", "CACHE_DIR", "CACHE_STORE", "DEADLINE_S",
-                     "PROFILE", "PROFILE_PATH"):
-            monkeypatch.setattr(harness, name, getattr(harness, name))
-        monkeypatch.setattr(harness, "_CACHE", {})
-        monkeypatch.setattr(harness, "outputs_match", outputs_match)
-        monkeypatch.setattr(harness, "_EXPERIMENTS", {
-            "histo": lambda: harness.evaluate_workload(
-                get_workload("histo"))})
-        status = harness.main(["histo", "--no-cache"])
-        return status, capsys.readouterr().out
-
-    def test_mismatch_fails_and_names_the_workload(self, monkeypatch,
+    def test_mismatch_fails_and_names_the_workload(self, histo_diverges,
                                                    capsys):
-        status, out = self.run_histo(monkeypatch, capsys,
-                                     lambda original, accelerated: False)
+        status, out = run_main(capsys, "table3")
         assert status == 1
-        assert out.splitlines() == [
+        assert fail_lines(out) == [
             "FAIL histo: accelerated outputs differ from the original run"]
 
-    def test_matching_outputs_pass(self, monkeypatch, capsys):
-        from repro.runtime import outputs_match
+    def test_matching_outputs_pass(self):
+        from repro.experiments.harness import Evaluations, evaluate_workload
 
-        status, out = self.run_histo(monkeypatch, capsys, outputs_match)
+        evals = Evaluations()
+        ev = evaluate_workload(get_workload("histo"), evals=evals)
+        assert ev.outputs_equal is True
+        assert list(evals.by_key) == [("histo", True)]
+
+    def test_a_mismatch_does_not_outlive_its_run(self, histo_diverges,
+                                                 capsys):
+        """Each ``main`` call evaluates afresh: a later run in the same
+        process neither reuses nor reports an earlier run's mismatch."""
+        status, out = run_main(capsys, "table3")
+        assert status == 1 and fail_lines(out)
+        histo_diverges.undo()
+        status, out = run_main(capsys, "table3")
         assert status == 0 and "FAIL" not in out
 
 
 class TestCacheStats:
-    def test_prints_the_shared_store_counters(self, monkeypatch, capsys,
-                                              tmp_path):
+    def test_prints_the_shared_store_counters(self, capsys, tmp_path):
         from repro.cache import ArtifactStore
         from repro.experiments import harness
 
@@ -266,21 +301,76 @@ class TestCacheStats:
         store.put("ab" * 8, {"kind": "t"})
         assert store.get("ab" * 8) is not None
         assert store.get("cd" * 8) is None
-        monkeypatch.setattr(harness, "CACHE_STORE", store)
-        harness.print_cache_stats()
+        harness.print_cache_stats(store)
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == [
             f"Artifact store ({tmp_path}):",
             "  hits=1 misses=1 writes=1 evictions=0",
             f"  bytes={store.total_bytes()} corrupt=0 write_errors=0"]
 
-    def test_reports_a_disabled_store(self, monkeypatch, capsys):
-        from repro.experiments import harness
+    def test_no_store_without_a_cache_dir(self, tmp_path):
+        from repro.experiments.harness import Evaluations, RunConfig
 
-        monkeypatch.setattr(harness, "CACHE_STORE", None)
-        harness.print_cache_stats()
-        assert capsys.readouterr().out.strip() == \
-            "Artifact store: disabled (no cache directory)"
+        assert Evaluations().store is None
+        store = Evaluations(RunConfig(cache_dir=str(tmp_path))).store
+        assert store is not None and store.root == str(tmp_path)
+
+
+class TestCliOptions:
+    """Every option of ``python -m repro.experiments``, run through
+    ``main``."""
+
+    def test_the_options_are_the_census_survivors(self):
+        assert harness_options() == {"-h", "--help", "--list", "--scale",
+                                     "--cache-dir", "--profile",
+                                     "--calibrate"}
+
+    def test_scale_grows_the_simulated_times(self, capsys):
+        def times(out):
+            return [float(cell.split("=")[1].rstrip("*"))
+                    for line in out.splitlines() if "=" in line
+                    for cell in line.split()[2:]]
+
+        status, base = run_main(capsys, "table3")
+        assert status == 0 and "Artifact store" not in base
+        status, scaled = run_main(capsys, "table3", "--scale", "2")
+        assert status == 0
+        assert len(times(scaled)) == len(times(base)) > 0
+        # MG, lbm and stencil have fixed-size inputs; the rest grow.
+        assert all(s >= b for s, b in zip(times(scaled), times(base)))
+        assert times(scaled) != times(base)
+
+    def test_cache_dir_warm_run_solves_nothing(self, capsys, tmp_path):
+        cache = str(tmp_path / "store")
+        status, cold = run_main(capsys, "table1", "--cache-dir", cache)
+        assert status == 0
+        assert f"Artifact store ({cache}):" in cold
+        assert " writes=0 " not in cold
+        status, warm = run_main(capsys, "table1", "--cache-dir", cache)
+        assert status == 0
+        assert " misses=0 writes=0 " in warm
+        assert warm.split("Artifact store")[0] == \
+            cold.split("Artifact store")[0]
+
+    def test_profile_costs_the_placement(self, capsys):
+        profile = Path(__file__).resolve().parents[1] / "profiles" / \
+            "default.json"
+        status, static = run_main(capsys, "placement")
+        assert status == 0
+        status, measured = run_main(capsys, "placement", "--profile",
+                                    str(profile))
+        assert status == 0 and measured != static
+
+    def test_calibrate_writes_the_profile_it_uses(self, capsys, tmp_path):
+        from repro.platform import read_profile_json
+
+        path = str(tmp_path / "profile.json")
+        status, calibrated = run_main(capsys, "placement", "--calibrate",
+                                      "--profile", path)
+        assert status == 0
+        assert read_profile_json(path, strict=True) is not None
+        status, reloaded = run_main(capsys, "placement", "--profile", path)
+        assert status == 0 and reloaded == calibrated
 
 
 #: Files that tell a reader which experiment modules to run.
@@ -291,10 +381,9 @@ DOCUMENTED_COMMAND_FILES = (".github/workflows/ci.yml", "README.md",
 class TestDocumentedCommands:
     def test_every_documented_module_imports(self):
         import importlib
-        import pathlib
         import re
 
-        root = pathlib.Path(__file__).resolve().parents[1]
+        root = Path(__file__).resolve().parents[1]
         commands = set()
         for name in DOCUMENTED_COMMAND_FILES:
             text = (root / name).read_text()
@@ -304,13 +393,31 @@ class TestDocumentedCommands:
         for module in sorted(commands):
             importlib.import_module(module)
 
+    def test_every_documented_option_is_accepted(self):
+        """Each ``--option`` a documented ``python -m repro.experiments``
+        command passes is one the harness's parser takes."""
+        import re
+
+        root = Path(__file__).resolve().parents[1]
+        accepted = harness_options()
+        documented = {}
+        for name in DOCUMENTED_COMMAND_FILES:
+            text = (root / name).read_text().replace("\\\n", " ")
+            for command in re.findall(
+                    r"python3? -m repro\.experiments(?![.\w])([^\n`]*)",
+                    text):
+                for option in re.findall(r"(?<!\S)--[\w-]+", command):
+                    documented.setdefault(option, name)
+        assert "--cache-dir" in documented
+        assert {option: name for option, name in documented.items()
+                if option not in accepted} == {}
+
     def test_no_retired_bench_module_is_named(self):
         """The ``bench_*`` CLIs are gone: no source file or CI step may
         point a reader at one."""
-        import pathlib
         import re
 
-        root = pathlib.Path(__file__).resolve().parents[1]
+        root = Path(__file__).resolve().parents[1]
         paths = [root / ".github/workflows/ci.yml",
                  *sorted((root / "src").rglob("*.py"))]
         named = [f"{path.relative_to(root)}: {name}" for path in paths
