@@ -11,8 +11,6 @@ against the function. Invalidate (drop) the object after transforming IR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ir.instructions import Instruction, LoadInst, PhiInst, StoreInst
 from ..ir.module import Function
 from ..ir.values import Value
@@ -22,46 +20,6 @@ from .dominators import (DominatorTree, InstructionDominance,
 from .loops import LoopInfo
 from .memdep import base_pointer
 from .sese import ControlDependence
-
-
-@dataclass(frozen=True)
-class AnalysisSummary:
-    """The serializable digest of a :class:`FunctionAnalyses`.
-
-    Carries exactly the derived facts that are (a) pure functions of the
-    IR and (b) worth shipping across process or session boundaries: the
-    feasibility-signature inputs the plan forest checks before solving
-    (``opcodes``/``max_loop_depth``) plus cheap size counters for
-    reporting. The artifact cache (:mod:`repro.cache`) persists one per
-    function fingerprint; a warm solver adopts it via
-    :meth:`FunctionAnalyses.adopt_summary` instead of rebuilding loop
-    info. Never includes object references — everything is plain data.
-    """
-
-    block_count: int
-    instruction_count: int
-    opcodes: tuple[str, ...]  # sorted
-    loop_count: int
-    max_loop_depth: int
-
-    def as_dict(self) -> dict:
-        return {
-            "block_count": self.block_count,
-            "instruction_count": self.instruction_count,
-            "opcodes": list(self.opcodes),
-            "loop_count": self.loop_count,
-            "max_loop_depth": self.max_loop_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisSummary":
-        return cls(
-            block_count=int(data["block_count"]),
-            instruction_count=int(data["instruction_count"]),
-            opcodes=tuple(str(op) for op in data["opcodes"]),
-            loop_count=int(data["loop_count"]),
-            max_loop_depth=int(data["max_loop_depth"]),
-        )
 
 
 class FunctionAnalyses:
@@ -223,29 +181,6 @@ class FunctionAnalyses:
             self._max_loop_depth = max(
                 (loop.depth for loop in self.loops.loops), default=0)
         return self._max_loop_depth
-
-    # -- serializable summary -------------------------------------------------
-    def summary(self) -> AnalysisSummary:
-        """Digest this function's derived facts into plain data (computes
-        the opcode index and loop info if not already cached)."""
-        return AnalysisSummary(
-            block_count=len(self.function.blocks),
-            instruction_count=sum(
-                len(insts) for insts in self.by_opcode.values()),
-            opcodes=tuple(sorted(self.opcode_set)),
-            loop_count=len(self.loops.loops),
-            max_loop_depth=self.max_loop_depth,
-        )
-
-    def adopt_summary(self, summary: AnalysisSummary) -> None:
-        """Seed the analyses a summary can answer without recomputing them.
-
-        Only facts that are pure functions of the IR may be adopted; the
-        caller is responsible for pairing the summary with the function it
-        was computed from (the artifact cache guarantees this by keying
-        summaries on the function's content fingerprint)."""
-        self._opcode_set = frozenset(summary.opcodes)
-        self._max_loop_depth = summary.max_loop_depth
 
     @property
     def universe(self) -> list[Value]:

@@ -24,7 +24,6 @@ from .fingerprint import (
     function_fingerprint,
     globals_signature,
     module_fingerprints,
-    summary_fingerprint,
 )
 from .store import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -39,6 +38,5 @@ __all__ = [
     "CachedDetection", "DetectionCache",
     "decode_detection", "encode_detection",
     "FINGERPRINT_VERSION", "detection_config_signature",
-    "function_fingerprint", "globals_signature", "summary_fingerprint",
-    "module_fingerprints",
+    "function_fingerprint", "globals_signature", "module_fingerprints",
 ]

@@ -1,45 +1,39 @@
-"""Detection artifacts: per-function match reports + analysis summaries.
+"""Detection artifacts: one per-function match report per entry.
 
 A :class:`DetectionCache` binds an :class:`~repro.cache.store.ArtifactStore`
 to one detection configuration signature and speaks the store's payload
-schema:
+schema, ``kind="detection"``: the function's final match list (post
+filter, dedup and overlap resolution) in the structural solution wire
+format (:func:`encode_solution`: instructions as (block index,
+instruction index), arguments by position, globals by name, constants by
+value), with each match's own :class:`~repro.idl.solver.SolverStats` plus
+the function-level aggregate. :func:`encode_pooled` and
+:func:`decode_pooled` are the codec, which the daemon's report encoding
+shares. Per-match stats are interned into a pool by object identity —
+the forest detector's matches of one function all share one stats
+object, the per-idiom oracle's (:mod:`repro.idioms.oracle`) one per
+idiom, and the round trip preserves both the values and the sharing.
+Decoding rebinds every locator against the *caller's* module, so cached
+matches point at live IR objects exactly like fresh ones — a warm report
+is indistinguishable from the cold one, per-match ticks included.
 
-* ``kind="detection"`` — the function's final match list (post filter,
-  dedup and overlap resolution) in the structural solution wire format
-  (:func:`encode_solution`: instructions as (block index, instruction
-  index), arguments by position, globals by name, constants by value),
-  with each match's own :class:`~repro.idl.solver.SolverStats` plus the
-  function-level aggregate; :func:`encode_pooled` and
-  :func:`decode_pooled` are the codec, which the daemon's report
-  encoding shares. Per-match stats are interned into a pool by object
-  identity — the forest detector's matches of one function all share one stats
-  object, the per-idiom oracle's (:mod:`repro.idioms.oracle`) one per
-  idiom, and the round trip preserves both the values and the sharing. Decoding
-  rebinds every locator against the *caller's* module, so cached matches
-  point at live IR objects exactly like fresh ones — a warm report is
-  indistinguishable from the cold one, per-match ticks included.
-* ``kind="summary"`` — the function's serializable
-  :class:`~repro.analysis.info.AnalysisSummary`, keyed by the canonical
-  function text only (no config signature, no globals — its facts are
-  pure functions of the body), so it survives idiom-library, limit and
-  module-global changes.
-
-Anything that cannot be encoded or decoded simply is not cached / is a
-miss; this layer never raises on bad artifacts.
+Each function is stored once, under its detection key; entries of any
+other kind (such as the analysis summaries older stores also hold) are
+never read and leave under the store's byte budget. Anything that
+cannot be encoded or decoded simply is not cached / is a miss; this
+layer never raises on bad artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.info import AnalysisSummary
 from ..errors import IDLError
 from ..idl.solver import SolverStats
 from ..ir.instructions import Instruction
 from ..ir.module import Function, Module
 from ..ir.types import parse_type
 from ..ir.values import Argument, ConstantFloat, ConstantInt, GlobalVariable
-from .fingerprint import summary_fingerprint
 from .store import ArtifactStore
 
 
@@ -197,37 +191,12 @@ class DetectionCache:
             return None
 
     def save(self, function: Function, matches: list, stats: SolverStats,
-             summary: AnalysisSummary | dict | None, text: str,
-             key: str) -> bool:
-        """Persist one function's detection result under ``key`` and,
-        when given, its summary under its canonical ``text`` (pass None
-        when the summary was itself adopted from the store, so it is not
-        rewritten).
+             key: str) -> None:
+        """Persist one function's detection result under ``key``.
 
         Matches that cannot be expressed in the wire format make the
         whole function uncacheable (it will simply re-solve next time);
         partial (timed-out) match lists must never be stored."""
         payload = encode_detection(function, matches, stats)
-        if payload is None:
-            return False
-        if summary is not None:
-            if isinstance(summary, AnalysisSummary):
-                summary = summary.as_dict()
-            self.store.put(summary_fingerprint(function, text),
-                           {"kind": "summary", "summary": summary})
-        return self.store.put(key, payload)
-
-    # -- analysis summaries ----------------------------------------------------
-    def load_summary(self, function: Function,
-                     text: str | None = None) -> AnalysisSummary | None:
-        key = summary_fingerprint(function, text)
-        payload = self.store.get(key)
-        if payload is None:
-            return None
-        try:
-            if payload.get("kind") != "summary":
-                raise ValueError("not a summary entry")
-            return AnalysisSummary.from_dict(payload["summary"])
-        except (KeyError, TypeError, ValueError):
-            self.store.invalidate(key)
-            return None
+        if payload is not None:
+            self.store.put(key, payload)

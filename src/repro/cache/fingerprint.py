@@ -65,27 +65,23 @@ def globals_signature(module: Module) -> str:
 
 
 def function_fingerprint(function: Function, config_signature: str,
-                         globals_sig: str | None = None,
-                         text: str | None = None) -> str:
+                         globals_sig: str | None = None) -> str:
     """The content address of one function's detection artifact.
 
-    ``text`` lets callers that already printed the canonical form (the
-    scheduler prints each function once per detect() call) skip the
-    re-print — it must be exactly ``print_function_canonical(function)``.
-    """
+    ``globals_sig`` lets callers that fingerprint several functions of
+    one module print its globals once; it must be exactly
+    ``globals_signature(function.module)``."""
     if globals_sig is None:
         module = function.module
         globals_sig = globals_signature(module) if module is not None else ""
-    if text is None:
-        text = print_function_canonical(function)
-    return _digest("detection", config_signature, globals_sig, text)
+    return _digest("detection", config_signature, globals_sig,
+                   print_function_canonical(function))
 
 
 @dataclass(frozen=True)
 class ModuleFingerprints:
-    """One module's detection addresses under one configuration: its
-    globals signature and, per defined function in module order, the
-    ``(canonical text, detection key)`` pair.
+    """One module's detection addresses under one configuration: per
+    defined function in module order, its detection key.
 
     The detection service memoises this on its parse cache, so a
     re-submitted text costs neither a re-print nor a re-hash;
@@ -93,35 +89,17 @@ class ModuleFingerprints:
     it instead of fingerprinting the module itself."""
 
     config_signature: str
-    globals_sig: str
-    functions: tuple[tuple[str, str], ...]
+    keys: tuple[str, ...]
 
 
 def module_fingerprints(module: Module,
                         config_signature: str) -> ModuleFingerprints:
-    """Print and fingerprint every defined function of ``module`` once."""
+    """Fingerprint every defined function of ``module`` once."""
     globals_sig = globals_signature(module)
-    pairs = []
-    for function in module.functions.values():
-        if function.is_declaration():
-            continue
-        text = print_function_canonical(function)
-        pairs.append((text, function_fingerprint(
-            function, config_signature, globals_sig, text)))
-    return ModuleFingerprints(config_signature, globals_sig, tuple(pairs))
-
-
-def summary_fingerprint(function: Function,
-                        text: str | None = None) -> str:
-    """The content address of a function's analysis summary.
-
-    Summary facts (opcodes, loop structure, size counters) are pure
-    functions of the function body — no detector configuration, no
-    module globals — so summaries are keyed on the canonical text alone
-    and survive library, limit and global-declaration changes."""
-    if text is None:
-        text = print_function_canonical(function)
-    return _digest("summary", text)
+    return ModuleFingerprints(config_signature, tuple(
+        function_fingerprint(function, config_signature, globals_sig)
+        for function in module.functions.values()
+        if not function.is_declaration()))
 
 
 def detection_config_signature(library_signature: str,

@@ -5,8 +5,8 @@ fig19|placement|all>`` (``--list`` names the workloads, backends and
 experiments; ``--scale``, ``--cache-dir``, ``--profile`` and
 ``--calibrate`` set up the run) or call the per-experiment functions.
 One run's settings are a frozen :class:`RunConfig`; its
-:class:`Evaluations` hold one detection+execution pass per workload,
-which the figure/table functions share. Library callers that pass no
+:class:`Evaluations` hold one compile, detection and execution pass per
+workload, which every table and figure reads. Library callers that pass no
 ``Evaluations`` share one of the default configuration.
 """
 
@@ -76,6 +76,9 @@ class WorkloadEvaluation:
     sites: list[ApiCallSite] = field(default_factory=list)
     compile_base_s: float = 0.0
     compile_idl_s: float = 0.0
+    #: Table 1's modelled Polly/ICC rows for this workload's matches,
+    #: taken from the IR before the accelerated run transforms it.
+    baselines: dict = field(default_factory=dict)
     #: Residency event log from the accelerated run (placement input).
     events: list = field(default_factory=list)
     events_overflowed: bool = False
@@ -113,18 +116,15 @@ class RunConfig:
 
 
 class Evaluations:
-    """One run's evaluations, keyed by (workload name, execute), and the
-    run's one artifact store when its configuration names a directory.
-
-    ``execute`` stays in the key because an executing evaluation
-    transforms its module in place, and Table 1's ICC/Polly models read
-    the untransformed IR."""
+    """One run's evaluations, keyed by workload name, and the run's one
+    artifact store when its configuration names a directory. Each
+    workload is compiled, detected and run once per ``Evaluations``."""
 
     def __init__(self, config: RunConfig = RunConfig()):
         self.config = config
         self.store = ArtifactStore(config.cache_dir) \
             if config.cache_dir else None
-        self.by_key: dict[tuple[str, bool], WorkloadEvaluation] = {}
+        self.by_key: dict[str, WorkloadEvaluation] = {}
 
 
 @functools.cache
@@ -134,39 +134,41 @@ def _shared() -> Evaluations:
     return Evaluations()
 
 
-def evaluate_workload(workload: Workload, execute: bool = True,
+def evaluate_workload(workload: Workload,
                       evals: Evaluations | None = None
                       ) -> WorkloadEvaluation:
-    """Compile, detect, (optionally) run original + accelerated versions."""
+    """Compile and detect ``workload``, then run its original version
+    and, for a dominant workload, its accelerated one; memoised in
+    ``evals`` by workload name."""
     evals = evals or _shared()
-    key = (workload.name, execute)
-    if key in evals.by_key:
-        return evals.by_key[key]
+    if workload.name in evals.by_key:
+        return evals.by_key[workload.name]
     compiled = compile_workload(workload.name, workload.source,
                                 verify=False, cache_dir=evals.store)
     ev = WorkloadEvaluation(workload, compiled,
                             compile_base_s=compiled.compile_seconds,
-                            compile_idl_s=compiled.detect_seconds)
-    if execute:
-        scale = evals.config.scale
-        original = run_original(compiled, workload.entry,
-                                workload.make_inputs(scale))
-        ev.coverage = original.coverage
-        ev.sequential_seconds = original.sequential_seconds
-        ev.opcode_counts = dict(original.opcode_counts)
-        if workload.dominant:
-            # The original run has already captured its outputs in private
-            # buffers, so the accelerated run can transform the same
-            # compiled module in place — no second compile+detect pass.
-            accelerated = run_accelerated(compiled, workload.entry,
-                                          workload.make_inputs(scale))
-            ev.outputs_equal = outputs_match(original, accelerated)
-            runtime = accelerated.api_runtime
-            if runtime is not None:
-                ev.sites = runtime.all_sites()
-                ev.events = list(runtime.events)
-                ev.events_overflowed = runtime.events_overflowed
-    evals.by_key[key] = ev
+                            compile_idl_s=compiled.detect_seconds,
+                            baselines=baseline_counts(
+                                compiled.report.matches))
+    scale = evals.config.scale
+    original = run_original(compiled, workload.entry,
+                            workload.make_inputs(scale))
+    ev.coverage = original.coverage
+    ev.sequential_seconds = original.sequential_seconds
+    ev.opcode_counts = dict(original.opcode_counts)
+    if workload.dominant:
+        # The original run has already captured its outputs in private
+        # buffers, so the accelerated run can transform the same
+        # compiled module in place — no second compile+detect pass.
+        accelerated = run_accelerated(compiled, workload.entry,
+                                      workload.make_inputs(scale))
+        ev.outputs_equal = outputs_match(original, accelerated)
+        runtime = accelerated.api_runtime
+        if runtime is not None:
+            ev.sites = runtime.all_sites()
+            ev.events = list(runtime.events)
+            ev.events_overflowed = runtime.events_overflowed
+    evals.by_key[workload.name] = ev
     return ev
 
 
@@ -176,19 +178,15 @@ def evaluate_workload(workload: Workload, execute: bool = True,
 
 def table1(evals: Evaluations | None = None) -> dict:
     """Rows: detector -> category -> count across all 21 benchmarks."""
-    idl_row: dict[str, int] = {c: 0 for c in CATEGORIES}
-    all_matches = []
+    table = {detector: dict.fromkeys(CATEGORIES, 0)
+             for detector in ("Polly", "ICC", "IDL")}
     for workload in all_workloads():
-        ev = evaluate_workload(workload, execute=False, evals=evals)
-        for category, count in ev.compiled.report.by_category().items():
-            idl_row[category] = idl_row.get(category, 0) + count
-        all_matches.extend(ev.compiled.report.matches)
-    rows = baseline_counts(all_matches)
-    table = {
-        "Polly": {c: rows["Polly"].get(c, 0) for c in CATEGORIES},
-        "ICC": {c: rows["ICC"].get(c, 0) for c in CATEGORIES},
-        "IDL": idl_row,
-    }
+        ev = evaluate_workload(workload, evals=evals)
+        for detector, row in (*ev.baselines.items(),
+                              ("IDL", ev.compiled.report.by_category())):
+            for category, count in row.items():
+                table[detector][category] = \
+                    table[detector].get(category, 0) + count
     return table
 
 
@@ -213,7 +211,7 @@ def table2(evals: Evaluations | None = None) -> dict:
     """Per-benchmark compile seconds without/with IDL detection."""
     rows = {}
     for workload in all_workloads():
-        ev = evaluate_workload(workload, execute=False, evals=evals)
+        ev = evaluate_workload(workload, evals=evals)
         base = ev.compile_base_s
         with_idl = base + ev.compile_idl_s
         overhead = 100.0 * (with_idl - base) / base if base > 0 else 0.0
@@ -244,7 +242,7 @@ def print_table2(evals: Evaluations) -> dict:
 # ---------------------------------------------------------------------------
 
 def fig16(evals: Evaluations | None = None) -> dict:
-    return {w.name: evaluate_workload(w, execute=False, evals=evals)
+    return {w.name: evaluate_workload(w, evals=evals)
             .compiled.report.by_category()
             for w in all_workloads()}
 
@@ -604,8 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     if evals.store is not None:
         print_cache_stats(evals.store)
     # Every accelerated run was checked against its original; a
-    # mismatch fails the command. Only executing evaluations set
-    # outputs_equal, so each workload appears at most once.
+    # mismatch fails the command.
     mismatched = [ev.workload.name for ev in evals.by_key.values()
                   if ev.outputs_equal is False]
     for name in mismatched:

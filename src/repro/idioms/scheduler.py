@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError
 from ..ir.module import Module
 from .matches import DetectionReport
@@ -46,18 +45,16 @@ class _Job:
     ``uid`` keys the call's results; it qualifies the function name with
     the module's position, because function names collide across
     tenants' modules. ``outcomes`` is the record dict of the job's own
-    module. ``text`` is the canonical print and ``key`` the content
-    fingerprint, both None when nothing reads them (a lone module and no
-    store)."""
+    module. ``key`` is the content fingerprint, None when nothing reads
+    it (a lone module and no store)."""
 
-    __slots__ = ("uid", "function", "module", "outcomes", "text", "key")
+    __slots__ = ("uid", "function", "module", "outcomes", "key")
 
-    def __init__(self, uid, function, module, outcomes, text, key):
+    def __init__(self, uid, function, module, outcomes, key):
         self.uid = uid
         self.function = function
         self.module = module
         self.outcomes = outcomes
-        self.text = text
         self.key = key
 
     def record(self, status: str) -> None:
@@ -139,16 +136,16 @@ class DetectionSession:
             defined = [f for f in module.functions.values()
                        if not f.is_declaration()]
             if not keyed:
-                pairs = [(None, None)] * len(defined)
+                keys = [None] * len(defined)
             else:
                 if prints is None or prints.config_signature != config_sig \
-                        or len(prints.functions) != len(defined):
+                        or len(prints.keys) != len(defined):
                     prints = module_fingerprints(module, config_sig)
-                pairs = prints.functions
+                keys = prints.keys
             module_jobs: list[_Job] = []
-            for function, (text, key) in zip(defined, pairs):
+            for function, key in zip(defined, keys):
                 job = _Job(f"m{index}:{function.name}", function, module,
-                           report.outcomes, text, key)
+                           report.outcomes, key)
                 module_jobs.append(job)
                 entry = cache.load(function, module, key) \
                     if cache is not None else None
@@ -166,9 +163,9 @@ class DetectionSession:
         solved = self._run([group[0] for group in groups.values()])
         for group in groups.values():
             representative = group[0]
-            matches, stats, summary = solved[representative.uid]
-            results[representative.uid] = (matches, stats)
-            self._save(cache, representative, matches, stats, summary)
+            matches, stats = results[representative.uid] = \
+                solved[representative.uid]
+            self._save(cache, representative, matches, stats)
             if len(group) > 1:
                 payload = encode_detection(representative.function,
                                            matches, stats)
@@ -218,46 +215,24 @@ class DetectionSession:
                 results[job.uid] = (entry.matches, entry.stats)
                 job.record("dedupe-hit")
                 return
-        matches, stats, summary = self._run([job])[job.uid]
-        results[job.uid] = (matches, stats)
-        self._save(self.detector.cache, job, matches, stats, summary)
+        matches, stats = results[job.uid] = self._run([job])[job.uid]
+        self._save(self.detector.cache, job, matches, stats)
 
     # -- solving primitives -------------------------------------------------------
     def _run(self, jobs: list[_Job]) -> dict:
-        """Solve ``jobs`` one after another; returns
-        uid -> (matches, stats, summary) and records each outcome."""
+        """Solve ``jobs`` one after another in-process; returns
+        uid -> (matches, stats) and records each outcome."""
         solved = {}
         for job in jobs:
-            solved[job.uid] = self._solve(job)
+            solved[job.uid] = self.detector.detect_function_with_stats(
+                job.function, deadline_s=self.deadline_s)
             job.record("timed-out-partial" if solved[job.uid][1].timed_out
                        else "ok")
         return solved
 
-    def _solve(self, job: _Job) -> tuple:
-        """Solve one function in-process."""
-        function = job.function
-        cache = self.detector.cache
-        analyses = FunctionAnalyses(function)
-        adopted = False
-        if cache is not None:
-            # Body-keyed summaries survive config changes: a re-solve
-            # under new limits / idiom sets still skips re-deriving the
-            # feasibility-signature inputs.
-            summary = cache.load_summary(function, job.text)
-            if summary is not None:
-                analyses.adopt_summary(summary)
-                adopted = True
-        matches, stats = self.detector.detect_function_with_stats(
-            function, analyses, deadline_s=self.deadline_s)
-        # An adopted summary is already in the store — returning None
-        # keeps save() from recomputing (loop info) and rewriting it.
-        return (matches, stats,
-                None if adopted or cache is None else analyses.summary())
-
     @staticmethod
-    def _save(cache, job: _Job, matches, stats, summary) -> None:
+    def _save(cache, job: _Job, matches, stats) -> None:
         """Write one fresh solve back to the store; timed-out partial
         results are never stored."""
         if cache is not None and not stats.timed_out:
-            cache.save(job.function, matches, stats, summary, job.text,
-                       job.key)
+            cache.save(job.function, matches, stats, job.key)

@@ -79,6 +79,7 @@ from .bytecode import (
     _srem,
     BytecodeFunction,
 )
+from .jit_vectorize import build_loop_plans, emit_kernel
 from .memory import Buffer, Pointer
 from .profile import (
     DEFAULT_JIT_THRESHOLD,
@@ -323,13 +324,10 @@ class _Specializer:
     on-stack entry (``regs`` given) starts at the header's arm.
     """
 
-    def __init__(self, function, bc: BytecodeFunction, vm: VirtualMachine,
-                 vectorize: bool = True):
+    def __init__(self, function, bc: BytecodeFunction, vm: VirtualMachine):
         self.function = function
         self.bc = bc
         self.vm = vm
-        self.vectorize = vectorize
-        self.profiling = vm.profiling
         n = len(bc.blocks)
         starts = bc.block_starts
         ends = list(starts[1:]) + [len(bc.code)]
@@ -364,14 +362,8 @@ class _Specializer:
             if inst[0] == OP_ALLOCA:
                 self.atypes[inst[2]] = inst[4]
         self.lines: list[tuple[int, str]] = []
-        self.plans: dict[int, object] = {}   # header block index -> plan
-        if vectorize:
-            self._build_plans()
-
-    def _build_plans(self) -> None:
-        """Populated by the vectorizer (separate section below)."""
-        from .jit_vectorize import build_loop_plans
-        self.plans = build_loop_plans(self)
+        #: Header block index -> the vectorizer's loop plan.
+        self.plans: dict[int, object] = build_loop_plans(self)
 
     # -- small emission helpers --------------------------------------------
     def _use_base(self, slot: int) -> None:
@@ -461,7 +453,6 @@ class _Specializer:
             body.append((3, f"{kw} bx == {root}:"))
             plan = self.plans.get(root)
             if plan is not None:
-                from .jit_vectorize import emit_kernel
                 emit_kernel(self, plan, 4)
             depth = 5 if wrapper else 4
             if wrapper:
@@ -480,8 +471,7 @@ class _Specializer:
         pre: list[tuple[int, str]] = []
         name = bc.name
         pre.append((0, "def _jitfn(vm, args, bx=0, regs=None, allocas=None):"))
-        if self.profiling:
-            pre.append((1, f"counts = vm._counts[{name!r}]"))
+        pre.append((1, f"counts = vm._counts[{name!r}]"))
         pre.append((1, "max_steps = vm.max_steps"))
         pre.append((1, "steps = vm.steps"))
         pre.append((1, "try:"))
@@ -489,8 +479,7 @@ class _Specializer:
         pre.append((3, f"if len(args) != {len(bc.arg_slots)}:"))
         pre.append((4, f"raise InterpreterError('@{name} expects "
                        f"{len(bc.arg_slots)} args')"))
-        if self.profiling:
-            pre.append((3, "counts[0] += 1"))
+        pre.append((3, "counts[0] += 1"))
         pre.append((3, "steps += 1"))
         pre.append((3, "if steps > max_steps:"))
         pre.append((4, "raise InterpreterError(_BUDGET_MSG)"))
@@ -587,8 +576,7 @@ class _Specializer:
             dests = ", ".join(f"r{d}" for d in env)
             srcs = ", ".join(self.names[s] for s in env.values())
             emit((depth, f"{dests} = {srcs}"))
-        if self.profiling:
-            emit((depth, f"counts[{t}] += 1"))
+        emit((depth, f"counts[{t}] += 1"))
         emit((depth, "steps += 1"))
         emit((depth, "if steps > max_steps:"))
         emit((depth + 1, "raise InterpreterError(_BUDGET_MSG)"))
@@ -746,12 +734,11 @@ class JitVirtualMachine(VirtualMachine):
     """
 
     def __init__(self, module, api_runtime=None, max_steps: int = 500_000_000,
-                 seed: int = 12345, profile: bool = True,
+                 seed: int = 12345,
                  jit_threshold: int = DEFAULT_JIT_THRESHOLD,
-                 vectorize: bool = True, code_cache=None):
-        super().__init__(module, api_runtime, max_steps, seed, profile)
+                 code_cache=None):
+        super().__init__(module, api_runtime, max_steps, seed)
         self.jit_threshold = jit_threshold
-        self.vectorize = vectorize
         self.code_cache = code_cache if code_cache is not None \
             else GLOBAL_CODE_CACHE
         self.hotness = HotnessTracker(jit_threshold)
@@ -824,9 +811,7 @@ class JitVirtualMachine(VirtualMachine):
         rolled back.
         """
         steps0, rng0 = self.steps, self.rng.state
-        counts0 = self._counts.get(name) if self.profiling else None
-        if counts0 is not None:
-            counts0 = list(counts0)
+        counts0 = list(self._counts[name])
         try:
             return fn(self, *entry)
         except InterpreterError:
@@ -837,8 +822,7 @@ class JitVirtualMachine(VirtualMachine):
             self.codegen_defect_replays[name] = \
                 self.codegen_defect_replays.get(name, 0) + 1
             self.steps, self.rng.state = steps0, rng0
-            if counts0 is not None:
-                self._counts[name][:] = counts0
+            self._counts[name][:] = counts0
             return STAY_IN_VM
 
     def jit_compiled(self) -> list[str]:
@@ -872,11 +856,10 @@ class JitVirtualMachine(VirtualMachine):
             # Fault seam: an injected compile failure must degrade to the
             # VM tier exactly like a genuinely uncompilable function.
             faults.maybe_fire("jit.compile", name)
-            fp = jit_fingerprint(function, self.profiling, self.vectorize)
+            fp = jit_fingerprint(function)
             code = self.code_cache.get(fp)
             if code is None:
-                source = _Specializer(function, bc, self,
-                                      self.vectorize).generate()
+                source = _Specializer(function, bc, self).generate()
                 code = compile(source, f"<jit:{fp[:12]}>", "exec")
                 self.code_cache.put(fp, code)
             ns = dict(_STATIC_NS)

@@ -163,9 +163,8 @@ def emit_kernel(spec, plan: LoopPlan, depth: int) -> None:
             d += 1
         else:
             emit((d + rel, line))
-    if spec.profiling:
-        for index, count in plan.count_lines:
-            emit((d, f"counts[{index}] += {count}"))
+    for index, count in plan.count_lines:
+        emit((d, f"counts[{index}] += {count}"))
     emit((d, f"steps += {plan.steps_expr}"))
     # Out-of-bounds gather indices may be fine on the next entry: count
     # the failure but do not blacklist the site.

@@ -40,23 +40,19 @@ from ..ir.printer import print_function_canonical
 DEFAULT_JIT_THRESHOLD = 16
 
 
-def jit_fingerprint(function: Function, profiling: bool,
-                    vectorize: bool) -> str:
+def jit_fingerprint(function: Function) -> str:
     """Content address of one function's specialized source.
 
     Folds everything the generated text *semantically* depends on: the
-    canonical IR form, the module's globals (generated code binds them
-    by name), and the JIT configuration (profiled sources carry count
-    increments; vectorized sources carry guards and kernels). Dispatch
-    arm ordering — a perf-only layout choice steered by the compiling
-    VM's dynamic counts — is intentionally not folded in; see the module
-    docstring.
+    canonical IR form and the module's globals (generated code binds them
+    by name). Dispatch arm ordering — a perf-only layout choice steered
+    by the compiling VM's dynamic counts — is intentionally not folded
+    in; see the module docstring.
     """
     module = function.module
     globals_sig = globals_signature(module) if module is not None else ""
     h = hashlib.sha256()
-    for part in (print_function_canonical(function), globals_sig,
-                 f"profile={int(profiling)}:vectorize={int(vectorize)}"):
+    for part in (print_function_canonical(function), globals_sig):
         h.update(b"\x00")
         h.update(part.encode())
     return h.hexdigest()

@@ -66,13 +66,11 @@ class VirtualMachine:
     _back_edge_hook = None
 
     def __init__(self, module: Module, api_runtime=None,
-                 max_steps: int = 500_000_000, seed: int = 12345,
-                 profile: bool = True):
+                 max_steps: int = 500_000_000, seed: int = 12345):
         self.module = module
         self.api_runtime = api_runtime
         self.max_steps = max_steps
         self.steps = 0
-        self.profiling = profile
         self._profile_cache: Profile | None = None
         self.rng = LCG(seed)
         self.globals: dict[str, Buffer] = {}
@@ -84,7 +82,7 @@ class VirtualMachine:
             self.globals[gv.name] = buffer
         self._bc: dict[str, BytecodeFunction] = {}
         self._protos: dict[str, list] = {}
-        self._counts: dict[str, list[int] | None] = {}
+        self._counts: dict[str, list[int]] = {}
 
     # -- public API ---------------------------------------------------------------
     def bind_global(self, name: str, array) -> Buffer:
@@ -115,9 +113,6 @@ class VirtualMachine:
         every read was O(total blocks) per access, and callers poll it
         (cost model, reports). Any ``call`` invalidates the cache.
         """
-        if not self.profiling:
-            raise InterpreterError(
-                "per-block profiling is disabled (profile=False)")
         prof = self._profile_cache
         if prof is not None:
             return prof
@@ -155,8 +150,7 @@ class VirtualMachine:
                 proto[slot] = Pointer(self.globals[gname], 0)
             self._bc[name] = bc
             self._protos[name] = proto
-            self._counts[name] = \
-                [0] * len(bc.blocks) if self.profiling else None
+            self._counts[name] = [0] * len(bc.blocks)
         return bc
 
     # -- execution -------------------------------------------------------------------
@@ -174,8 +168,7 @@ class VirtualMachine:
             regs[slot] = value
         allocas = [None] * bc.n_allocas
         counts = self._counts[bc.name]
-        if counts is not None:
-            counts[0] += 1
+        counts[0] += 1
         steps = self.steps + 1
         self.steps = steps
         if steps > self.max_steps:
@@ -206,8 +199,7 @@ class VirtualMachine:
                     pc, moves, bx = inst[2] if regs[inst[1]] else inst[3]
                     for d, s in moves:
                         regs[d] = regs[s]
-                    if counts is not None:
-                        counts[bx] += 1
+                    counts[bx] += 1
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)
@@ -215,8 +207,7 @@ class VirtualMachine:
                     pc, moves, bx = inst[1]
                     for d, s in moves:
                         regs[d] = regs[s]
-                    if counts is not None:
-                        counts[bx] += 1
+                    counts[bx] += 1
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)
@@ -244,8 +235,7 @@ class VirtualMachine:
                     pc, moves, bx = inst[2] if regs[inst[1]] else inst[3]
                     for d, s in moves:
                         regs[d] = regs[s]
-                    if counts is not None:
-                        counts[bx] += 1
+                    counts[bx] += 1
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)
@@ -322,8 +312,7 @@ class VirtualMachine:
                     pc, moves, bx = inst[1]
                     for d, s in moves:
                         regs[d] = regs[s]
-                    if counts is not None:
-                        counts[bx] += 1
+                    counts[bx] += 1
                     steps += 1
                     if steps > max_steps:
                         raise InterpreterError(_BUDGET_MSG)

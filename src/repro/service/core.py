@@ -19,7 +19,7 @@ waits ``batch_window_s`` for co-travellers only when the pending work
 holds a ``plan`` request (placed jointly with its batch) or a detect
 with a cold function (deduped across its batch). A detect whose every
 function the store already holds is *warm*: its text's parse-cache
-entry memoises each function's canonical text and store key
+entry memoises each function's store key
 (:class:`~repro.cache.fingerprint.ModuleFingerprints`), so submit checks
 the store index without re-printing anything, and a batch of warm
 detects drains at once.
@@ -106,6 +106,9 @@ PARSE_CACHE_ENTRIES = 64
 
 #: Most recent per-request latencies retained for the stats endpoint.
 LATENCY_WINDOW = 2048
+
+#: Most recent latencies retained per tenant (its p95 in the stats).
+TENANT_LATENCY_WINDOW = 512
 
 
 def tightened_deadline(deadline_s: float | None,
@@ -308,13 +311,13 @@ class _TenantState:
     __slots__ = ("queue", "admits", "sheds", "expired", "completed",
                  "latencies")
 
-    def __init__(self, latency_window: int = 512):
+    def __init__(self):
         self.queue: deque[_Request] = deque()
         self.admits = 0
         self.sheds = 0
         self.expired = 0
         self.completed = 0
-        self.latencies: deque[float] = deque(maxlen=latency_window)
+        self.latencies: deque[float] = deque(maxlen=TENANT_LATENCY_WINDOW)
 
     def as_dict(self) -> dict:
         return {
@@ -703,7 +706,7 @@ class DetectionService:
                 prints.config_signature != self.detector.config_signature():
             return False
         return all(self.store.entry_info(key) is not None
-                   for _, key in prints.functions)
+                   for key in prints.keys)
 
     def _next_batch_locked(self, limit: int) -> list[_Request]:
         """Round-robin drain across the tenant queues.

@@ -267,7 +267,7 @@ class ServiceClient:
     exponential backoff with jitter — safe because ``detect`` is
     idempotent on the daemon side. Typed ``overloaded``/``draining``
     sheds are retried honouring the daemon's ``retry_after_s`` hint.
-    ``timeout`` bounds each request round-trip; ``connect_timeout``
+    ``timeout`` bounds each request round-trip; :attr:`CONNECT_TIMEOUT_S`
     bounds connection establishment separately. Usable as a context
     manager. :meth:`detect_report` returns a decoded
     :class:`~repro.idioms.matches.DetectionReport` bound to the client's
@@ -275,11 +275,14 @@ class ServiceClient:
 
     #: Error kinds worth another attempt (after honouring retry_after_s).
     RETRYABLE_KINDS = ("overloaded", "draining")
+    #: Seconds to establish a connection.
+    CONNECT_TIMEOUT_S = 10.0
+    #: Cap on one retry's sleep, before jitter.
+    MAX_BACKOFF_S = 2.0
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 timeout: float = 120.0, connect_timeout: float = 10.0,
-                 max_retries: int = 5, backoff_s: float = 0.05,
-                 max_backoff_s: float = 2.0, reconnect: bool = True):
+                 timeout: float = 120.0, max_retries: int = 5,
+                 backoff_s: float = 0.05):
         if int(port) == 0:
             raise IDLError(
                 "port 0 is the daemon's pick-an-ephemeral-port bind "
@@ -288,11 +291,8 @@ class ServiceClient:
         self.host = host
         self.port = int(port)
         self.timeout = timeout
-        self.connect_timeout = connect_timeout
         self.max_retries = max(0, int(max_retries))
         self.backoff_s = backoff_s
-        self.max_backoff_s = max_backoff_s
-        self.reconnect = reconnect
         #: Telemetry: connections re-established / requests re-attempted.
         self.reconnects = 0
         self.retries = 0
@@ -303,7 +303,7 @@ class ServiceClient:
     # -- connection management ----------------------------------------------------
     def _connect(self) -> None:
         sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.connect_timeout)
+                                        timeout=self.CONNECT_TIMEOUT_S)
         try:
             # The connect timeout has done its job; from here on the
             # per-request timeout governs reads and writes.
@@ -335,7 +335,7 @@ class ServiceClient:
             delay = float(retry_after_s)
         else:
             delay = self.backoff_s * (2 ** attempt)
-        delay = min(self.max_backoff_s, delay)
+        delay = min(self.MAX_BACKOFF_S, delay)
         # Jitter decorrelates a fleet of clients retrying the same shed.
         time.sleep(delay + random.uniform(0, self.backoff_s))
 
@@ -365,7 +365,7 @@ class ServiceClient:
                 # daemon — both mean this attempt produced nothing
                 # trustworthy, so the connection is rebuilt from scratch.
                 self._teardown()
-                if not (retryable and self.reconnect) \
+                if not retryable \
                         or attempt >= self.max_retries \
                         or (deadline_at is not None
                             and time.monotonic() >= deadline_at):

@@ -1,8 +1,8 @@
 """Tests for the content-addressed artifact cache: the store's failure
 semantics, fingerprint/canonical-print determinism (including across
 processes with different PYTHONHASHSEED — the warm-start-across-sessions
-requirement), analysis summaries, and cold/warm bit-identity of detection
-reports with per-function invalidation."""
+requirement), one stored entry per function, and cold/warm bit-identity
+of detection reports with per-function invalidation."""
 
 import hashlib
 import json
@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-from repro.analysis.info import AnalysisSummary, FunctionAnalyses
 from repro.cache import (
     STORE_VERSION,
     ArtifactStore,
@@ -22,7 +21,7 @@ from repro.cache import (
     encode_detection,
     function_fingerprint,
     globals_signature,
-    summary_fingerprint,
+    module_fingerprints,
 )
 from repro.errors import IDLError
 from repro.frontend import compile_c
@@ -267,10 +266,6 @@ class TestFingerprints:
         assert globals_signature(m1) != globals_signature(m2)
         assert function_fingerprint(m1.functions["f"], "cfg") != \
             function_fingerprint(m2.functions["f"], "cfg")
-        # ... but summaries are body-keyed (their facts don't read
-        # globals), so they survive the declaration change.
-        assert summary_fingerprint(m1.functions["f"]) == \
-            summary_fingerprint(m2.functions["f"])
 
     def test_detector_config_signature_inputs(self):
         base = detection_config_signature(
@@ -304,31 +299,6 @@ class TestFingerprints:
     def test_pipeline_signature_names_every_pass(self):
         sig = pipeline_signature()
         assert "promote_allocas" in sig and "simplify_cfg" in sig
-
-
-# ---------------------------------------------------------------------------
-# Analysis summaries
-# ---------------------------------------------------------------------------
-
-class TestAnalysisSummary:
-    def test_summary_roundtrip(self):
-        f = compiled().functions["f"]
-        summary = FunctionAnalyses(f).summary()
-        again = AnalysisSummary.from_dict(summary.as_dict())
-        assert again == summary
-        assert summary.max_loop_depth == 1
-        assert "phi" in summary.opcodes
-        assert summary.opcodes == tuple(sorted(summary.opcodes))
-
-    def test_adopt_summary_skips_recomputation(self):
-        f = compiled().functions["f"]
-        summary = FunctionAnalyses(f).summary()
-        adopted = FunctionAnalyses(f)
-        adopted.adopt_summary(summary)
-        assert adopted.opcode_set == frozenset(summary.opcodes)
-        assert adopted.max_loop_depth == summary.max_loop_depth
-        # ... without ever having built loop info.
-        assert adopted._loops is None
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +515,28 @@ class TestDetectionCache:
         with pytest.raises(IDLError):
             IdiomDetector(cache=DetectionCache(store, "stale-signature"))
 
-    def test_summaries_are_persisted_and_adoptable(self, tmp_path):
-        module = compiled()
-        det = IdiomDetector(cache=str(tmp_path))
-        det.detect(module)
-        summary = det.cache.load_summary(module.functions["f"])
-        assert summary is not None
-        assert summary == FunctionAnalyses(module.functions["f"]).summary()
+    def test_each_function_is_stored_once(self):
+        """A cold detect of the suite writes one detection entry per
+        defined function and nothing else; a second pass is all hits."""
+        store = ArtifactStore()
+        det = IdiomDetector(cache=store)
+        modules = [compiled(w.source, w.name) for w in all_workloads()]
+
+        def counters():
+            stats = store.stats.as_dict()
+            return stats["hits"], stats["misses"], stats["writes"]
+
+        for module in modules:
+            det.detect(module)
+        assert counters() == (0, 96, 96)
+        assert store.entry_count() == 96
+        for module in modules:
+            det.detect(module)
+        assert counters() == (96, 96, 96)
+        keys = [key for module in modules for key in module_fingerprints(
+            module, det.cache.config_signature).keys]
+        assert len(keys) == len(set(keys)) == 96
+        assert all(store.get(key)["kind"] == "detection" for key in keys)
 
 
 class TestSuiteColdWarm:

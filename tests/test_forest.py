@@ -512,6 +512,34 @@ class TestKnobCensus:
         session = DetectionSession(deadline_s=1.0)
         assert session.deadline_s == 1.0 and not hasattr(session, "policy")
 
+    def test_client_options_are_the_census_survivors(self):
+        """No caller set a connect timeout, a backoff cap, a reconnect
+        opt-out or a per-tenant latency window: they are constants.
+        perfbench sets ``timeout`` and ``max_retries``, tests set
+        ``backoff_s``."""
+        from inspect import signature
+
+        from repro.service import ServiceClient
+        from repro.service.core import _TenantState
+
+        assert list(signature(ServiceClient).parameters) == [
+            "host", "port", "timeout", "max_retries", "backoff_s"]
+        assert not signature(_TenantState).parameters
+
+    def test_engines_run_one_code_variant(self):
+        """Every engine profiles and the JIT always vectorizes: nothing
+        passed ``profile`` or ``vectorize``."""
+        from inspect import signature
+
+        from repro.runtime.jit import JitVirtualMachine
+        from repro.runtime.vm import VirtualMachine
+
+        assert list(signature(VirtualMachine).parameters) == [
+            "module", "api_runtime", "max_steps", "seed"]
+        assert list(signature(JitVirtualMachine).parameters) == [
+            "module", "api_runtime", "max_steps", "seed",
+            "jit_threshold", "code_cache"]
+
     def test_serve_options_are_the_census_survivors(self):
         from repro.service.__main__ import _build_parser
 

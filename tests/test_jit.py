@@ -129,8 +129,7 @@ def call_both(src, arrays, scalars, fault=False, **jit_kwargs):
         assert vm.call("f", pv + scalars) == jit.call("f", pj + scalars)
     for a, b in zip(pv, pj):
         np.testing.assert_array_equal(a.buffer.data, b.buffer.data)
-    if jit.profiling:
-        assert vm.profile.block_counts == jit.profile.block_counts
+    assert vm.profile.block_counts == jit.profile.block_counts
     assert vm.steps == jit.steps
     return jit, frames
 
@@ -434,8 +433,7 @@ class TestCodegenDefectSafetyNet:
                 entries.append("call" if regs is None else f"loop:{bx}")
                 vm.steps += 999           # state the fallback must undo
                 vm.rng.next()
-                if vm.profiling:
-                    vm._counts[name][0] += 7
+                vm._counts[name][0] += 7
                 raise NameError("_kv is not defined")
             jit._jit_fns[name] = broken
             return broken
@@ -584,18 +582,6 @@ double f(int n) {
                                       jit.globals["g"].data)
         assert vm.profile.block_counts == jit.profile.block_counts
         assert vm.steps == jit.steps
-
-    def test_profile_opt_out(self):
-        _, jit = engines_for(self.SRC, profile=False)
-        (p,) = ptr_args(jit, [np.ones(8)])
-        assert jit.call("f", [p, 8]) == 8.0
-        with pytest.raises(InterpreterError):
-            jit.profile
-
-    def test_profile_off_still_tiers_up(self):
-        jit, _ = call_both(self.BRANCHY, [np.linspace(0.0, 1.0, 200)], [200],
-                           profile=False)
-        assert jit.jit_compiled() == ["f"]
 
     def test_code_cache_shared_across_vms(self):
         cache = CodeCache()

@@ -605,8 +605,8 @@ class TestDetectionService:
 
 class TestStoreHitPath:
     """A re-submitted text costs a lookup: its parse-cache entry memoises
-    every function's canonical text and store key, and a detect whose
-    every function the store holds drains without the batch window."""
+    every function's store key, and a detect whose every function the
+    store holds drains without the batch window."""
 
     @staticmethod
     def count_prints(monkeypatch) -> list:

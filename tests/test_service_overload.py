@@ -485,11 +485,9 @@ class TestClientHygiene:
         ]
         client = ServiceClient.__new__(ServiceClient)
         client.host, client.port = "fake", 1
-        client.timeout = client.connect_timeout = 1.0
+        client.timeout = 1.0
         client.max_retries = 5
         client.backoff_s = 0.001
-        client.max_backoff_s = 0.01
-        client.reconnect = True
         client.reconnects = client.retries = 0
         client._sock = None
         client._rfile = None
@@ -517,11 +515,9 @@ class TestClientHygiene:
     def test_non_retryable_kinds_raise_immediately(self, monkeypatch):
         client = ServiceClient.__new__(ServiceClient)
         client.host, client.port = "fake", 1
-        client.timeout = client.connect_timeout = 1.0
+        client.timeout = 1.0
         client.max_retries = 5
         client.backoff_s = 0.001
-        client.max_backoff_s = 0.01
-        client.reconnect = True
         client.reconnects = client.retries = 0
 
         class Sock:
